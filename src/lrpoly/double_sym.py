@@ -538,24 +538,31 @@ def _decompose_sym(S, basis_fn=None):
     n = S.n
     if basis_fn is None:
         basis_fn = _schur_sym
-    work = dict(S.terms)
+    # private raw term dicts: the basis and input APolys may be cache-owned,
+    # so the in-place subtraction below must never reach them
+    work = {e: dict(c.terms) for e, c in S.terms.items()}
     result = {}
     while work:
-        d = max(sum(e) for e in work)
-        nu = max(e for e in work if sum(e) == d)
+        nu = max(work, key=lambda e: (sum(e), e))
         if len(nu) > n:
             raise ValueError(f"not in span: leading exponent {nu}")
-        c = work[nu]
-        result[nu] = c
-        basis = basis_fn(nu, n)
-        for e, p in basis.terms.items():
-            acc = work.get(e)
-            delta = p * c
-            acc = delta.scale(-1) if acc is None else acc - delta
-            if acc.is_zero():
-                work.pop(e, None)
-            else:
-                work[e] = acc
+        # snapshot before the pass below, which also zeroes work[nu]
+        c = result[nu] = APoly(dict(work[nu]))
+        ct = c.terms.items()
+        for e, p in basis_fn(nu, n).terms.items():
+            d = work.get(e)
+            if d is None:
+                d = work[e] = {}
+            for m1, k1 in p.terms.items():
+                for m2, k2 in ct:
+                    m = _mono_mul(m1, m2)
+                    nk = d.get(m, 0) - k1 * k2
+                    if nk:
+                        d[m] = nk
+                    else:
+                        del d[m]
+            if not d:
+                del work[e]
     return SchurSum(result)
 
 
@@ -594,15 +601,20 @@ def product_decomposition(lam, mu, n):
 def c_oracle(lam, mu, nu):
     """Structure coefficient of s_nu in s_lam * s_mu, by brute force.
 
-    Computed at two consecutive variable counts large enough for stability;
-    the two decompositions must agree, which turns the (unknown) stability
-    bound into a runtime check.
+    Expands the product in n0 = max(l(nu), 1) variables, the smallest count
+    at which s_nu is nonzero.  This is enough: the evaluation phi_n
+    (x_n := a_n) is a ring homomorphism sending s_kappa in n variables to
+    s_kappa in n - 1 variables, or to 0 when l(kappa) = n, and it leaves the
+    a-coefficients alone.  So the coefficient of s_nu in s_lam * s_mu is the
+    same for every n >= l(nu).  The decomposition at n0 + 1 may hold
+    partitions of length n0 + 1; restricted to length <= n0 it must equal
+    the one at n0, which checks that argument at run time.
     """
     lam, mu, nu = iv(lam), iv(mu), iv(nu)
-    n0 = sum(lam) + sum(mu) + 1
+    n0 = max(len(nu), 1)
     d1 = product_decomposition(lam, mu, n0)
     d2 = product_decomposition(lam, mu, n0 + 1)
-    if d1 != d2:
+    if d1 != SchurSum({k: c for k, c in d2.terms.items() if len(k) <= n0}):
         raise ArithmeticError(f"unstable at chosen n: n0={n0} vs n0+1 disagree")
     return d1.coeff(nu)
 

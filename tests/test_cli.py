@@ -46,6 +46,19 @@ def test_lr_all_methods_agree(capsys):
     assert all(ln.endswith("a_0 - a_1") for ln in lines)
 
 
+def test_lr_all_methods_agree_nine_boxes(capsys):
+    # nine boxes: the oracle stays cheap here only because it expands at
+    # max(l(nu), 1) = 3 and 4 variables
+    code, out, _ = run(
+        capsys,
+        "lr", "--lambda", "3,2", "--mu", "2,2", "--nu", "4,3,2", "--method", "all",
+    )
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 4
+    assert len({ln.split(": ", 1)[1] for ln in lines}) == 1
+
+
 def test_lr_json(capsys):
     code, out, _ = run(
         capsys, "lr", "--lambda", "1", "--mu", "1", "--nu", "1", "--format", "json"

@@ -2,7 +2,9 @@
 
 import pytest
 
+from lrpoly import double_sym
 from lrpoly.apoly import APoly, a
+from lrpoly.schursum import SchurSum
 from lrpoly.shapes import partitions_up_to, size
 from lrpoly.double_sym import (
     XPoly,
@@ -92,6 +94,56 @@ def test_c_oracle_small_values():
     assert c_oracle((1,), (1,), (2,)) == APoly.one()
     assert c_oracle((1,), (1,), (1, 1)) == APoly.one()
     assert c_oracle((2,), (1,), (5,)).is_zero()
+
+
+def _restricted(d, n):
+    return SchurSum({nu: c for nu, c in d.terms.items() if len(nu) <= n})
+
+
+def test_product_decomposition_stable_in_n():
+    # the coefficient of s_nu is the same in every n >= l(nu), which is what
+    # lets c_oracle expand at max(l(nu), 1) variables
+    for lam in partitions_up_to(4):
+        for mu in partitions_up_to(4 - size(lam)):
+            for n in range(1, size(lam) + size(mu) + 2):
+                assert product_decomposition(lam, mu, n) == _restricted(
+                    product_decomposition(lam, mu, n + 1), n
+                ), (lam, mu, n)
+
+
+def test_c_oracle_detects_instability(monkeypatch):
+    lam, mu, nu = (1,), (1,), (1, 1)
+    original = double_sym.product_decomposition
+
+    def tampered(lam, mu, n):
+        d = original(lam, mu, n)
+        if n == len(nu) + 1:
+            d = d + SchurSum.single(nu)
+        return d
+
+    monkeypatch.setattr(double_sym, "product_decomposition", tampered)
+    with pytest.raises(ArithmeticError):
+        c_oracle(lam, mu, nu)
+
+
+def test_decomposition_leaves_cached_bases_intact():
+    double_sym._BRANCH_CACHE.clear()
+    double_sym._PRODUCT_CACHE.clear()
+    for lam, mu in [((1,), (1,)), ((2, 1), (1,)), ((2,), (1, 1)), ((2, 1), (2, 1))]:
+        product_decomposition(lam, mu, 3)
+        product_decomposition(lam, mu, 4)
+    cached = dict(double_sym._BRANCH_CACHE)
+    assert cached
+    double_sym._BRANCH_CACHE.clear()
+    double_sym._PRODUCT_CACHE.clear()
+    for (lam, n), terms in cached.items():
+        assert double_sym._schur_sym_branch(lam, n) == terms, (lam, n)
+    # the determinant basis used by decompose is cached too
+    for lam in [(1,), (2, 1), (2, 2), (3, 1)]:
+        for _ in range(2):
+            d = decompose(double_schur_n(lam, 3))
+            assert d.partitions() == [lam]
+            assert d.coeff(lam) == APoly.one()
 
 
 def test_classical_lr_known_values():
