@@ -3,25 +3,23 @@
 Subcommands: lr, pieri, schur, kostka, classical, verify, verify-involutions.
 Partitions are comma-separated positive integers; the empty string is the
 empty partition.  Exit codes: 0 success, 2 usage or unsupported input,
-3 verification mismatch.  Output is deterministic for fixed flags; the
-LRPOLY_THREADS environment variable caps verification parallelism.
+3 verification mismatch.  Output is deterministic for fixed flags;
+verification cases run one after another in a fixed order.
 """
 
 import argparse
 import json
-import os
 import sys
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 
 from .apoly import APoly
 from .shapes import (
     iv,
     size,
-    pad,
     contains,
     is_partition,
     is_horizontal_strip,
+    bad_compositions,
     apply_rbar,
     lambda_omega,
     all_permutations,
@@ -76,25 +74,13 @@ def _emit(value, fmt):
         print(value)
 
 
-def _max_workers():
-    try:
-        return max(1, int(os.environ.get("LRPOLY_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run_cases(cases):
-    """Run (label, fn) pairs, in parallel if allowed; report in given order.
+    """Run (label, fn) pairs in order.
 
     Each fn returns None on success or a failure message.  Returns the list
     of (label, failure-or-None) in the canonical input order.
     """
-    workers = _max_workers()
-    if workers == 1:
-        return [(label, fn()) for label, fn in cases]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(label, pool.submit(fn)) for label, fn in cases]
-        return [(label, f.result()) for label, f in futures]
+    return [(label, fn()) for label, fn in cases]
 
 
 def cmd_lr(args):
@@ -320,7 +306,7 @@ def _suite_involutions(w, collect=None):
             for p in range(1, 3):
                 for e in range(0, len(mu)):
                     ln = len(mu) + 1
-                    for nu in _bad_compositions(mu, p):
+                    for nu in bad_compositions(mu, p):
                         for U in derived_monomial_tableaux(p, e, mu, nu, vmax=ln):
                             Ut = pieri_bad_pair(U, mu)
                             if monomial_weight(U, mu) - monomial_weight(Ut, mu):
@@ -329,30 +315,6 @@ def _suite_involutions(w, collect=None):
 
     cases.append(("pieri bad pair", check_bad_pair))
     return cases
-
-
-def _bad_compositions(mu, p):
-    """Compositions nu >= mu with 0 < |nu - mu| <= p that are not horizontal strips."""
-    mu = iv(mu)
-    ln = len(mu) + 1
-    mup = pad(mu, ln)
-    out = []
-
-    def rec(prefix, rest):
-        if len(prefix) == ln:
-            if rest == 0:
-                nu = tuple(mup[k] + prefix[k] for k in range(ln))
-                while nu and nu[-1] == 0:
-                    nu = nu[:-1]
-                if not is_horizontal_strip(nu, mu):
-                    out.append(nu)
-            return
-        for k in range(rest + 1):
-            rec(prefix + [k], rest - k)
-
-    for total in range(1, p + 1):
-        rec([], total)
-    return out
 
 
 _SUITES = {

@@ -1,7 +1,8 @@
 """Symmetric polynomials in x_1..x_n with exact coefficients in Z[a].
 
 Provides the deformed complete homogeneous polynomials h_p(x||a), their
-index-shifted variants, Schur elements via determinant expansion, the
+index-shifted variants, Schur elements via the branching rule over
+horizontal strips (the combinatorial reverse-tableau formula), the
 one-variable evaluation map, decomposition in the Schur basis, and a
 brute-force oracle for the structure coefficients.  Also contains an
 independent classical (all a_i = 0) Littlewood-Richardson implementation
@@ -221,17 +222,6 @@ class _Sym:
             and self.terms == other.terms
         )
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = nc
-        return _Sym(self.n, out)
-
     def scale(self, c):
         if isinstance(c, int):
             c = APoly.const(c)
@@ -330,90 +320,6 @@ def _sym_expand(S):
     return XPoly(S.n, out)
 
 
-_H_SYM_CACHE = {}
-
-
-def _h_sym(r, s, n):
-    """Symmetric representative of the shift-s deformed h of degree r."""
-    key = (r, s, n)
-    cached = _H_SYM_CACHE.get(key)
-    if cached is None:
-        base = _H_SYM_CACHE.get((r, 0, n))
-        if base is None:
-            base = _sym_from_xpoly(h_n(r, n))
-            _H_SYM_CACHE[(r, 0, n)] = base
-        if s == 0:
-            cached = base
-        else:
-            cached = _Sym(
-                n, {e: c.shift_indices(s) for e, c in base.terms.items()}
-            )
-        _H_SYM_CACHE[key] = cached
-    return cached
-
-
-_SCHUR_SYM_CACHE = {}
-
-
-def _schur_sym(lam, n):
-    """Schur element as a symmetric representative, by determinant expansion.
-
-    The (i, j) entry of the determinant is the shift-(j-1) deformed h of
-    degree lam_i + j - i; zero when the shape has more rows than variables.
-    Minors are expanded along rows with memoization on the column set.
-    """
-    lam = iv(lam)
-    if not is_partition(lam):
-        raise ValueError("shape must be a partition")
-    key = (lam, n)
-    cached = _SCHUR_SYM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    l = len(lam)
-    if l > n:
-        result = _Sym(n, {})
-    elif l == 0:
-        result = _Sym(n, {(): APoly.one()})
-    else:
-        entries = [
-            [
-                _h_sym(lam[i] + j - i, j, n) if lam[i] + j - i >= 0 else None
-                for j in range(l)
-            ]
-            for i in range(l)
-        ]
-        unit = _Sym(n, {(): APoly.one()})
-        memo = {}
-
-        def minor(cols):
-            # determinant of rows 0..len(cols)-1 restricted to the column
-            # tuple cols, expanded along the bottom row (which has the most
-            # vanishing and unit entries for thin shapes)
-            if not cols:
-                return unit
-            cached = memo.get(cols)
-            if cached is not None:
-                return cached
-            i = len(cols) - 1
-            total = _Sym(n, {})
-            for pos, j in enumerate(cols):
-                entry = entries[i][j]
-                if entry is None or entry.is_zero():
-                    continue
-                sub = minor(cols[:pos] + cols[pos + 1 :])
-                if sub.is_zero():
-                    continue
-                term = entry * sub
-                sign = (i + pos) % 2  # cofactor sign of the bottom-row entry
-                total = total + (term if sign == 0 else term.scale(-1))
-            memo[cols] = total
-            return total
-
-        result = minor(tuple(range(l)))
-    _SCHUR_SYM_CACHE[key] = result
-    return result
-
-
 _BRANCH_CACHE = {}
 
 
@@ -447,8 +353,10 @@ def _schur_sym_branch(lam, n):
     Splitting off the boxes holding the minimal entry (a horizontal strip
     lam/mu whose boxes carry factors x_1 - a_{1-c}) expresses the element
     through shape-mu elements in one fewer variable with all a-indices
-    shifted by one.  Equivalent to the determinant expansion (asserted by
-    tests) but avoids products of large polynomials entirely.
+    shifted by one.  This is the combinatorial formula for factorial Schur
+    functions (Molev-Sagan, Trans. AMS 1999); its equality with the
+    Jacobi-Trudi determinant in the shifted h's is asserted by
+    tests/test_double_sym.py::test_branching_matches_jacobi_trudi_determinant.
     """
     lam = iv(lam)
     if not lam:
@@ -490,23 +398,12 @@ def _schur_sym_branch(lam, n):
     return result
 
 
-def _schur_sym_fast(lam, n):
-    """Schur element as a _Sym, via the branching recursion (oracle hot path)."""
-    return _Sym(n, dict(_schur_sym_branch(lam, n)))
-
-
-_SCHUR_CACHE = {}
-
-
 def double_schur_n(lam, n):
     """Schur element of shape lam in n variables, as a dense polynomial."""
     lam = iv(lam)
-    key = (lam, n)
-    cached = _SCHUR_CACHE.get(key)
-    if cached is None:
-        cached = _sym_expand(_schur_sym(lam, n))
-        _SCHUR_CACHE[key] = cached
-    return cached
+    if not is_partition(lam):
+        raise ValueError("shape must be a partition")
+    return _sym_expand(_Sym(n, _schur_sym_branch(lam, n)))
 
 
 def phi_n(P):
@@ -528,16 +425,16 @@ def phi_n(P):
     return XPoly(n - 1, out)
 
 
-def _decompose_sym(S, basis_fn=None):
+def _decompose_sym(S):
     """Greedy Schur-basis elimination on a symmetric representative.
 
     Among the terms of maximal total degree, the lexicographically greatest
     partition is the leading monomial of a unique basis element, whose
-    coefficient is read off directly and subtracted.
+    coefficient is read off directly and subtracted.  A basis element whose
+    leading coefficient is not exactly 1 would leave that term behind; it is
+    reported as an ArithmeticError instead of looping forever.
     """
     n = S.n
-    if basis_fn is None:
-        basis_fn = _schur_sym
     # private raw term dicts: the basis and input APolys may be cache-owned,
     # so the in-place subtraction below must never reach them
     work = {e: dict(c.terms) for e, c in S.terms.items()}
@@ -549,7 +446,7 @@ def _decompose_sym(S, basis_fn=None):
         # snapshot before the pass below, which also zeroes work[nu]
         c = result[nu] = APoly(dict(work[nu]))
         ct = c.terms.items()
-        for e, p in basis_fn(nu, n).terms.items():
+        for e, p in _schur_sym_branch(nu, n).items():
             d = work.get(e)
             if d is None:
                 d = work[e] = {}
@@ -563,6 +460,8 @@ def _decompose_sym(S, basis_fn=None):
                         del d[m]
             if not d:
                 del work[e]
+        if nu in work:
+            raise ArithmeticError(f"leading coefficient of s_{nu} in n={n} is not 1")
     return SchurSum(result)
 
 
@@ -591,8 +490,7 @@ def product_decomposition(lam, mu, n):
     cached = _PRODUCT_CACHE.get(key)
     if cached is None:
         cached = _decompose_sym(
-            _schur_sym_fast(lam, n) * _schur_sym_fast(mu, n),
-            basis_fn=_schur_sym_fast,
+            _Sym(n, _schur_sym_branch(lam, n)) * _Sym(n, _schur_sym_branch(mu, n))
         )
         _PRODUCT_CACHE[key] = cached
     return cached

@@ -63,6 +63,32 @@ def is_horizontal_strip(nu, mu):
     return all(nu[i + 1] <= mu[i] for i in range(len(nu) - 1))
 
 
+def bad_compositions(mu, p):
+    """Compositions nu >= mu with 0 < |nu - mu| <= p that are not horizontal strips.
+
+    nu has at most l(mu) + 1 parts; the list runs by added size, then by the
+    added vector in lexicographic order.
+    """
+    mu = iv(mu)
+    ln = len(mu) + 1
+    mup = pad(mu, ln)
+    out = []
+
+    def rec(prefix, rest):
+        if len(prefix) == ln:
+            if rest == 0:
+                nu = iv(mup[k] + prefix[k] for k in range(ln))
+                if not is_horizontal_strip(nu, mu):
+                    out.append(nu)
+            return
+        for k in range(rest + 1):
+            rec(prefix + [k], rest - k)
+
+    for total in range(1, p + 1):
+        rec([], total)
+    return out
+
+
 def apply_raising(s, t, alpha):
     """Raising operator R_{st}: add 1 at position s, subtract 1 at position t (1-based)."""
     if not 1 <= s < t:

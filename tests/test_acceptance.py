@@ -8,12 +8,12 @@ from collections import defaultdict
 
 from lrpoly.apoly import APoly, a
 from lrpoly.shapes import (
-    iv,
     pad,
     size,
     contains,
     apply_rbar,
     is_horizontal_strip,
+    bad_compositions,
     lambda_omega,
     all_permutations,
     partitions_of,
@@ -231,31 +231,10 @@ def test_criterion_09_involution_suites():
         l = len(mu)
         for p in (1, 2):
             for e in range(0, l):
-                for nu in _bad_targets(mu, p):
+                for nu in bad_compositions(mu, p):
                     for U in derived_monomial_tableaux(p, e, mu, nu, vmax=l + 1):
                         Ut = pieri_bad_pair(U, mu)
                         assert monomial_weight(Ut, mu) == monomial_weight(U, mu)
-
-
-def _bad_targets(mu, p):
-    mu = iv(mu)
-    ln = len(mu) + 1
-    mup = pad(mu, ln)
-    out = []
-
-    def rec(prefix, rest):
-        if len(prefix) == ln:
-            if rest == 0:
-                nu = iv(mup[k] + prefix[k] for k in range(ln))
-                if not is_horizontal_strip(nu, mu):
-                    out.append(nu)
-            return
-        for k in range(rest + 1):
-            rec(prefix + [k], rest - k)
-
-    for total in range(1, p + 1):
-        rec([], total)
-    return out
 
 
 def test_criterion_10_homogeneity_and_vanishing():

@@ -102,10 +102,59 @@ def test_pieri_methods_agree(capsys):
     assert out_s == out_t
 
 
+# s_(2,1) in three variables, pinned byte for byte
+_SCHUR_21_N3_JSON = (
+    '{"n": 3, "terms": [{"coeff": [{"coeff": "1", "vars": []}], "x": [2, 1'
+    ', 0]}, {"coeff": [{"coeff": "1", "vars": []}], "x": [2, 0, 1]}'
+    ', {"coeff": [{"coeff": "1", "vars": []}], "x": [1, 2, 0]}'
+    ', {"coeff": [{"coeff": "2", "vars": []}], "x": [1, 1, 1]}'
+    ', {"coeff": [{"coeff": "1", "vars": []}], "x": [1, 0, 2]}'
+    ', {"coeff": [{"coeff": "1", "vars": []}], "x": [0, 2, 1]}'
+    ', {"coeff": [{"coeff": "1", "vars": []}], "x": [0, 1, 2]}'
+    ', {"coeff": [{"coeff": "-1", "vars": [[2, 1]]}, {"coeff": "-1"'
+    ', "vars": [[3, 1]]}], "x": [2, 0, 0]}, {"coeff": [{"coeff": "-1"'
+    ', "vars": [[0, 1]]}, {"coeff": "-1", "vars": [[1, 1]]}, {"coeff": "-2"'
+    ', "vars": [[2, 1]]}, {"coeff": "-2", "vars": [[3, 1]]}], "x": [1, 1, 0]}'
+    ', {"coeff": [{"coeff": "-1", "vars": [[0, 1]]}, {"coeff": "-1"'
+    ', "vars": [[1, 1]]}, {"coeff": "-2", "vars": [[2, 1]]}, {"coeff": "-2"'
+    ', "vars": [[3, 1]]}], "x": [1, 0, 1]}, {"coeff": [{"coeff": "-1"'
+    ', "vars": [[2, 1]]}, {"coeff": "-1", "vars": [[3, 1]]}], "x": [0, 2, 0]}'
+    ', {"coeff": [{"coeff": "-1", "vars": [[0, 1]]}, {"coeff": "-1"'
+    ', "vars": [[1, 1]]}, {"coeff": "-2", "vars": [[2, 1]]}, {"coeff": "-2"'
+    ', "vars": [[3, 1]]}], "x": [0, 1, 1]}, {"coeff": [{"coeff": "-1"'
+    ', "vars": [[2, 1]]}, {"coeff": "-1", "vars": [[3, 1]]}], "x": [0, 0, 2]}'
+    ', {"coeff": [{"coeff": "1", "vars": [[0, 1], [2, 1]]}, {"coeff": "1"'
+    ', "vars": [[0, 1], [3, 1]]}, {"coeff": "1", "vars": [[1, 1], [2, 1]]}'
+    ', {"coeff": "1", "vars": [[1, 1], [3, 1]]}, {"coeff": "2", "vars": [[2'
+    ', 1], [3, 1]]}, {"coeff": "1", "vars": [[2, 2]]}, {"coeff": "1"'
+    ', "vars": [[3, 2]]}], "x": [1, 0, 0]}, {"coeff": [{"coeff": "1"'
+    ', "vars": [[0, 1], [2, 1]]}, {"coeff": "1", "vars": [[0, 1], [3, 1]]}'
+    ', {"coeff": "1", "vars": [[1, 1], [2, 1]]}, {"coeff": "1", "vars": [[1'
+    ', 1], [3, 1]]}, {"coeff": "2", "vars": [[2, 1], [3, 1]]}, {"coeff": "1"'
+    ', "vars": [[2, 2]]}, {"coeff": "1", "vars": [[3, 2]]}], "x": [0, 1, 0]}'
+    ', {"coeff": [{"coeff": "1", "vars": [[0, 1], [2, 1]]}, {"coeff": "1"'
+    ', "vars": [[0, 1], [3, 1]]}, {"coeff": "1", "vars": [[1, 1], [2, 1]]}'
+    ', {"coeff": "1", "vars": [[1, 1], [3, 1]]}, {"coeff": "2", "vars": [[2'
+    ', 1], [3, 1]]}, {"coeff": "1", "vars": [[2, 2]]}, {"coeff": "1"'
+    ', "vars": [[3, 2]]}], "x": [0, 0, 1]}, {"coeff": [{"coeff": "-1"'
+    ', "vars": [[0, 1], [2, 1], [3, 1]]}, {"coeff": "-1", "vars": [[0, 1], [2'
+    ', 2]]}, {"coeff": "-1", "vars": [[0, 1], [3, 2]]}, {"coeff": "-1"'
+    ', "vars": [[1, 1], [2, 1], [3, 1]]}, {"coeff": "-1", "vars": [[1, 1], [2'
+    ', 2]]}, {"coeff": "-1", "vars": [[1, 1], [3, 2]]}, {"coeff": "-1"'
+    ', "vars": [[2, 1], [3, 2]]}, {"coeff": "-1", "vars": [[2, 2], [3, 1]]}]'
+    ', "x": [0, 0, 0]}]}'
+)
+
+
 def test_schur(capsys):
     code, out, _ = run(capsys, "schur", "--lambda", "1", "--n", "2")
     assert code == 0
     assert out.strip() == "(1)*x_1 + (1)*x_2 + (-a_1 - a_2)"
+    code, out, _ = run(
+        capsys, "schur", "--lambda", "2,1", "--n", "3", "--format", "json"
+    )
+    assert code == 0
+    assert out == _SCHUR_21_N3_JSON + "\n"
 
 
 def test_kostka_both_methods(capsys):
@@ -139,15 +188,6 @@ def test_verify_all_passes(capsys):
     assert code == 0
     assert out.count("PASS") == 4
     assert "FAIL" not in out
-
-
-def test_verify_deterministic_across_threads(capsys, monkeypatch):
-    code, out1, _ = run(capsys, "verify", "--suite", "ring", "--max-weight", "2")
-    assert code == 0
-    monkeypatch.setenv("LRPOLY_THREADS", "4")
-    code, out2, _ = run(capsys, "verify", "--suite", "ring", "--max-weight", "2")
-    assert code == 0
-    assert out1 == out2
 
 
 def test_verify_involutions_reports_aggregates(capsys):

@@ -5,7 +5,7 @@ import pytest
 from lrpoly import double_sym
 from lrpoly.apoly import APoly, a
 from lrpoly.schursum import SchurSum
-from lrpoly.shapes import partitions_up_to, size
+from lrpoly.shapes import all_permutations, partitions_up_to, perm_sign, size
 from lrpoly.double_sym import (
     XPoly,
     h_n,
@@ -52,6 +52,30 @@ def test_double_schur_symmetric_and_classical_leading_term():
         # leading monomial x^lam has coefficient 1
         lead = tuple(lam) + (0,) * (3 - len(lam))
         assert P.at_zero().terms.get(lead) == APoly.one()
+
+
+def _jacobi_trudi_dense(lam, n):
+    """det[h_{lam_i + j - i} shifted by j - 1] as a Leibniz sum of dense products."""
+    total = XPoly.zero(n)
+    for w in all_permutations(len(lam)):
+        term = XPoly.const(n, perm_sign(w))
+        for i, wi in enumerate(w, start=1):
+            term = term * h_n_shifted(lam[i - 1] + wi - i, wi - 1, n)
+        total = total + term
+    return total
+
+
+def test_branching_matches_jacobi_trudi_determinant():
+    # the two definitions of s_lam(x||a): the branching rule over horizontal
+    # strips (the only construction in the library) and the determinant
+    for lam in partitions_up_to(4):
+        for n in range(0, 5):
+            assert double_schur_n(lam, n) == _jacobi_trudi_dense(lam, n), (lam, n)
+
+
+def test_double_schur_rejects_non_partition():
+    with pytest.raises(ValueError, match="shape must be a partition"):
+        double_schur_n((1, 2), 3)
 
 
 def test_single_box_explicit():
@@ -138,7 +162,8 @@ def test_decomposition_leaves_cached_bases_intact():
     double_sym._PRODUCT_CACHE.clear()
     for (lam, n), terms in cached.items():
         assert double_sym._schur_sym_branch(lam, n) == terms, (lam, n)
-    # the determinant basis used by decompose is cached too
+    # decompose eliminates against the same cached branch basis; running it
+    # twice would expose a first pass that wrote into those terms
     for lam in [(1,), (2, 1), (2, 2), (3, 1)]:
         for _ in range(2):
             d = decompose(double_schur_n(lam, 3))
@@ -162,3 +187,18 @@ def test_classical_lr_symmetry():
         for mu in partitions_up_to(3):
             for nu in partitions_up_to(size(lam) + size(mu)):
                 assert classical_lr(lam, mu, nu) == classical_lr(mu, lam, nu)
+
+
+def test_decompose_rejects_basis_without_unit_leading_coefficient(monkeypatch):
+    # a basis element whose leading coefficient is not 1 cannot clear its own
+    # leading term; the elimination must fail instead of looping forever
+    monkeypatch.setattr(double_sym, "_BRANCH_CACHE", {})
+    monkeypatch.setattr(double_sym, "_PRODUCT_CACHE", {})
+    original = double_sym._schur_sym_branch
+
+    def doubled(lam, n):
+        return {k: c * 2 for k, c in original(lam, n).items()}
+
+    monkeypatch.setattr(double_sym, "_schur_sym_branch", doubled)
+    with pytest.raises(ArithmeticError, match="leading coefficient"):
+        product_decomposition((1,), (1,), 2)

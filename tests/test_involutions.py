@@ -11,7 +11,7 @@ from lrpoly.shapes import (
     size,
     contains,
     apply_rbar,
-    is_horizontal_strip,
+    bad_compositions,
     lambda_omega,
     all_permutations,
     partitions_of,
@@ -270,28 +270,6 @@ def test_pair_rejects_horizontal_strips():
         pieri_bad_pair(U, (1,))
 
 
-def _bad_targets(mu, p):
-    """Compositions above mu by at most p boxes that are not horizontal strips."""
-    mu = iv(mu)
-    ln = len(mu) + 1
-    mup = pad(mu, ln)
-    out = []
-
-    def rec(prefix, rest):
-        if len(prefix) == ln:
-            if rest == 0:
-                nu = iv(mup[k] + prefix[k] for k in range(ln))
-                if not is_horizontal_strip(nu, mu):
-                    out.append(nu)
-            return
-        for k in range(rest + 1):
-            rec(prefix + [k], rest - k)
-
-    for total in range(1, p + 1):
-        rec([], total)
-    return out
-
-
 def _witness_row(mu, nu):
     mup = pad(iv(mu), len(nu))
     for i in range(1, len(nu)):
@@ -308,7 +286,7 @@ def test_pair_grid_weight_preserving_bijection():
         l = len(mu)
         for p in (1, 2):
             for e in range(0, l):
-                for nu in _bad_targets(mu, p):
+                for nu in bad_compositions(mu, p):
                     for U in derived_monomial_tableaux(p, e, mu, nu, vmax=l + 1):
                         Ut = pieri_bad_pair(U, mu)
                         assert monomial_weight(Ut, mu) == monomial_weight(U, mu)

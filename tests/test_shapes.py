@@ -9,6 +9,7 @@ from lrpoly.shapes import (
     is_partition,
     is_composition,
     is_horizontal_strip,
+    bad_compositions,
     apply_raising,
     apply_rbar,
     perm_sign,
@@ -47,6 +48,13 @@ def test_horizontal_strip():
     # two added boxes in the same column
     assert not is_horizontal_strip((2, 2), (1,))
     assert not is_horizontal_strip((1,), (2,))
+
+
+def test_bad_compositions():
+    # ordered by added size, then by the added vector
+    assert bad_compositions((2, 1), 2) == [(2, 1, 2), (2, 3)]
+    assert bad_compositions((1, 1), 1) == [(1, 2)]
+    assert bad_compositions((), 3) == []
 
 
 def test_raising_operators():
