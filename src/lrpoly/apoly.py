@@ -8,6 +8,8 @@ so equal polynomials always have equal term dicts.
 
 from fractions import Fraction
 
+from .sparse import Terms, accumulate
+
 ONE_MONO = ()
 
 
@@ -45,6 +47,23 @@ def _mono_mul(m1, m2):
     return result
 
 
+def _mul_into(out, t1, t2):
+    """Add the product of the term dicts t1 and t2 into the term dict out.
+
+    The one fused monomial-product kernel: integer coefficients, keys that
+    cancel are dropped.  Returns out.
+    """
+    for m1, k1 in t1.items():
+        for m2, k2 in t2.items():
+            m = _mono_mul(m1, m2)
+            k = out.get(m, 0) + k1 * k2
+            if k:
+                out[m] = k
+            else:
+                del out[m]
+    return out
+
+
 def _mono_degree(m):
     return sum(e for _, e in m)
 
@@ -54,17 +73,10 @@ def _mono_key(m):
     return (_mono_degree(m), m)
 
 
-class APoly:
+class APoly(Terms):
     """Element of Z[a_i : i in Z] with canonical sparse representation."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    @staticmethod
-    def zero():
-        return APoly({})
+    __slots__ = ()
 
     @staticmethod
     def const(c):
@@ -84,12 +96,6 @@ class APoly:
             return APoly.const(coeff)
         return APoly({((i, exp),): coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = APoly.const(other)
@@ -101,19 +107,9 @@ class APoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = APoly.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return APoly(out)
+        return APoly(accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return APoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -125,19 +121,8 @@ class APoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return APoly.zero()
-            return APoly({m: c * other for m, c in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                nc = out.get(m, 0) + c1 * c2
-                if nc:
-                    out[m] = nc
-                else:
-                    del out[m]
-        return APoly(out)
+            return self.scale(other)
+        return APoly(_mul_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -195,13 +180,10 @@ class APoly:
 
     @staticmethod
     def from_json(data):
-        terms = {}
-        for t in data:
-            m = tuple((int(i), int(e)) for i, e in t["vars"])
-            c = int(t["coeff"])
-            if c:
-                terms[m] = terms.get(m, 0) + c
-        return APoly({m: c for m, c in terms.items() if c})
+        return APoly(accumulate({}, (
+            (tuple((int(i), int(e)) for i, e in t["vars"]), int(t["coeff"]))
+            for t in data
+        )))
 
     def __str__(self):
         if not self.terms:

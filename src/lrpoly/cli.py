@@ -23,6 +23,7 @@ from .shapes import (
     apply_rbar,
     lambda_omega,
     all_permutations,
+    lr_targets,
     partitions_of,
     partitions_up_to,
 )
@@ -196,23 +197,20 @@ def _suite_lr(w):
         for mu in partitions_up_to(w):
 
             def check(lam=lam, mu=mu):
-                for extra in range(size(lam) + 1):
-                    for nu in partitions_of(size(mu) + extra):
-                        if not contains(nu, mu):
-                            if c_theorem(lam, mu, nu):
-                                return f"{lam}x{mu}->{nu}: nonzero without containment"
-                            continue
-                        ct = c_theorem(lam, mu, nu)
-                        if ct - c_corollary(lam, mu, nu):
-                            return f"{lam}x{mu}->{nu}: theorem != corollary"
-                        if ct - c_alternating(lam, mu, nu):
-                            return f"{lam}x{mu}->{nu}: theorem != alternating"
-                        if ct and not ct.is_homogeneous(
-                            size(lam) + size(mu) - size(nu)
-                        ):
-                            return f"{lam}x{mu}->{nu}: not homogeneous"
-                        if ct.at_zero() != classical_lr(lam, mu, nu):
-                            return f"{lam}x{mu}->{nu}: classical mismatch"
+                for nu in lr_targets(lam, mu):
+                    if not contains(nu, mu):
+                        if c_theorem(lam, mu, nu):
+                            return f"{lam}x{mu}->{nu}: nonzero without containment"
+                        continue
+                    ct = c_theorem(lam, mu, nu)
+                    if ct - c_corollary(lam, mu, nu):
+                        return f"{lam}x{mu}->{nu}: theorem != corollary"
+                    if ct - c_alternating(lam, mu, nu):
+                        return f"{lam}x{mu}->{nu}: theorem != alternating"
+                    if ct and not ct.is_homogeneous(size(lam) + size(mu) - size(nu)):
+                        return f"{lam}x{mu}->{nu}: not homogeneous"
+                    if ct.at_zero() != classical_lr(lam, mu, nu):
+                        return f"{lam}x{mu}->{nu}: classical mismatch"
                 return None
 
             cases.append((f"lr {lam}x{mu}", check))
@@ -261,15 +259,14 @@ def _suite_involutions(w, collect=None):
         for mu in mus:
 
             def check(lam=lam, mu=mu):
-                for extra in range(size(lam) + 1):
-                    for nu in partitions_of(size(mu) + extra):
-                        if not contains(nu, mu):
-                            continue
-                        fail, groups = _psi_report(lam, mu, nu, cap=5)
-                        if collect is not None:
-                            collect.append((lam, mu, nu, groups))
-                        if fail:
-                            return f"{lam}x{mu}->{nu}: {fail}"
+                for nu in lr_targets(lam, mu):
+                    if not contains(nu, mu):
+                        continue
+                    fail, groups = _psi_report(lam, mu, nu, cap=5)
+                    if collect is not None:
+                        collect.append((lam, mu, nu, groups))
+                    if fail:
+                        return f"{lam}x{mu}->{nu}: {fail}"
                 return None
 
             cases.append((f"psi {lam}x{mu}", check))

@@ -11,23 +11,23 @@ used as a cross-check.
 
 from itertools import permutations, product
 
-from .apoly import APoly, _mono_mul
+from .apoly import APoly, _mul_into
 from .schursum import SchurSum
 from .shapes import iv, pad, is_partition, lambda_omega, partitions_of
+from .sparse import Terms, accumulate
 
 
-class XPoly:
+class XPoly(Terms):
     """Polynomial in x_1..x_n over Z[a]; terms map exponent tuples to APoly."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n, terms=None):
         self.n = n
         self.terms = terms if terms is not None else {}
 
-    @staticmethod
-    def zero(n):
-        return XPoly(n, {})
+    def _like(self, terms):
+        return XPoly(self.n, terms)
 
     @staticmethod
     def const(n, c):
@@ -48,57 +48,16 @@ class XPoly:
         e[i - 1] = 1
         return XPoly(n, {tuple(e): APoly.one()})
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
-        return (
-            isinstance(other, XPoly)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = nc
-        return XPoly(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        """Multiply by an integer or APoly scalar."""
-        if isinstance(c, int):
-            c = APoly.const(c)
-        if c.is_zero():
-            return XPoly(self.n, {})
-        return XPoly(self.n, {e: p * c for e, p in self.terms.items()})
+        return Terms.__eq__(self, other) and self.n == other.n
 
     def __mul__(self, other):
-        # accumulate coefficient terms at the raw-dict level: this is the
-        # hot path of the oracle
+        # accumulate coefficient terms at the raw-dict level
         out = {}
         for e1, c1 in self.terms.items():
-            t1 = c1.terms
             for e2, c2 in other.terms.items():
                 e = tuple(u + v for u, v in zip(e1, e2))
-                d = out.get(e)
-                if d is None:
-                    d = out[e] = {}
-                for m1, k1 in t1.items():
-                    for m2, k2 in c2.terms.items():
-                        m = _mono_mul(m1, m2)
-                        nk = d.get(m, 0) + k1 * k2
-                        if nk:
-                            d[m] = nk
-                        else:
-                            del d[m]
+                _mul_into(out.setdefault(e, {}), c1.terms, c2.terms)
         return XPoly(self.n, {e: APoly(d) for e, d in out.items() if d})
 
     def permuted(self, perm):
@@ -197,7 +156,7 @@ def h_n_shifted(r, s, n):
     return XPoly(n, {e: c.shift_indices(s) for e, c in base.terms.items()})
 
 
-class _Sym:
+class _Sym(Terms):
     """Symmetric polynomial stored by one sorted exponent representative per orbit.
 
     terms maps trimmed weakly decreasing exponent tuples (partitions) to APoly
@@ -206,28 +165,17 @@ class _Sym:
     by symmetry and are never materialized.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n, terms=None):
         self.n = n
         self.terms = terms if terms is not None else {}
 
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        return _Sym(self.n, terms)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, _Sym)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = APoly.const(c)
-        if c.is_zero():
-            return _Sym(self.n, {})
-        return _Sym(self.n, {e: p * c for e, p in self.terms.items()})
+        return Terms.__eq__(self, other) and self.n == other.n
 
     def __mul__(self, other):
         """Orbit-wise product: convolve over candidate target partitions.
@@ -262,16 +210,8 @@ class _Sym:
                     cw = p2.get(
                         iv(sorted((v - x for v, x in zip(nu, u)), reverse=True))
                     )
-                    if cw is None:
-                        continue
-                    for m1, k1 in cu.terms.items():
-                        for m2, k2 in cw.terms.items():
-                            m = _mono_mul(m1, m2)
-                            nk = acc.get(m, 0) + k1 * k2
-                            if nk:
-                                acc[m] = nk
-                            else:
-                                del acc[m]
+                    if cw is not None:
+                        _mul_into(acc, cu.terms, cw.terms)
                 if acc:
                     out[nu] = APoly(acc)
         return _Sym(self.n, out)
@@ -383,17 +323,10 @@ def _schur_sym_branch(lam, n):
         for ktail, coeff in inner.items():
             shifted = coeff.shift_indices(1)
             lo = ktail[0] if ktail else 0
-            for k1 in range(lo, s + 1):
-                term = shifted * elem[s - k1]
-                if term.is_zero():
-                    continue
-                kappa = (k1,) + ktail if k1 else ktail
-                acc = result.get(kappa)
-                acc = term if acc is None else acc + term
-                if acc.is_zero():
-                    result.pop(kappa, None)
-                else:
-                    result[kappa] = acc
+            accumulate(result, (
+                ((k1,) + ktail if k1 else ktail, shifted * elem[s - k1])
+                for k1 in range(lo, s + 1)
+            ))
     _BRANCH_CACHE[key] = result
     return result
 
@@ -411,18 +344,10 @@ def phi_n(P):
     n = P.n
     if n < 1:
         raise ValueError("no variable to evaluate")
-    out = {}
-    for e, c in P.terms.items():
-        k = e[-1]
-        nc = c if k == 0 else c * APoly.var(n, exp=k)
-        ne = e[:-1]
-        acc = out.get(ne)
-        acc = nc if acc is None else acc + nc
-        if acc.is_zero():
-            out.pop(ne, None)
-        else:
-            out[ne] = acc
-    return XPoly(n - 1, out)
+    return XPoly(n - 1, accumulate({}, (
+        (e[:-1], c * APoly.var(n, exp=e[-1]) if e[-1] else c)
+        for e, c in P.terms.items()
+    )))
 
 
 def _decompose_sym(S):
@@ -444,20 +369,13 @@ def _decompose_sym(S):
         if len(nu) > n:
             raise ValueError(f"not in span: leading exponent {nu}")
         # snapshot before the pass below, which also zeroes work[nu]
-        c = result[nu] = APoly(dict(work[nu]))
-        ct = c.terms.items()
+        result[nu] = APoly(dict(work[nu]))
+        neg = {m: -k for m, k in work[nu].items()}
         for e, p in _schur_sym_branch(nu, n).items():
             d = work.get(e)
             if d is None:
                 d = work[e] = {}
-            for m1, k1 in p.terms.items():
-                for m2, k2 in ct:
-                    m = _mono_mul(m1, m2)
-                    nk = d.get(m, 0) - k1 * k2
-                    if nk:
-                        d[m] = nk
-                    else:
-                        del d[m]
+            _mul_into(d, p.terms, neg)
             if not d:
                 del work[e]
         if nu in work:

@@ -9,6 +9,7 @@ by their expanded Jacobi-Trudi determinants.
 from itertools import permutations
 
 from .shapes import iv, pad, perm_sign, compositions_of
+from .sparse import Terms, accumulate
 
 EMPTY_WORD = ()
 
@@ -24,17 +25,10 @@ def make_word(pairs):
     return tuple(sorted(factors))
 
 
-class SignedHSum:
+class SignedHSum(Terms):
     """Integer linear combination of words in the free ring."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    @staticmethod
-    def zero():
-        return SignedHSum({})
+    __slots__ = ()
 
     @staticmethod
     def word(pairs, coeff=1):
@@ -43,44 +37,12 @@ class SignedHSum:
             return SignedHSum({})
         return SignedHSum({w: coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, SignedHSum) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) + c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return SignedHSum(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if c == 0:
-            return SignedHSum({})
-        return SignedHSum({w: k * c for w, k in self.terms.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = tuple(sorted(w1 + w2))
-                nc = out.get(w, 0) + c1 * c2
-                if nc:
-                    out[w] = nc
-                else:
-                    del out[w]
-        return SignedHSum(out)
+        return SignedHSum(accumulate({}, (
+            (tuple(sorted(w1 + w2)), c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        )))
 
     def __str__(self):
         if not self.terms:
@@ -129,20 +91,15 @@ def jacobi_trudi(mu, beta=None, l=None):
     beta = staircase(l) if beta is None else pad(tuple(beta), l)
     if len(beta) < l:
         raise ValueError("beta must be at least as long as the matrix size")
-    total = {}
-    for omega in permutations(range(1, l + 1)):
-        w = make_word(
+    # perm_sign runs only for permutations whose word is nonzero
+    return SignedHSum(accumulate({}, (
+        (w, perm_sign(omega))
+        for omega in permutations(range(1, l + 1))
+        if (w := make_word(
             (mu[i] + omega[i] - (i + 1), beta[i] + omega[i] - (i + 1))
             for i in range(l)
-        )
-        if w is None:
-            continue
-        c = total.get(w, 0) + perm_sign(omega)
-        if c:
-            total[w] = c
-        else:
-            del total[w]
-    return SignedHSum(total)
+        )) is not None
+    )))
 
 
 def straighten(mu, beta):

@@ -25,6 +25,7 @@ from .shapes import (
     all_permutations,
     partitions_of,
 )
+from .sparse import accumulate
 from .stable_ring import multiply_by_h
 from .tableaux import enumerate_lr_tableaux, tableau_weight
 
@@ -134,10 +135,10 @@ def pieri_tableau(p, e, mu):
     if not 0 <= e < len(mu):
         raise ValueError("unsupported hypothesis: require 0 <= e < l(mu)")
     shape = (0,) * e + (p,)
-    out = SchurSum.zero()
-    for nu in _candidate_nus(mu, p, max_len=len(mu) + 1):
-        out = out.add_term(nu, _good_monomial_sum(shape, mu, nu))
-    return out
+    return SchurSum(accumulate({}, (
+        (nu, _good_monomial_sum(shape, mu, nu))
+        for nu in _candidate_nus(mu, p, max_len=len(mu) + 1)
+    )))
 
 
 def kostka(kappa, mu, nu, method="recursion"):
@@ -199,8 +200,6 @@ def expand_product(lam, mu):
     """The full expansion of s_lam * s_mu as a SchurSum over partitions nu."""
     lam = iv(lam)
     mu = iv(mu)
-    out = SchurSum.zero()
-    for nu in _candidate_nus(mu, size(lam)):
-        c = c_theorem(lam, mu, nu)
-        out = out.add_term(nu, c)
-    return out
+    return SchurSum(accumulate({}, (
+        (nu, c_theorem(lam, mu, nu)) for nu in _candidate_nus(mu, size(lam))
+    )))

@@ -5,19 +5,13 @@ stored as a dict {partition tuple: nonzero APoly}.
 """
 
 from .apoly import APoly
+from .sparse import Terms
 
 
-class SchurSum:
+class SchurSum(Terms):
     """Linear combination of Schur basis elements with APoly coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    @staticmethod
-    def zero():
-        return SchurSum({})
+    __slots__ = ()
 
     @staticmethod
     def single(nu, coeff=None):
@@ -32,41 +26,6 @@ class SchurSum:
     def coeff(self, nu):
         """Coefficient of s_nu (zero polynomial if absent)."""
         return self.terms.get(tuple(nu), APoly.zero())
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, SchurSum) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for nu, c in other.terms.items():
-            nc = out.get(nu)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                out.pop(nu, None)
-            else:
-                out[nu] = nc
-        return SchurSum(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def add_term(self, nu, coeff):
-        """self + coeff * s_nu (returns a new sum)."""
-        return self + SchurSum.single(nu, coeff)
-
-    def scale(self, c):
-        """Multiply every coefficient by the integer or APoly c."""
-        if isinstance(c, int):
-            c = APoly.const(c)
-        if c.is_zero():
-            return SchurSum({})
-        return SchurSum({nu: p * c for nu, p in self.terms.items()})
 
     def partitions(self):
         """Support, sorted by size then reverse-lexicographically."""

@@ -184,3 +184,16 @@ def partitions_up_to(n, **kwargs):
     for k in range(n + 1):
         out.extend(partitions_of(k, **kwargs))
     return out
+
+
+def lr_targets(lam, mu):
+    """Every partition nu with |mu| <= |nu| <= |lam| + |mu|.
+
+    The list runs by size, then in partitions_of order; it is the target
+    grid of the coefficient checks, which filter it by containment of mu.
+    """
+    return [
+        nu
+        for extra in range(size(lam) + 1)
+        for nu in partitions_of(size(mu) + extra)
+    ]

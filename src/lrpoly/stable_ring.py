@@ -11,26 +11,11 @@ once; iterating moves every second index onto the staircase 0, 1, ..., l-1,
 after which straightening yields genuine partitions.
 """
 
-from itertools import combinations_with_replacement
-
 from .apoly import APoly
 from .schursum import SchurSum
-from .shapes import iv, pad
+from .shapes import iv
 from .formal_ring import formal_pieri_terms, staircase, straighten
-
-
-def tau_step(r, s):
-    """One application of the stable relation to h_{r,s}.
-
-    Returns [(r, s-1, 1), (r-1, s-1, a_{s-r+1})] as (first index, second
-    index, APoly coefficient) triples.
-    """
-    if r < 1:
-        raise ValueError("require r >= 1")
-    return [
-        (r, s - 1, APoly.one()),
-        (r - 1, s - 1, APoly.var(s - r + 1)),
-    ]
+from .sparse import accumulate
 
 
 _ROW_CACHE = {}
@@ -66,14 +51,7 @@ def _reduce_row(g, d, l):
             (_reduce_row(g - 1, d, l), APoly.var(d - g + 2, coeff=-1)),
         ]
     for table, factor in parts:
-        for g2, c in table.items():
-            nc = c * factor
-            acc = out.get(g2)
-            acc = nc if acc is None else acc + nc
-            if acc.is_zero():
-                out.pop(g2, None)
-            else:
-                out[g2] = acc
+        accumulate(out, ((g2, c * factor) for g2, c in table.items()))
     _ROW_CACHE[key] = out
     return out
 
@@ -94,56 +72,12 @@ def reduce_to_staircase(mu, beta):
     result = {(): APoly.one()}
     for i in range(1, l + 1):
         row = _reduce_row(mu[i - 1] - i, beta[i - 1] - i, l)
-        nxt = {}
-        for prefix, c in result.items():
-            for g2, rc in row.items():
-                key = prefix + (g2 + i,)
-                nc = c * rc
-                acc = nxt.get(key)
-                acc = nc if acc is None else acc + nc
-                if acc.is_zero():
-                    nxt.pop(key, None)
-                else:
-                    nxt[key] = acc
-        result = nxt
+        result = accumulate({}, (
+            (prefix + (g2 + i,), c * rc)
+            for prefix, c in result.items()
+            for g2, rc in row.items()
+        ))
     return result
-
-
-def K_d_closed(j, mu_j, m, d):
-    """The documented closed-form second-index-lowering coefficient.
-
-    Sum over integer chains j+d <= b_d <= ... <= b_1 <= j+m-1 of the
-    products of a_{b_i - mu_j - m + 1}.  Exposed for documentation and
-    cross-tests only: the lower bound makes the sum empty for m = 1, d = 1,
-    while the authoritative row recursion yields a_{j - mu_j} there; the
-    recursion matches this sum with lower bound j + d - 1 instead.
-    """
-    if d == 0:
-        return APoly.one()
-    total = APoly.zero()
-    for chain in combinations_with_replacement(range(j + d, j + m), d):
-        term = APoly.one()
-        for b in chain:
-            term = term * APoly.var(b - mu_j - m + 1)
-        total = total + term
-    return total
-
-
-def G_d_closed(p, k, e, l, d):
-    """The documented closed-form second-index-raising coefficient.
-
-    (-1)^d times the sum over chains e-k <= b_1 <= ... <= b_d <= l-1 of
-    the products of a_{b_i - p + k + i + 1}.
-    """
-    if d == 0:
-        return APoly.one()
-    total = APoly.zero()
-    for chain in combinations_with_replacement(range(e - k, l), d):
-        term = APoly.one()
-        for i, b in enumerate(chain, start=1):
-            term = term * APoly.var(b - p + k + i + 1)
-        total = total + term
-    return total if d % 2 == 0 else total * -1
 
 
 _PIERI_CACHE = {}
@@ -169,14 +103,13 @@ def pieri_stable(p, e, mu):
         return SchurSum.zero()
     l = len(mu)
     target = staircase(l + 1)
-    out = SchurSum.zero()
-    for m2, b2 in formal_pieri_terms(p, e, mu, staircase(l)):
-        for mu_star, coeff in reduce_to_staircase(m2, b2).items():
-            st = straighten(mu_star, target)
-            if st is None:
-                continue
-            sign, part, _ = st
-            out = out.add_term(part, coeff * sign)
+    # st = (sign, partition, labels), or None for a term that straightens to 0
+    out = SchurSum(accumulate({}, (
+        (st[1], coeff * st[0])
+        for m2, b2 in formal_pieri_terms(p, e, mu, staircase(l))
+        for mu_star, coeff in reduce_to_staircase(m2, b2).items()
+        if (st := straighten(mu_star, target)) is not None
+    )))
     _PIERI_CACHE[key] = out
     return out
 
@@ -187,7 +120,8 @@ def multiply_by_h(p, e, S):
         return SchurSum.zero()
     if p == 0:
         return S
-    out = SchurSum.zero()
+    out = {}
     for mu, c in S.terms.items():
-        out = out + pieri_stable(p, e, mu).scale(c)
-    return out
+        # the cached expansion is read, never written
+        accumulate(out, ((nu, q * c) for nu, q in pieri_stable(p, e, mu).terms.items()))
+    return SchurSum(out)

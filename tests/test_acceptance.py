@@ -16,6 +16,7 @@ from lrpoly.shapes import (
     bad_compositions,
     lambda_omega,
     all_permutations,
+    lr_targets,
     partitions_of,
     partitions_up_to,
 )
@@ -59,10 +60,9 @@ def _lr_grid():
         if not lam:
             continue
         for mu in partitions_up_to(4):
-            for total in range(size(mu), size(lam) + size(mu) + 1):
-                for nu in partitions_of(total):
-                    if contains(nu, mu):
-                        yield lam, mu, nu
+            for nu in lr_targets(lam, mu):
+                if contains(nu, mu):
+                    yield lam, mu, nu
 
 
 def test_criterion_01_golden_tableau_words_and_weights():
@@ -182,29 +182,26 @@ def test_criterion_09_involution_suites():
         if len(lam) != 2:
             continue
         for mu in partitions_up_to(3):
-            for extra in range(size(lam) + 1):
-                for nu in partitions_of(size(mu) + extra):
-                    if not contains(nu, mu):
+            for nu in lr_targets(lam, mu):
+                if not contains(nu, mu):
+                    continue
+                groups = defaultdict(APoly.zero)
+                for omega in all_permutations(2):
+                    kappa, _ = lambda_omega(lam, omega)
+                    kappa = tuple(kappa)
+                    if any(k < 0 for k in kappa):
                         continue
-                    groups = defaultdict(APoly.zero)
-                    for omega in all_permutations(2):
-                        kappa, _ = lambda_omega(lam, omega)
-                        kappa = tuple(kappa)
-                        if any(k < 0 for k in kappa):
+                    for T in enumerate_k_tableaux(kappa, mu, nu, cap=cap):
+                        cell = classify_bad(T, mu, nu)
+                        if cell is None:
                             continue
-                        for T in enumerate_k_tableaux(kappa, mu, nu, cap=cap):
-                            cell = classify_bad(T, mu, nu)
-                            if cell is None:
-                                continue
-                            assert psi(psi(T, mu, nu), mu, nu) == T, T.to_text()
-                            groups[(kappa, cell.row)] += tableau_weight(
-                                T, mu, "row"
-                            )
-                    for (kappa, i), w in groups.items():
-                        partner = tuple(apply_rbar(i, i + 1, kappa))
-                        assert w == groups.get(
-                            (partner, i), APoly.zero()
-                        ), (lam, mu, nu, kappa, i)
+                        assert psi(psi(T, mu, nu), mu, nu) == T, T.to_text()
+                        groups[(kappa, cell.row)] += tableau_weight(T, mu, "row")
+                for (kappa, i), w in groups.items():
+                    partner = tuple(apply_rbar(i, i + 1, kappa))
+                    assert w == groups.get(
+                        (partner, i), APoly.zero()
+                    ), (lam, mu, nu, kappa, i)
     # (b) monomial involution reverses signed weights
     for mu in partitions_up_to(3):
         if not mu:
@@ -242,12 +239,11 @@ def test_criterion_10_homogeneity_and_vanishing():
         if not lam:
             continue
         for mu in partitions_up_to(4):
-            for total in range(size(mu), size(lam) + size(mu) + 1):
-                for nu in partitions_of(total):
-                    c = c_theorem(lam, mu, nu)
-                    if not contains(nu, mu):
-                        assert c.is_zero(), (lam, mu, nu)
-                        continue
-                    assert c.is_homogeneous(
-                        size(lam) + size(mu) - size(nu)
-                    ), (lam, mu, nu)
+            for nu in lr_targets(lam, mu):
+                c = c_theorem(lam, mu, nu)
+                if not contains(nu, mu):
+                    assert c.is_zero(), (lam, mu, nu)
+                    continue
+                assert c.is_homogeneous(
+                    size(lam) + size(mu) - size(nu)
+                ), (lam, mu, nu)

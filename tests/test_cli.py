@@ -202,3 +202,63 @@ def test_output_byte_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def _corpus_calls():
+    """The fixed CLI corpus, in its canonical order."""
+    from lrpoly.shapes import partitions_up_to
+
+    def part(p):
+        return ",".join(map(str, p))
+
+    calls = []
+    for lam in partitions_up_to(5):
+        for n in range(6):
+            for fmt in ("pretty", "json"):
+                calls.append(
+                    ["schur", "--lambda", part(lam), "--n", str(n), "--format", fmt]
+                )
+    for mu in partitions_up_to(3):
+        for p in range(1, 4):
+            for e in range(len(mu) + 1):
+                for fmt in ("pretty", "json"):
+                    argv = [
+                        "pieri", "--p", str(p), "--e", str(e), "--mu", part(mu),
+                        "--format", fmt,
+                    ]
+                    calls.append(argv)
+                    if e < len(mu):
+                        calls.append(argv + ["--method", "tableau"])
+    for fmt in ("pretty", "json"):
+        for lam, mu, nu in (("3,2", "2,2", "4,3,2"), ("2,1", "2,1", "3,2,1")):
+            calls.append(
+                ["lr", "--lambda", lam, "--mu", mu, "--nu", nu, "--method", "all",
+                 "--format", fmt]
+            )
+        for kappa, mu, nu in (("0,2", "1", "2,1"), ("1,-1,2", "2,1", "3,2,1")):
+            calls.append(
+                ["kostka", "--kappa", kappa, "--mu", mu, "--nu", nu,
+                 "--method", "both", "--format", fmt]
+            )
+    calls.append(["classical", "--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1"])
+    calls.append(["verify", "--suite", "all", "--max-weight", "3"])
+    calls.append(["verify-involutions", "--max-weight", "3"])
+    return calls
+
+
+# Digest of every corpus call's argv, stdout and exit code.  Re-record it only
+# for an intended change of CLI output, and log that change in CHANGES.md.
+_CORPUS_DIGEST = "279c8bd56d6cf8ed1aa0da85b6bb6ca8ece29a1cda25dd34d78c773b0f2a70cd"
+
+
+def test_cli_corpus_digest(capsys):
+    import hashlib
+
+    h = hashlib.sha256()
+    calls = _corpus_calls()
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        h.update(repr(argv).encode() + b"\0" + out.encode() + b"\0"
+                 + str(code).encode())
+    assert len(calls) == 401
+    assert h.hexdigest() == _CORPUS_DIGEST

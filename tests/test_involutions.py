@@ -14,6 +14,7 @@ from lrpoly.shapes import (
     bad_compositions,
     lambda_omega,
     all_permutations,
+    lr_targets,
     partitions_of,
     partitions_up_to,
 )
@@ -120,10 +121,9 @@ def _psi_grid_cases():
         if not lam or len(lam) != 2:
             continue
         for mu in partitions_up_to(3):
-            for extra in range(size(lam) + 1):
-                for nu in partitions_of(size(mu) + extra):
-                    if contains(nu, mu):
-                        yield lam, mu, nu
+            for nu in lr_targets(lam, mu):
+                if contains(nu, mu):
+                    yield lam, mu, nu
 
 
 def _psi_wide_grid_cases():
@@ -132,10 +132,9 @@ def _psi_wide_grid_cases():
         if len(lam) != 2:
             continue
         for mu in partitions_up_to(2):
-            for extra in range(size(lam) + 1):
-                for nu in partitions_of(size(mu) + extra):
-                    if contains(nu, mu):
-                        yield lam, mu, nu
+            for nu in lr_targets(lam, mu):
+                if contains(nu, mu):
+                    yield lam, mu, nu
 
 
 def test_psi_involution_grid():

@@ -1,0 +1,125 @@
+"""The shared sparse-term kernel: accumulate, Terms, and cache safety."""
+
+from hypothesis import given, settings, strategies as st
+
+from lrpoly.apoly import APoly, a
+from lrpoly.double_sym import XPoly, _Sym
+from lrpoly.formal_ring import SignedHSum
+from lrpoly.lr import kostka
+from lrpoly.schursum import SchurSum
+from lrpoly.shapes import partitions_up_to
+from lrpoly.sparse import accumulate
+from lrpoly.stable_ring import _PIERI_CACHE, _ROW_CACHE, multiply_by_h
+
+
+def _all_nonzero(terms):
+    return all(c for c in terms.values())
+
+
+def test_accumulate_int_drops_cancelled_and_zero():
+    out = accumulate({"x": 2, "y": 1}, [("x", -2), ("z", 0), ("y", 3), ("w", 5)])
+    assert out == {"y": 4, "w": 5}
+    # a key that cancels inside one call is gone, a later addition restores it
+    assert accumulate({}, [("k", 1), ("k", -1)]) == {}
+    assert accumulate({}, [("k", 1), ("k", -1), ("k", 7)]) == {"k": 7}
+
+
+def test_accumulate_apoly_drops_cancelled_and_zero():
+    p = a(1) + 1
+    out = accumulate({"x": p}, [("x", -p), ("z", APoly.zero()), ("y", a(2))])
+    assert out == {"y": a(2)}
+    assert _all_nonzero(out)
+    # the replaced value is a new object: the old one is not written
+    out = accumulate({"x": p}, [("x", a(3))])
+    assert out["x"] == a(1) + a(3) + 1 and p == a(1) + 1
+
+
+def _samples():
+    return [
+        a(1) * a(-2) + 2,
+        SignedHSum.word([(1, 0), (2, 1)], 3) + SignedHSum.word([(1, 1)], -1),
+        SchurSum.single((2, 1), a(0)) + SchurSum.single((1,), 2),
+        XPoly(2, {(1, 0): a(1), (0, 0): APoly.const(4)}),
+        _Sym(2, {(1,): a(1), (): APoly.const(-1)}),
+    ]
+
+
+def test_every_class_cancels_to_empty_terms():
+    for x in _samples():
+        assert (x - x).terms == {}, type(x)
+        assert x.scale(0).terms == {}, type(x)
+        assert (x + (-x)).is_zero() and not (x - x)
+        assert x.scale(1) == x and x.scale(-1) == -x
+        assert _all_nonzero((x + x).terms)
+
+
+def test_variable_count_is_part_of_equality():
+    assert XPoly(2, {}) != XPoly(3, {})
+    assert _Sym(2, {}) != _Sym(3, {})
+    assert XPoly.zero(3) == XPoly(3, {}) and XPoly.zero(3).n == 3
+    x = XPoly(2, {(1, 0): a(1)})
+    assert (x - x).n == 2 and x.scale(a(0)).n == 2
+
+
+_monomials = st.dictionaries(
+    st.integers(-2, 2), st.integers(1, 2), max_size=2
+).map(lambda d: tuple(sorted(d.items())))
+_apolys = st.dictionaries(
+    _monomials, st.integers(-3, 3).filter(bool), max_size=4
+).map(APoly)
+
+
+@settings(max_examples=150, derandomize=True, deadline=2000, database=None)
+@given(_apolys, _apolys, _apolys, st.integers(-2, 2))
+def test_apoly_ring_axioms_keep_canonical_form(p, q, r, k):
+    results = [
+        p + q, q + p, (p + q) + r, p + (q + r),
+        p * q, q * p, (p * q) * r, p * (q * r),
+        p * (q + r), p * q + p * r,
+        p - q, -(q - p), p - p, p + k, p * k, k - p, p.scale(k),
+    ]
+    for x in results:
+        assert _all_nonzero(x.terms), x
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p - q == -(q - p) and (p - p).terms == {}
+    assert p + 0 == p and p * 1 == p and (p * 0).terms == {}
+    assert p * k == p.scale(k) == APoly.const(k) * p
+
+
+def _cache_copy():
+    pieri = {
+        key: {nu: dict(c.terms) for nu, c in s.terms.items()}
+        for key, s in _PIERI_CACHE.items()
+    }
+    rows = {
+        key: {g: dict(c.terms) for g, c in table.items()}
+        for key, table in _ROW_CACHE.items()
+    }
+    return pieri, rows
+
+
+def _pieri_sweep():
+    mus = partitions_up_to(3)
+    for mu in mus:
+        for kappa in ((1,), (2,), (1, 1), (2, 1), (1, 2), (0, 2), (1, 1, 1)):
+            kostka(kappa, mu, ())
+        # two-term inputs: the sum is accumulated over both cached expansions
+        for mu2 in mus:
+            if mu2 != mu:
+                S = SchurSum.single(mu, a(1)) + SchurSum.single(mu2)
+                multiply_by_h(1, 0, S)
+                multiply_by_h(2, 1, S)
+
+
+def test_pieri_sweep_leaves_cached_expansions_intact():
+    _pieri_sweep()
+    before = _cache_copy()
+    assert before[0] and before[1]
+    _pieri_sweep()
+    after = _cache_copy()
+    for key, terms in before[0].items():
+        assert after[0][key] == terms, key
+    for key, table in before[1].items():
+        assert after[1][key] == table, key

@@ -3,18 +3,7 @@
 from lrpoly.apoly import APoly, a
 from lrpoly.schursum import SchurSum
 from lrpoly.shapes import is_horizontal_strip, partitions_up_to
-from lrpoly.stable_ring import (
-    tau_step,
-    reduce_to_staircase,
-    K_d_closed,
-    G_d_closed,
-    pieri_stable,
-    multiply_by_h,
-)
-
-
-def test_tau_step():
-    assert tau_step(2, 3) == [(2, 2, APoly.one()), (1, 2, a(2))]
+from lrpoly.stable_ring import reduce_to_staircase, pieri_stable, multiply_by_h
 
 
 def test_reduce_to_staircase_fixed_point():
@@ -38,22 +27,6 @@ def test_reduce_roundtrip_lowering_then_raising():
     for table in (up, down):
         for coeff in table.values():
             assert not coeff.is_zero()
-
-
-def test_kd_closed_matches_recursion_except_documented_case():
-    # the printed closed form starts its chains at j+d, which makes the m=1,
-    # d=1 sum empty; the row recursion gives a_{j - mu_j} there.  For d=0 and
-    # for m >= d+1 with the corrected bound the two agree; here we pin the
-    # documented shape of the discrepancy.
-    assert K_d_closed(1, 0, 1, 1).is_zero()
-    assert K_d_closed(2, 1, 3, 1) == a(0) + a(1)
-    assert K_d_closed(2, 1, 3, 0) == APoly.one()
-
-
-def test_gd_closed_basic():
-    assert G_d_closed(2, 0, 0, 1, 0) == APoly.one()
-    # chains b in e-k .. l-1 with factor a_{b - p + k + 2}, sign (-1)^d
-    assert G_d_closed(2, 0, 0, 2, 1) == -(a(0) + a(1))
 
 
 def test_pieri_stable_boundary_cases():
