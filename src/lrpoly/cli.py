@@ -27,7 +27,7 @@ from .shapes import (
     partitions_of,
     partitions_up_to,
 )
-from .formal_ring import SignedHSum, h_word, staircase, jacobi_trudi, formal_pieri_terms
+from .formal_ring import SignedHSum, staircase, jacobi_trudi, formal_pieri_terms
 from .stable_ring import pieri_stable
 from .tableaux import enumerate_k_tableaux, tableau_weight, row_word, apply_word
 from .lr import pieri_tableau, kostka, c_theorem, c_corollary, c_alternating

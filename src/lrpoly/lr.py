@@ -4,7 +4,8 @@ The coefficient of s_nu in s_lam * s_mu is computed three independent ways:
 
 * c_theorem / c_corollary: direct tableau sums over shape-lam fillings with a
   Yamanouchi column word, weighted with the row-order (theorem) or
-  column-order (corollary) prefix partitions;
+  column-order (corollary) prefix partitions; the weights are summed during
+  the tableau search, and fillings with a zero binomial are cut off;
 * c_alternating: the signed sum of Kostka-like coefficients over the
   permuted-staircase shapes lam^omega, where each Kostka-like coefficient is
   an iterated Pieri product.
@@ -20,14 +21,13 @@ from .shapes import (
     pad,
     size,
     contains,
-    is_partition,
     lambda_omega,
     all_permutations,
     partitions_of,
 )
 from .sparse import accumulate
 from .stable_ring import multiply_by_h
-from .tableaux import enumerate_lr_tableaux, tableau_weight
+from .tableaux import lr_weight_sum
 
 
 def _candidate_nus(mu, extra, max_len=None):
@@ -180,10 +180,7 @@ def _c_tableau(lam, mu, nu, order):
     nu = iv(nu)
     if not contains(nu, mu) or size(nu) > size(lam) + size(mu):
         return APoly.zero()
-    total = APoly.zero()
-    for T in enumerate_lr_tableaux(lam, mu, nu):
-        total = total + tableau_weight(T, mu, order)
-    return total
+    return APoly(lr_weight_sum(lam, mu, nu, order))
 
 
 def c_theorem(lam, mu, nu):

@@ -7,14 +7,22 @@ a_{k - c}, where rho is the partition grown so far by the word prefix and c
 is the box content.  Priming a plain entry selects the second (negated)
 monomial of its weight, which is how tableau weights expand into monomials.
 
+One backtracking search (_enumerate) finds every filling.  The enumerators
+collect its fillings as ReverseTableau objects; lr_weight_sum, behind the
+tableau rules, builds none and sums the weights during the search instead.
+A binomial is zero exactly when rho_k = c, so in column order (the search's
+own order) a zero binomial cuts off its branch with every completion below
+it, and in row order it drops its filling before any product is formed.
+
 Text format: one line per row, top to bottom; entries space-separated with a
 trailing "~" for bars and a trailing "'" for primes, e.g. "2 2~ 1~".
 """
 
 from typing import NamedTuple
 
-from .apoly import APoly
+from .apoly import APoly, ONE_MONO, _mul_into
 from .shapes import iv, pad, is_partition
+from .sparse import accumulate
 
 
 class Entry(NamedTuple):
@@ -213,9 +221,7 @@ def tableau_weight(T, mu, order):
                 rho.extend([0] * (k - len(rho)))
             rho[k - 1] += 1
         else:
-            k = e.value
-            rk = rho[k - 1] if k <= len(rho) else 0
-            total = total * _weight_from_rho(k, rho, j - i)
+            total = total * _weight_from_rho(e.value, rho, j - i)
             if total.is_zero():
                 return total
     return total
@@ -258,67 +264,141 @@ def expand_monomials(T, mu, order):
     return out
 
 
-def _enumerate(shape, boxes, mu, nu, plain_cap, column_strict):
-    """Backtracking core shared by the three enumerators.
+def _enumerate(boxes, mu, nu, plain_cap, column_strict, leaf, weight=None):
+    """Backtracking core of the tableau enumerators and the weighted LR sum.
 
-    Fills the given traversal order box by box; the word of barred values in
-    that order must be Yamanouchi and reach nu from mu.  plain_cap maps a row
-    number to the largest allowed plain value; column_strict additionally
+    Fills the boxes in the given traversal order; the word of barred values
+    in that order must be Yamanouchi and reach nu from mu.  plain_cap maps a
+    row number to the largest allowed plain value; column_strict additionally
     requires each value to be strictly smaller than the entry directly below.
+
+    Calls leaf(grid, w) for every filling, grid listing its entries in
+    traversal order.  With a term dict weight, w is weight times the binomial
+    a_{k - rho_k} - a_{k - c} of every plain entry k in a box of content c,
+    where rho is mu grown by the barred prefix in traversal order; a plain
+    entry whose binomial is zero (rho_k = c) is cut off together with every
+    completion below it.  Without a weight, w is None.
     """
     mu = tuple(mu)
     nu = tuple(nu)
     if not is_partition(mu) or not is_partition(nu):
         raise ValueError("mu and nu must be partitions")
     ln = len(nu)
-    rho = list(pad(mu, ln))
-    if any(rho[k] > nu[k] for k in range(ln)):
-        return []
+    if any(m > v for m, v in zip(mu, nu)):
+        return
+    n = len(boxes)
     need = sum(nu) - sum(mu)
-    total_boxes = len(boxes)
-    if need < 0 or need > total_boxes:
-        return []
-    grid = {}
-    out = []
+    if need < 0 or need > n:
+        return
+    pos = {box: t for t, box in enumerate(boxes)}
+    left = [pos.get((i, j - 1)) for i, j in boxes]
+    below = [pos.get((i + 1, j)) if column_strict else None for i, j in boxes]
+    content = [j - i for i, j in boxes]
+    caps = [plain_cap(i) for i, _ in boxes]
+    top = max([ln, *caps])
+    # one Entry per value, indexed by value
+    bars = [None] + [Entry(k, barred=True) for k in range(1, top + 1)]
+    plains = [None] + [Entry(k) for k in range(1, top + 1)]
+    rho = list(pad(mu, top))
+    grid = [None] * n
 
-    def rec(t, need):
-        if need > total_boxes - t:
+    def rec(t, need, w):
+        if need > n - t:
             return
-        if t == total_boxes:
+        if t == n:
             if need == 0:
-                rows = [
-                    tuple(grid[(i + 1, j + 1)] for j in range(shape[i]))
-                    for i in range(len(shape))
-                ]
-                out.append(ReverseTableau(rows))
+                leaf(grid, w)
             return
-        i, j = boxes[t]
-        hi = grid[(i, j - 1)].value if j > 1 else None
-        below = grid.get((i + 1, j)) if column_strict else None
+        hi = top if left[t] is None else grid[left[t]].value
+        lo = 1 if below[t] is None else grid[below[t]].value + 1
         # barred candidates: stay inside nu and keep every prefix a partition
-        for k in range(1, ln + 1):
-            if hi is not None and k > hi:
-                continue
-            if below is not None and k <= below.value:
-                continue
+        for k in range(lo, min(hi, ln) + 1):
             if rho[k - 1] >= nu[k - 1]:
                 continue
             if k > 1 and rho[k - 2] <= rho[k - 1]:
                 continue
             rho[k - 1] += 1
-            grid[(i, j)] = Entry(k, barred=True)
-            rec(t + 1, need - 1)
+            grid[t] = bars[k]
+            rec(t + 1, need - 1, w)
             rho[k - 1] -= 1
-        cap = plain_cap(i)
-        if hi is not None:
-            cap = min(cap, hi)
-        lo = below.value + 1 if below is not None else 1
-        for k in range(lo, cap + 1):
-            grid[(i, j)] = Entry(k)
-            rec(t + 1, need)
-        grid.pop((i, j), None)
+        if need == n - t:
+            return  # every box left must be barred
+        for k in range(lo, min(caps[t], hi) + 1):
+            grid[t] = plains[k]
+            if w is None:
+                rec(t + 1, need, None)
+                continue
+            rk, c = rho[k - 1], content[t]
+            if rk != c:
+                rec(t + 1, need, _mul_into({}, w, _binomial(k - rk, k - c)))
 
-    rec(0, need)
+    rec(0, need, weight)
+
+
+def _binomial(p, q):
+    """The term dict of a_p - a_q."""
+    return {((p, 1),): 1, ((q, 1),): -1}
+
+
+def _tableaux(shape, boxes, mu, nu, plain_cap, column_strict):
+    """Every filling the search finds, as a ReverseTableau of the given shape."""
+    pos = {box: t for t, box in enumerate(boxes)}
+    rows = [
+        [pos[(i, j)] for j in range(1, shape[i - 1] + 1)]
+        for i in range(1, len(shape) + 1)
+    ]
+    out = []
+
+    def leaf(grid, _):
+        out.append(ReverseTableau([[grid[t] for t in row] for row in rows]))
+
+    _enumerate(boxes, mu, nu, plain_cap, column_strict, leaf)
+    return out
+
+
+def lr_weight_sum(lam, mu, nu, order):
+    """The sum of tableau_weight(T, mu, order) over enumerate_lr_tableaux(lam, mu, nu).
+
+    Returned as a term dict.  No tableau is built.  In column order, the
+    search's own order, the weight is multiplied up as boxes are placed and
+    zero binomials cut their branch off.  In row order, each filling gets
+    one integer pass that grows rho in row order; a filling with a zero
+    binomial adds nothing, and the others multiply their binomials.
+    """
+    lam = tuple(lam)
+    cap = len(tuple(nu))
+    boxes = column_order(lam)
+    out = {}
+    if order == "column":
+        _enumerate(
+            boxes, mu, nu, lambda i: cap, True,
+            lambda grid, w: accumulate(out, w.items()), weight={ONE_MONO: 1},
+        )
+        return out
+    if order != "row":
+        raise ValueError("order must be 'row' or 'column'")
+    pos = {box: t for t, box in enumerate(boxes)}
+    reading = [(pos[(i, j)], j - i) for i, j in row_order(lam)]
+    start = pad(mu, cap)
+
+    def leaf(grid, _):
+        rho = list(start)
+        binomials = []
+        for t, c in reading:
+            k, barred, _ = grid[t]
+            rk = rho[k - 1]
+            if barred:
+                rho[k - 1] = rk + 1
+            elif rk == c:
+                return
+            else:
+                binomials.append(_binomial(k - rk, k - c))
+        w = {ONE_MONO: 1}
+        for b in binomials:
+            w = _mul_into({}, w, b)
+        accumulate(out, w.items())
+
+    _enumerate(boxes, mu, nu, lambda i: cap, True, leaf)
     return out
 
 
@@ -331,7 +411,7 @@ def enumerate_lr_tableaux(lam, mu, nu, cap=None):
     lam = tuple(lam)
     if cap is None:
         cap = len(tuple(nu))
-    return _enumerate(
+    return _tableaux(
         lam, column_order(lam), mu, nu, lambda i: cap, column_strict=True
     )
 
@@ -341,7 +421,7 @@ def enumerate_pieri_tableaux(p, e, mu, nu, cap=None):
     shape = (0,) * e + (p,)
     if cap is None:
         cap = len(tuple(nu))
-    return _enumerate(
+    return _tableaux(
         shape, row_order(shape), mu, nu, lambda i: cap, column_strict=False
     )
 
@@ -361,4 +441,4 @@ def enumerate_k_tableaux(kappa, mu, nu, cap=None):
         caps = lambda i: lm + lk - i + 1
     else:
         caps = lambda i: cap
-    return _enumerate(kappa, row_order(kappa), mu, nu, caps, column_strict=False)
+    return _tableaux(kappa, row_order(kappa), mu, nu, caps, column_strict=False)

@@ -1,7 +1,5 @@
 """Free commutative ring on h_{r,s} and the formal Pieri expansion."""
 
-import pytest
-
 from lrpoly.shapes import partitions_up_to
 from lrpoly.formal_ring import (
     SignedHSum,

@@ -1,10 +1,12 @@
 """Structure coefficients: tableau rules, alternating sum, and Pieri forms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrpoly.apoly import APoly, a
 from lrpoly.shapes import contains, size, lr_targets, partitions_of, partitions_up_to
 from lrpoly.stable_ring import pieri_stable
+from lrpoly.tableaux import enumerate_lr_tableaux, lr_weight_sum, tableau_weight
 from lrpoly.lr import (
     pieri_tableau,
     kostka,
@@ -103,3 +105,40 @@ def test_expand_product_top_degree_is_classical():
     for nu in out.partitions():
         if size(nu) == 4:
             assert out.coeff(nu) == APoly.const(classical_lr((2, 1), (1,), nu))
+
+
+def test_weighted_search_matches_tableau_sum():
+    # the reference: build every LR tableau, then weigh it on its own
+    for lam in partitions_up_to(4):
+        for mu in partitions_up_to(4):
+            for nu in lr_targets(lam, mu):
+                if not contains(nu, mu):
+                    continue
+                tableaux = enumerate_lr_tableaux(lam, mu, nu)
+                for order in ("row", "column"):
+                    expected = APoly.zero()
+                    for T in tableaux:
+                        expected = expected + tableau_weight(T, mu, order)
+                    got = lr_weight_sum(lam, mu, nu, order)
+                    assert got == expected.terms, (lam, mu, nu, order)
+    # three tableaux, each with a zero binomial in either order
+    lam, mu, nu = (2,), (1,), (1, 1)
+    tableaux = enumerate_lr_tableaux(lam, mu, nu)
+    assert len(tableaux) == 3
+    for order in ("row", "column"):
+        assert all(tableau_weight(T, mu, order).is_zero() for T in tableaux)
+        assert lr_weight_sum(lam, mu, nu, order) == {}
+    with pytest.raises(ValueError):
+        lr_weight_sum(lam, mu, nu, "diagonal")
+
+
+_partitions = st.sampled_from(partitions_up_to(5))
+
+
+@settings(max_examples=200, derandomize=True, deadline=2000, database=None)
+@given(_partitions, _partitions, st.data())
+def test_tableau_rules_agree_on_random_cells(lam, mu, data):
+    nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))
+    ct = c_theorem(lam, mu, nu)
+    assert ct == c_corollary(lam, mu, nu), (lam, mu, nu)
+    assert ct.at_zero() == classical_lr(lam, mu, nu), (lam, mu, nu)

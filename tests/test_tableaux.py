@@ -4,7 +4,6 @@ import pytest
 
 from lrpoly.apoly import APoly, a
 from lrpoly.tableaux import (
-    Entry,
     ReverseTableau,
     bar,
     plain,
