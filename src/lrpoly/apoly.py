@@ -165,9 +165,6 @@ class APoly(Terms):
         """Constant term: the image under a_i -> 0 for all i."""
         return self.terms.get(ONE_MONO, 0)
 
-    def variable_indices(self):
-        return sorted({i for m in self.terms for i, _ in m})
-
     def sorted_terms(self):
         """Terms in graded-lexicographic order (deterministic serialization)."""
         return sorted(self.terms.items(), key=lambda mc: _mono_key(mc[0]))

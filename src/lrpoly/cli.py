@@ -67,6 +67,21 @@ def _int_vector(text):
         raise argparse.ArgumentTypeError(f"not an integer vector: {text!r}")
 
 
+def _int_at_least(lo):
+    """Argument type: an integer no smaller than lo."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}: {value}")
+        return value
+
+    return parse
+
+
 def _emit(value, fmt):
     if fmt == "json":
         payload = value.to_json() if hasattr(value, "to_json") else value
@@ -387,7 +402,7 @@ def build_parser():
 
     p = sub.add_parser("schur", help="double Schur polynomial in n variables")
     p.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     add_format(p)
     p.set_defaults(fn=cmd_schur)
 
@@ -409,12 +424,12 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("ring", "pieri", "lr", "involutions", "all"),
                    default="all")
-    p.add_argument("--max-weight", type=int, default=3)
+    p.add_argument("--max-weight", type=_int_at_least(1), default=3)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-involutions",
                        help="involution suite with per-shape aggregate sums")
-    p.add_argument("--max-weight", type=int, default=3)
+    p.add_argument("--max-weight", type=_int_at_least(1), default=3)
     p.set_defaults(fn=cmd_verify_involutions)
 
     return parser

@@ -60,25 +60,6 @@ class XPoly(Terms):
                 _mul_into(out.setdefault(e, {}), c1.terms, c2.terms)
         return XPoly(self.n, {e: APoly(d) for e, d in out.items() if d})
 
-    def permuted(self, perm):
-        """Relabel variables: x_i -> x_{perm[i-1]} (perm is a 1-based image list)."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.n
-            for i in range(self.n):
-                ne[perm[i] - 1] = e[i]
-            out[tuple(ne)] = c
-        return XPoly(self.n, out)
-
-    def is_symmetric(self):
-        """Exact check under all adjacent transpositions."""
-        for i in range(1, self.n):
-            perm = list(range(1, self.n + 1))
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            if self.permuted(perm) != self:
-                return False
-        return True
-
     def at_zero(self):
         """Specialize every a_i to 0, keeping integer coefficients."""
         out = {}
@@ -115,9 +96,6 @@ class XPoly(Terms):
         return f"XPoly(n={self.n}, {self})"
 
 
-_H_CACHE = {}
-
-
 def h_n(p, n):
     """Deformed complete homogeneous polynomial of degree p in n variables.
 
@@ -128,10 +106,6 @@ def h_n(p, n):
         return XPoly.zero(n)
     if p == 0:
         return XPoly.one(n)
-    key = (p, n)
-    cached = _H_CACHE.get(key)
-    if cached is not None:
-        return cached
     # G[m] at level k holds the partial sum over i_k >= ... >= i_p with i_k <= m
     G = [XPoly.one(n)] * (n + 1)
     for k in range(p, 0, -1):
@@ -140,7 +114,6 @@ def h_n(p, n):
             factor = XPoly.x(m, n) + XPoly.const(n, APoly.var(m - k + 1, coeff=-1))
             nxt[m] = nxt[m - 1] + factor * G[m]
         G = nxt
-    _H_CACHE[key] = G[n]
     return G[n]
 
 
@@ -215,16 +188,6 @@ class _Sym(Terms):
                 if acc:
                     out[nu] = APoly(acc)
         return _Sym(self.n, out)
-
-
-def _sym_from_xpoly(P):
-    """Symmetric representative of a (known symmetric) dense polynomial."""
-    return _Sym(
-        P.n,
-        {iv(e): c for e, c in P.terms.items() if all(
-            e[i] >= e[i + 1] for i in range(len(e) - 1)
-        )},
-    )
 
 
 def _distinct_permutations(values):
@@ -381,21 +344,6 @@ def _decompose_sym(S):
         if nu in work:
             raise ArithmeticError(f"leading coefficient of s_{nu} in n={n} is not 1")
     return SchurSum(result)
-
-
-def decompose(P):
-    """Write a symmetric dense P as a SchurSum over Schur elements in P.n variables.
-
-    The greedy elimination requires every leading exponent encountered to be
-    weakly decreasing; a non-symmetric input surfaces as a "not in span" error.
-    """
-    n = P.n
-    sym = _sym_from_xpoly(P)
-    # guard: the sorted representatives must already account for every term
-    rep_count = sum(len(_distinct_permutations(pad(e, n))) for e in sym.terms)
-    if rep_count != len(P.terms):
-        raise ValueError("not in span: polynomial is not symmetric")
-    return _decompose_sym(sym)
 
 
 _PRODUCT_CACHE = {}

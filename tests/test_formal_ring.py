@@ -1,9 +1,7 @@
 """Free commutative ring on h_{r,s} and the formal Pieri expansion."""
 
-from lrpoly.shapes import partitions_up_to
 from lrpoly.formal_ring import (
     SignedHSum,
-    h_word,
     staircase,
     jacobi_trudi,
     straighten,
@@ -28,11 +26,6 @@ def test_sum_arithmetic():
     assert x.scale(0).is_zero()
 
 
-def test_h_word_drops_units():
-    assert h_word((2, 0, 1), (0, 1, 2)) == SignedHSum.word([(2, 0), (1, 2)])
-    assert h_word((1, -1), (0, 1)).is_zero()
-
-
 def test_jacobi_trudi_single_row_and_column():
     # one row: the determinant is the single factor
     assert jacobi_trudi((3,)) == SignedHSum.word([(3, 0)])
@@ -55,20 +48,6 @@ def test_straighten_involution_consistency():
     # straightening the straightened labels is the identity
     sign, mu, beta = straighten((0, 4, 1), (0, 1, 2))
     assert straighten(mu, beta) == (1, mu, beta)
-
-
-def test_formal_pieri_identity_small_grid():
-    # h_{p,e} * s_{mu,staircase} expands as a signed sum of shifted
-    # determinants, one per composition of p of length l(mu)+1
-    for mu in partitions_up_to(4, max_len=3):
-        l = len(mu)
-        for p in (1, 2, 3):
-            for e in range(0, 3):
-                lhs = SignedHSum.word([(p, e)]) * jacobi_trudi(mu, l=l)
-                rhs = SignedHSum.zero()
-                for m2, b2 in formal_pieri_terms(p, e, mu, staircase(l)):
-                    rhs = rhs + jacobi_trudi(m2, b2)
-                assert (lhs - rhs).is_zero(), (mu, p, e)
 
 
 def test_formal_pieri_terms_count():

@@ -28,70 +28,13 @@ from lrpoly.tableaux import (
     enumerate_pieri_tableaux,
 )
 from lrpoly.involutions import (
-    BadCell,
     classify_bad,
     monomial_weight,
-    psi1,
     psi,
     monomial_involution,
     derived_monomial_tableaux,
     pieri_bad_pair,
 )
-
-# ---------------------------------------------------------------------------
-# Golden example: the two-stage involution on a shape-(9,9) bad tableau with
-# mu = (2,2), nu = (4,3,2,1).
-
-PSI_T = ReverseTableau.from_text(
-    "4~ 4 4 4 3 2 2~ 2 2\n3 3 3~ 3 3~ 3 1 1~ 1~"
-)
-PSI_T1_TEXT = "4~ 4 3 3~ 3 1 1~ 1~\n3 3 3 3 3~ 3 2 2~ 2 2"
-PSI_TT_TEXT = "4~ 4 3 3~ 3 2~ 2 1~\n3 3 3 3 3~ 3 2 1 1 1~"
-PSI_MU = (2, 2)
-PSI_NU = (4, 3, 2, 1)
-
-
-def test_golden_classification():
-    assert classify_bad(PSI_T, PSI_MU, PSI_NU) == BadCell(1, 1, "C2a")
-
-
-def test_golden_tail_swap():
-    cell = classify_bad(PSI_T, PSI_MU, PSI_NU)
-    T1 = psi1(PSI_T, cell)
-    assert T1.shape == (8, 10)
-    assert T1.to_text() == PSI_T1_TEXT
-
-
-def test_golden_reorder_counts():
-    # the barred-reorder stage moves n_k barred (k-1)'s per value k, with
-    # n_k = max(mu_k + r_k - mu_{k-1} - r'_{k-1}, 0) counted on the
-    # intermediate tableau
-    cell = classify_bad(PSI_T, PSI_MU, PSI_NU)
-    T1 = ReverseTableau.from_text(PSI_T1_TEXT)
-    mu = pad(PSI_MU, 4)
-    i = cell.row
-
-    def barred_count(k, row_lo):
-        return sum(
-            1
-            for r in range(row_lo, len(T1.rows) + 1)
-            for e in T1.rows[r - 1]
-            if e.barred and e.value == k
-        )
-
-    n = {}
-    for k in (2, 3):
-        r_k = barred_count(k, i)
-        r_prev = barred_count(k - 1, i + 2)
-        n[k] = max(mu[k - 1] + r_k - mu[k - 2] - r_prev, 0)
-    assert n[2] == 1
-    assert n[3] == 0
-
-
-def test_golden_full_involution():
-    Tt = psi(PSI_T, PSI_MU, PSI_NU)
-    assert Tt.to_text() == PSI_TT_TEXT
-    assert psi(Tt, PSI_MU, PSI_NU) == PSI_T
 
 
 def test_psi_rejects_good_tableaux():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lrpoly.apoly import APoly, a
+from lrpoly.apoly import APoly
 from lrpoly.tableaux import (
     ReverseTableau,
     bar,
@@ -12,10 +12,7 @@ from lrpoly.tableaux import (
     row_order,
     column_order,
     row_word,
-    column_word,
     apply_word,
-    rho_at,
-    entry_weight,
     tableau_weight,
     expand_monomials,
     enumerate_lr_tableaux,
@@ -51,23 +48,6 @@ def test_orders():
     co = column_order(shape)
     assert co[0] == (3, 1) and co[1] == (2, 1) and co[2] == (1, 1)
     assert co[-1] == (2, 6)
-
-
-def test_golden_words():
-    assert row_word(GOLDEN) == (2, 1, 2, 1)
-    assert column_word(GOLDEN) == (2, 2, 1, 1)
-    nu_r, yam_r = apply_word((2, 1), row_word(GOLDEN))
-    assert nu_r == (4, 3) and yam_r
-    nu_c, yam_c = apply_word((2, 1), column_word(GOLDEN))
-    assert nu_c == (4, 3) and not yam_c
-
-
-def test_golden_prefix_partition():
-    assert rho_at(GOLDEN, (2, 1), (1, 2), "row") == (3, 3)
-
-
-def test_golden_entry_weight():
-    assert entry_weight(GOLDEN, (2, 1), (2, 4), "column") == a(-2) - a(-1)
 
 
 def test_tableau_weight_empty_product():
