@@ -1,50 +1,93 @@
 """Sparse exact polynomials in the variables a_i, i in Z, over arbitrary-precision integers.
 
-A monomial is a tuple of (index, exponent) pairs with strictly increasing
-indices and positive exponents; the empty tuple is the constant monomial.
-An APoly stores a dict mapping monomials to nonzero integer coefficients,
-so equal polynomials always have equal term dicts.
+A monomial is stored as one non-negative int key, so a monomial product is
+one integer addition.  The key is a row of B-bit fields, B = 8:
+
+- field 0 (bits [0, B)) holds the total degree;
+- the exponent of a_i sits in field 2i+1 when i >= 0 and in field -2i when
+  i < 0 (a zigzag order, so small indices give small keys).
+
+Every exponent is at most the degree, so adding two keys cannot carry from
+one field into the next while the degree stays below 2^(B-1) = 128.
+_mul_into checks that guard bit on every product and raises ArithmeticError
+when it is set; nothing carries silently.  Because adding a key never
+carries, integer comparison of keys is a monomial order; ONE_MONO = 0, the
+constant monomial, is its minimum.  shift_indices moves fields with masks
+that span the indices -255..255 and raises ArithmeticError past them.
+
+unpack(m) gives back the (index, exponent) pairs by increasing index;
+printing and JSON convert there, sorting graded, then lexicographically on
+those pairs.  An APoly stores a dict mapping keys to nonzero integer
+coefficients, so equal polynomials always have equal term dicts.
 """
 
 from fractions import Fraction
 
 from .sparse import Terms, accumulate
 
-ONE_MONO = ()
+B = 8
+ONE_MONO = 0
+_FIELD = (1 << B) - 1  # field 0, the degree
+_GUARD = 1 << (B - 1)
+_SPAN = 255  # shift_indices keeps indices in [-_SPAN, _SPAN] shiftable
+_SPAN_BITS = B * (2 * _SPAN + 2)  # a key at or above 1 << _SPAN_BITS is past the masks
 
 
-_MONO_MUL_CACHE = {}
+def _fields(slots):
+    return sum(_FIELD << B * s for s in slots)
 
 
-def _mono_mul(m1, m2):
-    """Product of two monomials (merge sorted index lists); memoized."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    key = (m1, m2)
-    cached = _MONO_MUL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        (i1, e1), (i2, e2) = m1[i], m2[j]
-        if i1 < i2:
-            out.append(m1[i])
-            i += 1
-        elif i1 > i2:
-            out.append(m2[j])
-            j += 1
-        else:
-            out.append((i1, e1 + e2))
-            i += 1
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    result = tuple(out)
-    _MONO_MUL_CACHE[key] = result
-    return result
+_ODD = _fields(range(1, 2 * _SPAN + 2, 2))  # a_0, a_1, ...
+_EVEN = _fields(range(2, 2 * _SPAN + 2, 2))  # a_-1, a_-2, ...
+_SLOT1, _SLOT2 = _fields([1]), _fields([2])
+
+
+def _shift_up(m):
+    """a_i -> a_{i+1}: odd fields move up two, even fields down two, a_-1 to a_0."""
+    return (
+        (m & _FIELD) | (m & _ODD) << 2 * B
+        | (m & (_EVEN ^ _SLOT2)) >> 2 * B | (m & _SLOT2) >> B
+    )
+
+
+def _shift_down(m):
+    """a_i -> a_{i-1}: the inverse of _shift_up."""
+    return (
+        (m & _FIELD) | (m & _EVEN) << 2 * B
+        | (m & (_ODD ^ _SLOT1)) >> 2 * B | (m & _SLOT1) << B
+    )
+
+
+def var_key(i, e=1):
+    """The key of the monomial a_i**e."""
+    if not 0 <= e < _GUARD:
+        raise ArithmeticError(f"exponent {e} outside the packed range [0, {_GUARD})")
+    return e | e << B * (2 * i + 1 if i >= 0 else -2 * i)
+
+
+def pack(pairs):
+    """The key of the product of a_i**e over the (index, exponent) pairs."""
+    m = ONE_MONO
+    for i, e in pairs:
+        m += var_key(i, e)
+        if m & _GUARD:
+            raise ArithmeticError("monomial degree outside the packed range")
+    return m
+
+
+def unpack(m):
+    """The (index, exponent) pairs of the key m, by increasing index."""
+    pairs = []
+    m >>= B
+    s = 1
+    while m:
+        e = m & _FIELD
+        if e:
+            pairs.append((s >> 1 if s & 1 else -(s >> 1), e))
+        m >>= B
+        s += 1
+    pairs.sort()
+    return tuple(pairs)
 
 
 def _mul_into(out, t1, t2):
@@ -53,24 +96,18 @@ def _mul_into(out, t1, t2):
     The one fused monomial-product kernel: integer coefficients, keys that
     cancel are dropped.  Returns out.
     """
+    get = out.get
     for m1, k1 in t1.items():
         for m2, k2 in t2.items():
-            m = _mono_mul(m1, m2)
-            k = out.get(m, 0) + k1 * k2
+            m = m1 + m2
+            if m & _GUARD:
+                raise ArithmeticError("monomial degree outside the packed range")
+            k = get(m, 0) + k1 * k2
             if k:
                 out[m] = k
             else:
                 del out[m]
     return out
-
-
-def _mono_degree(m):
-    return sum(e for _, e in m)
-
-
-def _mono_key(m):
-    # graded, then lexicographic on the (index, exponent) list
-    return (_mono_degree(m), m)
 
 
 class APoly(Terms):
@@ -94,7 +131,7 @@ class APoly(Terms):
             return APoly.zero()
         if exp == 0:
             return APoly.const(coeff)
-        return APoly({((i, exp),): coeff})
+        return APoly({var_key(i, exp): coeff})
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -130,11 +167,11 @@ class APoly(Terms):
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(_mono_degree(m) for m in self.terms)
+        return max(m & _FIELD for m in self.terms)
 
     def is_homogeneous(self, d=None):
         """True iff every term has the same total degree (equal to d if given)."""
-        degs = {_mono_degree(m) for m in self.terms}
+        degs = {m & _FIELD for m in self.terms}
         if not degs:
             return True
         if len(degs) > 1:
@@ -142,19 +179,21 @@ class APoly(Terms):
         return d is None or degs == {d}
 
     def shift_indices(self, k):
-        """Ring automorphism sending a_i to a_{i+k}."""
-        if k == 0:
-            return self
-        return APoly(
-            {tuple((i + k, e) for i, e in m): c for m, c in self.terms.items()}
-        )
+        """Ring automorphism sending a_i to a_{i+k}, one unit step at a time."""
+        terms = self.terms
+        step = _shift_up if k > 0 else _shift_down
+        for _ in range(abs(k)):
+            if terms and max(terms) >> _SPAN_BITS:
+                raise ArithmeticError(f"index outside the shift span [-{_SPAN}, {_SPAN}]")
+            terms = {step(m): c for m, c in terms.items()}
+        return self if terms is self.terms else APoly(terms)
 
     def substitute(self, assignment):
         """Exact rational evaluation; assignment maps variable index to a number."""
         total = Fraction(0)
         for m, c in self.terms.items():
             val = Fraction(c)
-            for i, e in m:
+            for i, e in unpack(m):
                 if i not in assignment:
                     raise KeyError(f"no value assigned to variable index {i}")
                 val *= Fraction(assignment[i]) ** e
@@ -166,19 +205,19 @@ class APoly(Terms):
         return self.terms.get(ONE_MONO, 0)
 
     def sorted_terms(self):
-        """Terms in graded-lexicographic order (deterministic serialization)."""
-        return sorted(self.terms.items(), key=lambda mc: _mono_key(mc[0]))
+        """Terms by degree, then by unpacked pairs (deterministic serialization)."""
+        return sorted(self.terms.items(), key=lambda mc: (mc[0] & _FIELD, unpack(mc[0])))
 
     def to_json(self):
         return [
-            {"coeff": str(c), "vars": [[i, e] for i, e in m]}
+            {"coeff": str(c), "vars": [[i, e] for i, e in unpack(m)]}
             for m, c in self.sorted_terms()
         ]
 
     @staticmethod
     def from_json(data):
         return APoly(accumulate({}, (
-            (tuple((int(i), int(e)) for i, e in t["vars"]), int(t["coeff"]))
+            (pack((int(i), int(e)) for i, e in t["vars"]), int(t["coeff"]))
             for t in data
         )))
 
@@ -188,7 +227,7 @@ class APoly(Terms):
         parts = []
         for m, c in self.sorted_terms():
             factors = "*".join(
-                f"a_{i}" if e == 1 else f"a_{i}^{e}" for i, e in m
+                f"a_{i}" if e == 1 else f"a_{i}^{e}" for i, e in unpack(m)
             )
             if not factors:
                 body = str(abs(c))

@@ -403,32 +403,36 @@ def _horizontal_strip_extensions(mu, p):
     return out
 
 
+_CLASSICAL_CACHE = {}
+
+
 def classical_lr(lam, mu, nu):
     """Classical Littlewood-Richardson coefficient, all a_i = 0.
 
     Independent integer implementation: alternating sum over permuted
     staircase compositions of iterated classical Pieri multiplications
     (horizontal strips), per the determinant expansion of the classical
-    Jacobi-Trudi identity.
+    Jacobi-Trudi identity.  The sum is taken once per (lam, mu) for every
+    nu at once, and cached.
     """
-    lam, mu, nu = iv(lam), iv(mu), iv(nu)
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
-    l = len(lam)
-    if l == 0:
-        return 1 if nu == mu else 0
-    total = 0
-    for omega in permutations(range(1, l + 1)):
-        kappa, sign = lambda_omega(lam, omega)
-        kappa = pad(kappa, l)
-        if any(k < 0 for k in kappa):
-            continue
-        counts = {mu: 1}
-        for i in range(l - 1, -1, -1):
-            nxt = {}
-            for part, cnt in counts.items():
-                for ext in _horizontal_strip_extensions(part, kappa[i]):
-                    nxt[ext] = nxt.get(ext, 0) + cnt
-            counts = nxt
-        total += sign * counts.get(nu, 0)
-    return total
+    lam, mu = iv(lam), iv(mu)
+    key = (lam, mu)
+    table = _CLASSICAL_CACHE.get(key)
+    if table is None:
+        table = {}
+        l = len(lam)
+        for omega in permutations(range(1, l + 1)):
+            kappa, sign = lambda_omega(lam, omega)
+            kappa = pad(kappa, l)
+            if any(k < 0 for k in kappa):
+                continue
+            counts = {mu: 1}
+            for i in range(l - 1, -1, -1):
+                nxt = {}
+                for part, cnt in counts.items():
+                    for ext in _horizontal_strip_extensions(part, kappa[i]):
+                        nxt[ext] = nxt.get(ext, 0) + cnt
+                counts = nxt
+            accumulate(table, ((nu, sign * cnt) for nu, cnt in counts.items()))
+        _CLASSICAL_CACHE[key] = table
+    return table.get(iv(nu), 0)

@@ -20,7 +20,7 @@ trailing "~" for bars and a trailing "'" for primes, e.g. "2 2~ 1~".
 
 from typing import NamedTuple
 
-from .apoly import APoly, ONE_MONO, _mul_into
+from .apoly import APoly, ONE_MONO, _mul_into, var_key
 from .shapes import iv, pad, is_partition
 from .sparse import accumulate
 
@@ -337,7 +337,7 @@ def _enumerate(boxes, mu, nu, plain_cap, column_strict, leaf, weight=None):
 
 def _binomial(p, q):
     """The term dict of a_p - a_q."""
-    return {((p, 1),): 1, ((q, 1),): -1}
+    return {var_key(p): 1, var_key(q): -1}
 
 
 def _tableaux(shape, boxes, mu, nu, plain_cap, column_strict):

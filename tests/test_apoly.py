@@ -2,7 +2,11 @@
 
 import json
 
-from lrpoly.apoly import APoly, a
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lrpoly.apoly import B, ONE_MONO, APoly, a, pack, unpack
+from lrpoly.cli import main
 
 
 def test_ring_axioms_small():
@@ -57,3 +61,70 @@ def test_json_round_trip():
     assert APoly.from_json(data) == p
     # serialization order is deterministic (graded-lex)
     assert p.to_json() == p.to_json()
+
+
+# monomials as (index, exponent) pairs by increasing index, degree <= 40
+_pairs = st.dictionaries(
+    st.integers(-40, 40), st.integers(1, 10), max_size=4
+).map(lambda d: tuple(sorted(d.items())))
+_packed = settings(max_examples=200, derandomize=True, deadline=2000, database=None)
+
+
+def _merge(x, y):
+    exps = dict(x)
+    for i, e in y:
+        exps[i] = exps.get(i, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+@_packed
+@given(_pairs)
+def test_unpack_inverts_pack(x):
+    assert unpack(pack(x)) == x
+
+
+@_packed
+@given(_pairs, _pairs)
+def test_pack_turns_products_into_sums(x, y):
+    assert pack(_merge(x, y)) == pack(x) + pack(y)
+    assert APoly({pack(x): 2}) * APoly({pack(y): 3}) == APoly({pack(_merge(x, y)): 6})
+
+
+@_packed
+@given(_pairs, _pairs, _pairs)
+def test_key_order_is_a_monomial_order(x, y, z):
+    m1, m2, m3 = pack(x), pack(y), pack(z)
+    if m1 < m2:
+        assert m1 + m3 < m2 + m3
+        assert pack(_merge(x, z)) < pack(_merge(y, z))
+    assert ONE_MONO == pack(()) and ONE_MONO <= min(m1, m2, m3)
+
+
+@_packed
+@given(st.lists(_pairs, max_size=4), st.integers(-40, 40))
+def test_shift_indices_matches_shifting_the_pairs(monomials, k):
+    p = APoly({pack(x): c for c, x in enumerate(monomials, 1)})
+    shifted = p.shift_indices(k)
+    assert shifted.shift_indices(-k) == p
+    assert shifted == APoly(
+        {pack((i + k, e) for i, e in x): c for c, x in enumerate(monomials, 1)}
+    )
+
+
+def test_degree_past_the_guard_bit_raises():
+    half = 1 << (B - 1)
+    assert APoly.var(0, half - 2) * a(0) == APoly.var(0, half - 1)
+    with pytest.raises(ArithmeticError):
+        APoly.var(0, half - 1) * a(1)
+    with pytest.raises(ArithmeticError):
+        APoly.var(-3, half // 2) * APoly.var(5, half // 2)
+    with pytest.raises(ArithmeticError):
+        APoly.var(2, half)
+    with pytest.raises(ArithmeticError):
+        a(300).shift_indices(1)
+
+
+def test_cli_index_far_below_zero(capsys):
+    argv = ["lr", "--lambda", "2,1", "--mu", "30,2", "--nu", "31,3", "--method", "theorem"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == "a_-30 + a_-29 + a_-1 - a_1 - 2*a_2"

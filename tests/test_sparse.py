@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from lrpoly.apoly import APoly, a
+from lrpoly.apoly import APoly, a, pack
 from lrpoly.double_sym import XPoly, _Sym
 from lrpoly.formal_ring import SignedHSum
 from lrpoly.lr import kostka
@@ -63,7 +63,7 @@ def test_variable_count_is_part_of_equality():
 
 _monomials = st.dictionaries(
     st.integers(-2, 2), st.integers(1, 2), max_size=2
-).map(lambda d: tuple(sorted(d.items())))
+).map(lambda d: pack(d.items()))
 _apolys = st.dictionaries(
     _monomials, st.integers(-3, 3).filter(bool), max_size=4
 ).map(APoly)
