@@ -93,10 +93,18 @@ def _emit(value, fmt):
 def _run_cases(cases):
     """Run (label, fn) pairs in order.
 
-    Each fn returns None on success or a failure message.  Returns the list
-    of (label, failure-or-None) in the canonical input order.
+    Each fn returns None on success or a failure message; a case that raises
+    fails with the exception as its message.  Returns the list of
+    (label, failure-or-None) in the canonical input order.
     """
-    return [(label, fn()) for label, fn in cases]
+    results = []
+    for label, fn in cases:
+        try:
+            msg = fn()
+        except Exception as exc:  # an internal error fails its case only
+            msg = f"raised {exc!r}"
+        results.append((label, msg))
+    return results
 
 
 def cmd_lr(args):

@@ -25,10 +25,11 @@ from .tableaux import (
     ReverseTableau,
     bar,
     plain,
-    row_order,
     column_order,
     row_word,
     apply_word,
+    reading,
+    add_box,
 )
 
 
@@ -48,19 +49,11 @@ def monomial_weight(U, mu):
     -a_{k - c}.  Barred entries only advance rho.
     """
     total = APoly.one()
-    rho = list(mu)
-    for i, j in row_order(U.shape):
-        e = U.entry(i, j)
-        k = e.value
-        if e.barred:
-            if k > len(rho):
-                rho.extend([0] * (k - len(rho)))
-            rho[k - 1] += 1
-        elif e.primed:
-            total = total * APoly.var(k - (j - i), coeff=-1)
-        else:
-            rk = rho[k - 1] if k <= len(rho) else 0
-            total = total * APoly.var(k - rk)
+    for i, j, e, rk in reading(U, mu, "row"):
+        if e.primed:
+            total = total * APoly.var(e.value - (j - i), coeff=-1)
+        elif not e.barred:
+            total = total * APoly.var(e.value - rk)
     return total
 
 
@@ -77,23 +70,10 @@ def _p1_break_column(T, mu, i):
 
     Returns None if the whole column word stays Yamanouchi when applied to mu.
     """
-    shape = T.shape
-    sub = [(r, c) for r, c in column_order(shape) if r >= i]
     rho = list(mu)
-    good = True
-    for r, c in sub:
+    for r, c in column_order(T.shape):
         e = T.rows[r - 1][c - 1]
-        if not e.barred:
-            continue
-        s = e.value
-        if s > len(rho):
-            rho.extend([0] * (s - len(rho)))
-        rho[s - 1] += 1
-        if s > 1 and rho[s - 2] < rho[s - 1]:
-            good = False
-        if s < len(rho) and rho[s - 1] < rho[s]:
-            good = False
-        if not good:
+        if r >= i and e.barred and not add_box(rho, e.value):
             return c
     return None
 
@@ -208,20 +188,9 @@ def psi1(T, cell):
         raise AssertionError("C2a cell must hold a barred entry one above the column partner")
     c = ri1[j - 1].value
     q = max(t + 1 for t, e in enumerate(ri) if e.value == b)
-    seg_b = ri[j - 1 : q]
-    s = sum(1 for e in seg_b if e.barred)
-    x = _parse_blocks_after_barred(seg_b)
-    # r: column of the s-th barred c at or right of column j+1 in row i+1
-    count = 0
-    r = None
-    for t in range(j, ki1):
-        if ri1[t].barred and ri1[t].value == c:
-            count += 1
-            if count == s:
-                r = t + 1
-                break
-    if r is None:
-        raise AssertionError("row word must supply enough barred entries below")
+    x = _parse_blocks_after_barred(ri[j - 1 : q])
+    # r: column of the len(x)-th barred c at or right of column j+1 in row i+1
+    r = _nth_barred(ri1, c, len(x), j, ki1, from_end=False)
     y = _parse_blocks_before_barred(ri1[j : r])
     if q >= r:
         # fix the column ordering, then swap the tails from column r
@@ -243,6 +212,21 @@ def psi1(T, cell):
     rows[i - 1] = half_i
     rows[i] = half_i1
     return ReverseTableau(rows)
+
+
+def _nth_barred(row, value, n, lo, hi, from_end):
+    """Where row[lo:hi] splits off its first (or last) n barred entries of the value.
+
+    Returns the end of the shortest prefix, or with from_end the start of the
+    shortest suffix, of row[lo:hi] that holds n such entries; raises
+    AssertionError if row[lo:hi] holds fewer.
+    """
+    hits = [t for t in range(lo, hi) if row[t].barred and row[t].value == value]
+    if len(hits) < n:
+        raise AssertionError(f"fewer than {n} barred {value}'s to count")
+    if from_end:
+        return hits[-n] if n else hi
+    return hits[n - 1] + 1 if n else lo
 
 
 def _run_bounds(row, value):
@@ -273,47 +257,22 @@ def psi2(T1, cell, mu):
         c = ri1[-1].value if ri1 else 0
     else:
         c = ri1[cell.col - 1].value
-    l = len(rows)
-    mu = tuple(mu)
-
-    def mu_at(k):
-        return mu[k - 1] if k <= len(mu) else 0
-
-    def barred_count(row_list, k):
-        return sum(1 for e in row_list if e.barred and e.value == k)
-
+    mup = pad(mu, c)
+    # barred counts from row i down, and from row i+2 down
+    from_i = row_word(ReverseTableau(rows[i - 1 :]))
+    below_i1 = row_word(ReverseTableau(rows[i + 1 :]))
     replacements = []
     for k in range(2, c + 1):
-        r_k = sum(barred_count(rows[t], k) for t in range(i - 1, l))
-        rp = sum(barred_count(rows[t], k - 1) for t in range(i + 1, l))
-        n_k = max(mu_at(k) + r_k - mu_at(k - 1) - rp, 0)
+        n_k = max(mup[k - 1] + from_i.count(k) - mup[k - 2] - below_i1.count(k - 1), 0)
         if n_k == 0:
             continue
         # P_k: through the first n_k barred (k-1)'s in row i
         lo, hi = _run_bounds(ri, k - 1)
-        cnt = 0
-        end = None
-        for t in range(lo, hi):
-            if ri[t].barred:
-                cnt += 1
-                if cnt == n_k:
-                    end = t + 1
-                    break
-        if end is None:
-            raise AssertionError("row i lacks the required barred entries")
+        end = _nth_barred(ri, k - 1, n_k, lo, hi, from_end=False)
         v = _parse_blocks_before_barred(ri[lo:end])
         # Q_k: from the n_k-th-from-last barred k in row i+1 through its run
         lo1, hi1 = _run_bounds(ri1, k)
-        cnt = 0
-        start = None
-        for t in range(hi1 - 1, lo1 - 1, -1):
-            if ri1[t].barred:
-                cnt += 1
-                if cnt == n_k:
-                    start = t
-                    break
-        if start is None:
-            raise AssertionError("row i+1 lacks the required barred entries")
+        start = _nth_barred(ri1, k, n_k, lo1, hi1, from_end=True)
         w = _parse_blocks_after_barred(ri1[start:hi1])
         replacements.append((lo, end, _blocks_after(k, v), start, hi1, _blocks_before(k - 1, w)))
     for lo, end, seg_i, start, hi1, seg_i1 in replacements:
@@ -330,33 +289,15 @@ def psi(T, mu, nu=None):
     return psi2(psi1(T, cell), cell, mu)
 
 
-def _row_context(U, mu):
-    """(row index, row list, l, y) for a single-row monomial tableau."""
-    shape = U.shape
-    e1 = len(shape)
-    row = list(U.rows[-1])
-    l = len(iv(mu))
-    y = sum(1 for e in row if e.barred and e.value == l + 1)
-    return e1, row, l, y
+def _subscripts(U, mu):
+    """Weight subscript per box in row order: k - rho_k plain, k - c primed, None barred.
 
-
-def _subscripts(row, e1, mu):
-    """Weight subscript per position: k - rho_k for plain, k - c for primed."""
-    rho = list(mu)
-    subs = []
-    for t, e in enumerate(row):
-        k = e.value
-        if e.barred:
-            if k > len(rho):
-                rho.extend([0] * (k - len(rho)))
-            rho[k - 1] += 1
-            subs.append(None)
-        elif e.primed:
-            subs.append(k - (t + 1 - e1))
-        else:
-            rk = rho[k - 1] if k <= len(rho) else 0
-            subs.append(k - rk)
-    return subs
+    The bottom row, the only one of a Pieri-row tableau, comes first.
+    """
+    return [
+        None if e.barred else e.value - (j - i if e.primed else rk)
+        for i, j, e, rk in reading(U, mu, "row")
+    ]
 
 
 def _rebuild(U, row):
@@ -374,8 +315,11 @@ def monomial_involution(U, mu):
     weight a_k becomes a primed entry of weight -a_k further right, and vice
     versa, so double application restores the original.
     """
-    e1, row, l, y = _row_context(U, mu)
-    subs = _subscripts(row, e1, mu)
+    e1 = len(U.rows)
+    row = list(U.rows[-1])
+    l = len(iv(mu))
+    y = row_word(U).count(l + 1)
+    subs = _subscripts(U, mu)
     bad_subs = [
         s
         for t, (e, s) in enumerate(zip(row, subs))
@@ -393,17 +337,7 @@ def monomial_involution(U, mu):
         if k > l + 1:
             new = [plain(k)] + row[:t] + row[t + 1 :]
         else:
-            yp = l + 1 - k
-            cnt = 0
-            jp = 0
-            for u, e in enumerate(row):
-                if e.barred and e.value == l + 1:
-                    cnt += 1
-                    if cnt == yp:
-                        jp = u + 1
-                        break
-            if cnt < yp:
-                raise AssertionError("not enough barred entries for the unwinding")
+            jp = _nth_barred(row, l + 1, l + 1 - k, 0, len(row), from_end=False)
             new = row[:jp] + [plain(l + 1)] + row[jp:t] + row[t + 1 :]
         return _rebuild(U, new)
     # plain case: leftmost plain unprimed entry with subscript k
@@ -506,22 +440,12 @@ def _bad_row_index(mu, nu):
 
 def _bad_pair_forward(U, mu, i, d):
     """Case d >= 0 of the bad-composition pairing on monomial tableaux."""
-    e1, row, _, _ = _row_context(U, mu)
     if d == 0:
         return U
+    row = list(U.rows[-1])
     # X: through the d-th barred i+1 counting left from the rightmost i+1
-    pos_i1 = [t for t, e in enumerate(row) if e.value == i + 1]
-    cnt = 0
-    start = None
-    for t in reversed(pos_i1):
-        if row[t].barred:
-            cnt += 1
-            if cnt == d:
-                start = t
-                break
-    if start is None:
-        raise AssertionError("not enough barred entries for the pairing")
-    xrange = range(start, pos_i1[-1] + 1)
+    lo, hi = _run_bounds(row, i + 1)
+    xrange = range(_nth_barred(row, i + 1, d, lo, hi, from_end=True), hi)
     moved = [row[t] for t in xrange if not row[t].primed]
     x_low = [Entry(i, e.barred, False) for e in moved]
     y_seq = [e for e in row if e.value == i and not e.primed]

@@ -73,19 +73,11 @@ def bad_compositions(mu, p):
     ln = len(mu) + 1
     mup = pad(mu, ln)
     out = []
-
-    def rec(prefix, rest):
-        if len(prefix) == ln:
-            if rest == 0:
-                nu = iv(mup[k] + prefix[k] for k in range(ln))
-                if not is_horizontal_strip(nu, mu):
-                    out.append(nu)
-            return
-        for k in range(rest + 1):
-            rec(prefix + [k], rest - k)
-
     for total in range(1, p + 1):
-        rec([], total)
+        for added in compositions_of(total, ln):
+            nu = iv(m + k for m, k in zip(mup, pad(added, ln)))
+            if not is_horizontal_strip(nu, mu):
+                out.append(nu)
     return out
 
 

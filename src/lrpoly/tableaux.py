@@ -6,6 +6,8 @@ and column words; plain entries carry binomial weights a_{k - rho_k} -
 a_{k - c}, where rho is the partition grown so far by the word prefix and c
 is the box content.  Priming a plain entry selects the second (negated)
 monomial of its weight, which is how tableau weights expand into monomials.
+Outside the search, every word, rho and weight comes from one walk,
+reading, which yields each box with rho_k and grows rho with add_box.
 
 One backtracking search (_enumerate) finds every filling.  The enumerators
 collect its fillings as ReverseTableau objects; lr_weight_sum, behind the
@@ -146,18 +148,40 @@ def _boxes_in(order, shape):
     raise ValueError("order must be 'row' or 'column'")
 
 
+def reading(T, mu, order):
+    """Read T box by box in the given order, growing rho from mu.
+
+    Yields (i, j, entry, rho_k) for every box, where rho_k is part k of rho
+    for the entry's value k, read before a barred entry adds its box to row k.
+    """
+    rho = list(mu)
+    for i, j in _boxes_in(order, T.shape):
+        e = T.rows[i - 1][j - 1]
+        k = e.value
+        yield i, j, e, rho[k - 1] if k <= len(rho) else 0
+        if e.barred:
+            add_box(rho, k)
+
+
+def add_box(rho, s):
+    """Add a box to row s of the list rho in place, extending it as needed.
+
+    Returns whether rows s-1, s and s+1 still weakly decrease.
+    """
+    if s > len(rho):
+        rho.extend([0] * (s - len(rho)))
+    rho[s - 1] += 1
+    return (s == 1 or rho[s - 2] >= rho[s - 1]) and (s == len(rho) or rho[s - 1] >= rho[s])
+
+
 def row_word(T):
     """Values of the barred entries, read in row order."""
-    return tuple(
-        T.entry(i, j).value for i, j in row_order(T.shape) if T.entry(i, j).barred
-    )
+    return tuple(e.value for _, _, e, _ in reading(T, (), "row") if e.barred)
 
 
 def column_word(T):
     """Values of the barred entries, read in column order."""
-    return tuple(
-        T.entry(i, j).value for i, j in column_order(T.shape) if T.entry(i, j).barred
-    )
+    return tuple(e.value for _, _, e, _ in reading(T, (), "column") if e.barred)
 
 
 def apply_word(mu, word):
@@ -169,59 +193,37 @@ def apply_word(mu, word):
     rho = list(mu)
     good = is_partition(tuple(rho))
     for s in word:
-        if s > len(rho):
-            rho.extend([0] * (s - len(rho)))
-        rho[s - 1] += 1
-        if good and not (s == 1 or rho[s - 2] >= rho[s - 1]):
-            good = False
-        if good and not (s == len(rho) or rho[s - 1] >= rho[s]):
-            good = False
+        good = add_box(rho, s) and good
     return iv(rho), good
 
 
 def rho_at(T, mu, alpha, order):
     """mu grown by the barred-entry prefix up to and including box alpha."""
     prefix = []
-    for box in _boxes_in(order, T.shape):
-        e = T.entry(*box)
+    for i, j, e, _ in reading(T, mu, order):
         if e.barred:
             prefix.append(e.value)
-        if box == alpha:
-            break
-    else:
-        raise ValueError("box not in shape")
-    rho, _ = apply_word(mu, prefix)
-    return rho
-
-
-def _weight_from_rho(k, rho, c):
-    rk = rho[k - 1] if k <= len(rho) else 0
-    return APoly.var(k - rk) - APoly.var(k - c)
+        if (i, j) == alpha:
+            return apply_word(mu, prefix)[0]
+    raise ValueError("box not in shape")
 
 
 def entry_weight(T, mu, alpha, order):
     """The binomial a_{k - rho(alpha)_k} - a_{k - c(alpha)} for a plain entry."""
-    i, j = alpha
-    e = T.entry(i, j)
-    if e.barred:
-        raise ValueError("barred entry has no weight")
-    rho = rho_at(T, mu, alpha, order)
-    return _weight_from_rho(e.value, rho, j - i)
+    for i, j, e, rk in reading(T, mu, order):
+        if (i, j) == alpha:
+            if e.barred:
+                raise ValueError("barred entry has no weight")
+            return APoly.var(e.value - rk) - APoly.var(e.value - (j - i))
+    raise ValueError("box not in shape")
 
 
 def tableau_weight(T, mu, order):
     """Product of the weights of all plain entries (empty product is 1)."""
     total = APoly.one()
-    rho = list(mu)
-    for i, j in _boxes_in(order, T.shape):
-        e = T.entry(i, j)
-        if e.barred:
-            k = e.value
-            if k > len(rho):
-                rho.extend([0] * (k - len(rho)))
-            rho[k - 1] += 1
-        else:
-            total = total * _weight_from_rho(e.value, rho, j - i)
+    for i, j, e, rk in reading(T, mu, order):
+        if not e.barred:
+            total = total * (APoly.var(e.value - rk) - APoly.var(e.value - (j - i)))
             if total.is_zero():
                 return total
     return total
@@ -234,31 +236,17 @@ def expand_monomials(T, mu, order):
     a_{k - rho_k}) or primed (contributing -a_{k - c}).  The signed monomials
     over all 2^(#plain) variants sum to tableau_weight(T, mu, order).
     """
-    boxes = _boxes_in(order, T.shape)
-    choices = []  # (box, unprimed monomial, primed monomial)
-    rho = list(mu)
-    for i, j in boxes:
-        e = T.entry(i, j)
-        if e.barred:
-            k = e.value
-            if k > len(rho):
-                rho.extend([0] * (k - len(rho)))
-            rho[k - 1] += 1
-        else:
-            k = e.value
-            rk = rho[k - 1] if k <= len(rho) else 0
-            choices.append(
-                ((i, j), APoly.var(k - rk), APoly.var(k - (j - i), coeff=-1))
-            )
     out = [(T, APoly.one())]
-    for box, unprimed, primed in choices:
+    for i, j, e, rk in reading(T, mu, order):
+        if e.barred:
+            continue
+        unprimed = APoly.var(e.value - rk)
+        primed = APoly.var(e.value - (j - i), coeff=-1)
         nxt = []
         for U, mono in out:
             nxt.append((U, mono * unprimed))
             rows = [list(r) for r in U.rows]
-            bi, bj = box
-            old = rows[bi - 1][bj - 1]
-            rows[bi - 1][bj - 1] = Entry(old.value, False, True)
+            rows[i - 1][j - 1] = Entry(e.value, False, True)
             nxt.append((ReverseTableau(rows), mono * primed))
         out = nxt
     return out

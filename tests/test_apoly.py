@@ -67,7 +67,7 @@ def test_json_round_trip():
 _pairs = st.dictionaries(
     st.integers(-40, 40), st.integers(1, 10), max_size=4
 ).map(lambda d: tuple(sorted(d.items())))
-_packed = settings(max_examples=200, derandomize=True, deadline=2000, database=None)
+_packed = settings(max_examples=200)
 
 
 def _merge(x, y):

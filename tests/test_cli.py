@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lrpoly import cli
 from lrpoly.cli import main
 
 
@@ -201,6 +202,24 @@ def test_verify_involutions_reports_aggregates(capsys):
     assert code == 0
     assert out.strip().endswith("PASS")
     assert "kappa=" in out and "row=" in out
+
+
+def test_verify_reports_a_raising_case_as_its_failure(capsys, monkeypatch):
+    # an internal error is a failed case, not a usage error or a traceback
+    def bad_value():
+        raise ValueError("not straightenable")
+
+    def bad_assert():
+        raise AssertionError("no partner")
+
+    cases = [("value", bad_value), ("assert", bad_assert), ("fine", lambda: None)]
+    monkeypatch.setitem(cli._SUITES, "ring", lambda max_weight: list(cases))
+    code, out, _ = run(capsys, "verify", "--suite", "ring", "--max-weight", "1")
+    assert code == 3
+    assert "ring: FAIL (1/3 cases)" in out
+    assert "  FAIL value: raised ValueError('not straightenable')" in out
+    assert "  FAIL assert: raised AssertionError('no partner')" in out
+    assert out.strip().endswith("total: 1/3 passed")
 
 
 def test_verify_max_weight_below_one_exit_2(capsys):

@@ -3,6 +3,7 @@
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrpoly.apoly import APoly, a
 from lrpoly.shapes import (
@@ -105,6 +106,27 @@ def test_psi_involution_grid():
     assert checked > 1000
     # all three defect kinds are exercised
     assert set(conditions) == {"C2a", "C2b", "C2c"}
+
+
+@settings(max_examples=250)
+@given(
+    st.sampled_from([lam for lam in partitions_up_to(5) if len(lam) == 2]),
+    st.sampled_from(partitions_up_to(3)),
+    st.data(),
+)
+def test_psi_involution_on_random_two_row_cells(lam, mu, data):
+    # beyond the fixed grids: |lam| up to 5 and |mu| up to 3
+    nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))
+    for kappa in _psi_shapes(lam):
+        for T in enumerate_k_tableaux(kappa, mu, nu, cap=CAP):
+            cell = classify_bad(T, mu, nu)
+            if cell is None:
+                continue
+            Tt = psi(T, mu, nu)
+            assert Tt.shape == tuple(apply_rbar(cell.row, cell.row + 1, kappa)), T.to_text()
+            word, yam = apply_word(mu, row_word(Tt))
+            assert yam and tuple(word) == tuple(iv(nu)), T.to_text()
+            assert psi(Tt, mu, nu) == T, T.to_text()
 
 
 def test_psi_aggregate_weight_cancellation():

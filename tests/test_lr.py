@@ -92,7 +92,7 @@ def test_weighted_search_matches_tableau_sum():
 _partitions = st.sampled_from(partitions_up_to(5))
 
 
-@settings(max_examples=200, derandomize=True, deadline=2000, database=None)
+@settings(max_examples=200)
 @given(_partitions, _partitions, st.data())
 def test_tableau_rules_agree_on_random_cells(lam, mu, data):
     nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))

@@ -69,7 +69,7 @@ _apolys = st.dictionaries(
 ).map(APoly)
 
 
-@settings(max_examples=150, derandomize=True, deadline=2000, database=None)
+@settings(max_examples=150)
 @given(_apolys, _apolys, _apolys, st.integers(-2, 2))
 def test_apoly_ring_axioms_keep_canonical_form(p, q, r, k):
     results = [

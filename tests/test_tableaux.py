@@ -1,8 +1,11 @@
 """Reverse tableaux, words, weights, and enumeration."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrpoly.apoly import APoly
+from lrpoly.involutions import monomial_weight
+from lrpoly.shapes import compositions_of, contains, partitions_of, partitions_up_to, size
 from lrpoly.tableaux import (
     ReverseTableau,
     bar,
@@ -14,6 +17,7 @@ from lrpoly.tableaux import (
     row_word,
     apply_word,
     tableau_weight,
+    entry_weight,
     expand_monomials,
     enumerate_lr_tableaux,
     enumerate_pieri_tableaux,
@@ -97,3 +101,36 @@ def test_enumerate_k_tableaux_shapes_and_words():
         assert T.shape == (1, 2)
         nu, yam = apply_word((1,), row_word(T))
         assert nu == (2, 1) and yam
+
+
+# stacked shapes of at most three rows and 1..4 boxes, over small mu
+_kappas = st.sampled_from([k for n in range(1, 5) for k in compositions_of(n, 3)])
+_small_mu = st.sampled_from(partitions_up_to(3))
+
+
+@settings(max_examples=300)
+@given(_kappas, _small_mu, st.data())
+def test_weights_agree_on_random_stacked_tableaux(kappa, mu, data):
+    # the three ways of weighing a tableau agree: its primed variants'
+    # monomials, monomial_weight of each variant (row order), and the
+    # product of its entry weights
+    nu = data.draw(st.sampled_from([
+        nu
+        for extra in range(size(kappa) + 1)
+        for nu in partitions_of(size(mu) + extra)
+        if contains(nu, mu)
+    ]))
+    for T in enumerate_k_tableaux(kappa, mu, nu, cap=4):
+        plain_boxes = [box for box in row_order(T.shape) if not T.entry(*box).barred]
+        for order in ("row", "column"):
+            weight = tableau_weight(T, mu, order)
+            total = APoly.zero()
+            for U, mono in expand_monomials(T, mu, order):
+                total += mono
+                if order == "row":
+                    assert monomial_weight(U, mu) == mono, U.to_text()
+            assert total == weight, (T.to_text(), order)
+            product = APoly.one()
+            for box in plain_boxes:
+                product = product * entry_weight(T, mu, box, order)
+            assert product == weight, (T.to_text(), order)
