@@ -247,10 +247,6 @@ class APoly(Terms):
         return f"APoly({self})"
 
 
-A_ZERO = APoly.zero()
-A_ONE = APoly.one()
-
-
 def a(i):
     """Shorthand for the variable a_i."""
     return APoly.var(i)

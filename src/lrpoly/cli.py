@@ -90,6 +90,20 @@ def _emit(value, fmt):
         print(value)
 
 
+def _compare(values, fmt):
+    """Print each method's value under its name; exit 3 unless all agree."""
+    for name, value in values.items():
+        if fmt == "json":
+            print(f"{name}: " + json.dumps(value.to_json(), sort_keys=True))
+        else:
+            print(f"{name}: {value}")
+    first, *rest = values.values()
+    if any(v - first for v in rest):
+        print("mismatch between methods", file=sys.stderr)
+        return 3
+    return 0
+
+
 def _run_cases(cases):
     """Run (label, fn) pairs in order.
 
@@ -118,18 +132,7 @@ def cmd_lr(args):
     if args.method != "all":
         _emit(methods[args.method](), args.format)
         return 0
-    values = {name: fn() for name, fn in methods.items()}
-    for name in ("theorem", "corollary", "alternating", "oracle"):
-        prefix = f"{name}: "
-        if args.format == "json":
-            print(prefix + json.dumps(values[name].to_json(), sort_keys=True))
-        else:
-            print(prefix + str(values[name]))
-    first = values["theorem"]
-    if any((v - first) for v in values.values()):
-        print("mismatch between methods", file=sys.stderr)
-        return 3
-    return 0
+    return _compare({name: fn() for name, fn in methods.items()}, args.format)
 
 
 def cmd_pieri(args):
@@ -150,17 +153,10 @@ def cmd_kostka(args):
     if args.method != "both":
         _emit(kostka(args.kappa, args.mu, args.nu, method=args.method), args.format)
         return 0
-    rec = kostka(args.kappa, args.mu, args.nu, method="recursion")
-    tab = kostka(args.kappa, args.mu, args.nu, method="tableaux")
-    for name, value in (("recursion", rec), ("tableaux", tab)):
-        if args.format == "json":
-            print(f"{name}: " + json.dumps(value.to_json(), sort_keys=True))
-        else:
-            print(f"{name}: {value}")
-    if rec - tab:
-        print("mismatch between methods", file=sys.stderr)
-        return 3
-    return 0
+    return _compare({
+        method: kostka(args.kappa, args.mu, args.nu, method=method)
+        for method in ("recursion", "tableaux")
+    }, args.format)
 
 
 def cmd_classical(args):

@@ -11,8 +11,6 @@ from itertools import permutations
 from .shapes import iv, pad, perm_sign, compositions_of
 from .sparse import Terms, accumulate
 
-EMPTY_WORD = ()
-
 
 def make_word(pairs):
     """Canonical word from (r, s) factors; None encodes the zero element."""

@@ -16,143 +16,79 @@ numbers, and are homogeneous of degree |lam| + |mu| - |nu|.
 
 from .apoly import APoly
 from .schursum import SchurSum
-from .shapes import (
-    iv,
-    pad,
-    size,
-    contains,
-    lambda_omega,
-    all_permutations,
-    partitions_of,
-)
+from .shapes import iv, size, contains, lambda_omega, all_permutations
 from .sparse import accumulate
-from .stable_ring import multiply_by_h
+from .stable_ring import multiply_by_h, pieri_stable
 from .tableaux import lr_weight_sum
-
-
-def _good_monomial_sum(kappa, mu, nu):
-    """Sum of signed monomial weights of good stacked monomial tableaux.
-
-    Fills shape kappa in row order (bottom row first).  Each row is one Pieri
-    factor applied to the intermediate partition rho grown so far; within a
-    row whose intermediate partition has length L, good monomial tableaux
-    have plain unprimed values at most L and primed values k in boxes of
-    content c with k - c <= L - y, where y counts the barred (L+1)'s in that
-    row.  These are exactly the monomials that survive the telescoping of
-    the unbounded plain tail, so the sum is finite and matches the stable
-    recursion.  Branches where a nonempty row starts with L < its row index
-    fall outside the rule's hypothesis and raise.
-    """
-    kappa = tuple(kappa)
-    mu = iv(mu)
-    nu = iv(nu)
-    ln = len(nu)
-    rho = list(pad(mu, ln))
-    if any(rho[k] > nu[k] for k in range(ln)):
-        return APoly.zero()
-    rows = [
-        (i, [(i, j) for j in range(1, kappa[i - 1] + 1)])
-        for i in range(len(kappa), 0, -1)
-    ]
-    total = APoly.zero()
-
-    def fill_row(r, t, L, y, hi, pending, weight):
-        nonlocal total
-        i, boxes = rows[r]
-        if t == len(boxes):
-            if all(k - c <= L - y for k, c in pending):
-                do_rows(r + 1, weight)
-            return
-        bi, bj = boxes[t]
-        c = bj - bi
-        # barred: grow rho, keep every prefix a partition inside nu
-        for k in range(1, ln + 1):
-            if k > hi or rho[k - 1] >= nu[k - 1]:
-                continue
-            if k > 1 and rho[k - 2] <= rho[k - 1]:
-                continue
-            rho[k - 1] += 1
-            fill_row(r, t + 1, L, y + (1 if k == L + 1 else 0), k, pending, weight)
-            rho[k - 1] -= 1
-        # plain unprimed: value at most L, weight a_{k - rho_k}
-        for k in range(1, min(L, hi) + 1):
-            fill_row(
-                r, t + 1, L, y, k, pending, weight * APoly.var(k - rho[k - 1])
-            )
-        # plain primed: weight -a_{k - c}; exact bound checked at row end
-        for k in range(1, min(L - y + c, hi) + 1):
-            fill_row(
-                r,
-                t + 1,
-                L,
-                y,
-                k,
-                pending + [(k, c)],
-                weight * APoly.var(k - c, coeff=-1),
-            )
-
-    def do_rows(r, weight):
-        nonlocal total
-        if r == len(rows):
-            if rho == list(pad(nu, ln)):
-                total = total + weight
-            return
-        i, boxes = rows[r]
-        if not boxes:
-            do_rows(r + 1, weight)
-            return
-        L = sum(1 for v in rho if v > 0)
-        if i - 1 >= L:
-            raise ValueError(
-                "unsupported hypothesis: a Pieri factor outruns the "
-                "intermediate partition length"
-            )
-        fill_row(r, 0, L, 0, ln + L + sum(len(b) for _, b in rows), [], weight)
-
-    do_rows(0, APoly.one())
-    return total
 
 
 def pieri_tableau(p, e, mu):
     """Tableau form of the Pieri rule: expand h_{p,e} * s_mu over partitions nu.
 
-    Sums good monomial tableaux of the single-row shape (0,...,0,p) with
-    Yamanouchi row word mu -> nu.  Only the range e < l(mu) is supported
-    (the rule's hypothesis); use pieri_stable outside it.
+    One search over the boxes of the single row (0,...,0,p) files every good
+    monomial filling under the partition rho it ends on.  With L = l(mu), a
+    barred k keeps every prefix a partition, a plain unprimed k is at most L
+    with weight a_{k - rho_k}, and a primed k in a box of content c has
+    weight -a_{k - c} and k - c <= L - y, where y counts the barred (L+1)'s
+    in the row.  These are exactly the monomials that survive the
+    telescoping of the unbounded plain tail, so the sum is finite and
+    matches the stable rule.  Values weakly decrease along the row, and
+    L + p bounds the first.  Only the range e < l(mu) is supported (the
+    rule's hypothesis); use pieri_stable outside it.
     """
     mu = iv(mu)
-    if not 0 <= e < len(mu):
+    L = len(mu)
+    if not 0 <= e < L:
         raise ValueError("unsupported hypothesis: require 0 <= e < l(mu)")
-    shape = (0,) * e + (p,)
-    return SchurSum(accumulate({}, (
-        (nu, _good_monomial_sum(shape, mu, nu))
-        for add in range(p + 1)
-        for nu in partitions_of(size(mu) + add, max_len=len(mu) + 1)
-        if contains(nu, mu)
-    )))
+    if p < 0:
+        return SchurSum.zero()
+    rho = list(mu) + [0]
+    out = {}
+
+    def fill(j, y, hi, pending, weight):
+        if j > p:
+            if all(k - c <= L - y for k, c in pending):
+                accumulate(out, ((iv(rho), weight),))
+            return
+        c = j - e - 1
+        # barred: grow rho, keep every prefix a partition
+        for k in range(1, min(L + 1, hi) + 1):
+            if k > 1 and rho[k - 2] <= rho[k - 1]:
+                continue
+            rho[k - 1] += 1
+            fill(j + 1, y + (k == L + 1), k, pending, weight)
+            rho[k - 1] -= 1
+        # plain unprimed: value at most L, weight a_{k - rho_k}
+        for k in range(1, min(L, hi) + 1):
+            fill(j + 1, y, k, pending, weight * APoly.var(k - rho[k - 1]))
+        # plain primed: weight -a_{k - c}; exact bound checked at row end
+        for k in range(1, min(L - y + c, hi) + 1):
+            fill(j + 1, y, k, pending + [(k, c)], weight * APoly.var(k - c, coeff=-1))
+
+    fill(1, 0, L + p, [], APoly.one())
+    return SchurSum(out)
 
 
 def kostka(kappa, mu, nu, method="recursion"):
     """Coefficient of s_nu in h_{kappa,1} * s_mu.
 
     kappa is an arbitrary integer vector: any negative entry gives 0 and zero
-    entries contribute unit factors.  The recursion method folds the stable
-    Pieri rule over the rows of kappa from the bottom up; the tableaux method
-    sums row-order weights over stacked-Pieri fillings of shape kappa.
+    entries contribute unit factors.  Both methods fold a Pieri rule over the
+    rows of kappa from the bottom up: the recursion method the stable rule,
+    the tableaux method the tableau rule.  The tableaux method raises when a
+    row falls outside its hypothesis, that is when the bottom-most nonempty
+    row i has i - 1 >= l(mu).
     """
-    kappa = tuple(kappa)
-    mu = iv(mu)
-    nu = iv(nu)
+    # built per call, so the rules are the module bindings at call time
+    rules = {"recursion": pieri_stable, "tableaux": pieri_tableau}
+    if method not in rules:
+        raise ValueError("method must be 'recursion' or 'tableaux'")
     if any(k < 0 for k in kappa):
         return APoly.zero()
-    if method == "recursion":
-        s = SchurSum.single(mu)
-        for i in range(len(kappa), 0, -1):
-            s = multiply_by_h(kappa[i - 1], i - 1, s)
-        return s.coeff(nu)
-    if method == "tableaux":
-        return _good_monomial_sum(kappa, mu, nu)
-    raise ValueError("method must be 'recursion' or 'tableaux'")
+    s = SchurSum.single(mu)
+    for i in range(len(kappa), 0, -1):
+        s = multiply_by_h(kappa[i - 1], i - 1, s, rules[method])
+    return s.coeff(nu)
 
 
 def c_alternating(lam, mu, nu):

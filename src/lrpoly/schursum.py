@@ -5,6 +5,7 @@ stored as a dict {partition tuple: nonzero APoly}.
 """
 
 from .apoly import APoly
+from .shapes import iv
 from .sparse import Terms
 
 
@@ -21,11 +22,11 @@ class SchurSum(Terms):
             coeff = APoly.const(coeff)
         if coeff.is_zero():
             return SchurSum({})
-        return SchurSum({tuple(nu): coeff})
+        return SchurSum({iv(nu): coeff})
 
     def coeff(self, nu):
         """Coefficient of s_nu (zero polynomial if absent)."""
-        return self.terms.get(tuple(nu), APoly.zero())
+        return self.terms.get(iv(nu), APoly.zero())
 
     def partitions(self):
         """Support, sorted by size then reverse-lexicographically."""

@@ -114,14 +114,17 @@ def pieri_stable(p, e, mu):
     return out
 
 
-def multiply_by_h(p, e, S):
-    """Coefficient-linear extension of the stable Pieri rule to SchurSum values."""
+def multiply_by_h(p, e, S, pieri=pieri_stable):
+    """Coefficient-linear extension of a Pieri rule to SchurSum values.
+
+    pieri(p, e, mu) expands h_{p,e} * s_mu; the stable rule by default.
+    """
     if p < 0:
         return SchurSum.zero()
     if p == 0:
         return S
     out = {}
     for mu, c in S.terms.items():
-        # the cached expansion is read, never written
-        accumulate(out, ((nu, q * c) for nu, q in pieri_stable(p, e, mu).terms.items()))
+        # the expansion may be cached: it is read, never written
+        accumulate(out, ((nu, q * c) for nu, q in pieri(p, e, mu).terms.items()))
     return SchurSum(out)

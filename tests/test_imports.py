@@ -1,9 +1,12 @@
-"""Every imported name is used by the module that imports it.
+"""Every imported name is used, and every package definition is read.
 
-A standard-library stand-in for a linter's unused-import rule, run over the
-package and the tests.  An import counts as used when the module reads the
-name, lists it in ``__all__``, or re-exports it to a test that imports it
-from that module.
+A standard-library stand-in for a linter's unused-import and dead-code
+rules, run over the package and the tests.  An import counts as used when
+the module reads the name, lists it in ``__all__``, or re-exports it to a
+test that imports it from that module.  A module-level function, class or
+assigned name of the package counts as read when some package or test file
+loads it as a name, reads it as an attribute, imports it by name or lists
+it in ``__all__``.
 """
 
 import ast
@@ -26,15 +29,45 @@ def _imports(tree):
                     yield alias.asname or alias.name, node.lineno
 
 
-def _used(tree):
-    """Names the module reads, plus the strings in its ``__all__``."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _all_entries(tree):
+    """The strings listed in the module's ``__all__``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
-    return used
+            yield from ast.literal_eval(node.value)
+
+
+def _used(tree):
+    """Names the module reads, plus the strings in its ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | set(_all_entries(tree))
+
+
+def _reads(tree):
+    """Names the module loads, reads as attributes, imports or exports."""
+    reads = set(_all_entries(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def _definitions(tree):
+    """(name, line) for every module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id != "__all__":
+                        yield name.id, node.lineno
 
 
 def _reexports(trees):
@@ -64,3 +97,16 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_no_unused_definitions():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    reads = set().union(*map(_reads, trees.values()))
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name, line in _definitions(tree)
+        if name not in reads
+    ]
+    assert not unused, "unused definitions:\n" + "\n".join(unused)

@@ -1,5 +1,7 @@
 """Structure coefficients: tableau rules, alternating sum, and Pieri forms."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,9 @@ from lrpoly.lr import (
     kostka,
     c_theorem,
     c_corollary,
+    c_alternating,
 )
+from lrpoly.stable_ring import pieri_stable
 from lrpoly.double_sym import classical_lr
 
 
@@ -31,26 +35,54 @@ def test_pieri_tableau_hypothesis_gate():
         pieri_tableau(1, 5, (1,))
 
 
+def _kostka_grid():
+    """(kappa, mu, nu) with kappa in {0,1,2}^k and nu a superset of mu.
+
+    Rows k <= 2 run over |mu| <= 3, three rows over |mu| <= 2; nu runs over
+    every partition containing mu with |nu| - |mu| <= |kappa|.
+    """
+    kappas = [()]
+    for k in range(1, 4):
+        kappas += list(itertools.product(range(3), repeat=k))
+    for kappa in kappas:
+        for mu in partitions_up_to(3 if len(kappa) <= 2 else 2):
+            for add in range(sum(kappa) + 1):
+                for nu in partitions_of(size(mu) + add):
+                    if contains(nu, mu):
+                        yield kappa, mu, nu
+
+
 def test_kostka_methods_agree_in_hypothesis():
     # the tableaux method assumes every nonempty Pieri row stays within the
-    # intermediate partition length; compare on shapes where that holds
-    grid = [
+    # intermediate partition length: it raises exactly when the bottom-most
+    # nonempty row i has i - 1 >= l(mu), and agrees with the recursion
+    # everywhere else
+    grid = list(_kostka_grid())
+    for cell in [
         ((2,), (1,), (2, 1)),
         ((1, 1), (1,), (2, 1)),
         ((0, 2), (2, 1), (3, 2)),
         ((2, 2), (1, 1), (3, 2)),
-    ]
+    ]:
+        assert cell in grid
+    agree = 0
     for kappa, mu, nu in grid:
         rec = kostka(kappa, mu, nu, method="recursion")
-        try:
-            tab = kostka(kappa, mu, nu, method="tableaux")
-        except ValueError:
+        rows = [i for i in range(1, len(kappa) + 1) if kappa[i - 1] > 0]
+        if rows and rows[-1] - 1 >= len(mu):
+            with pytest.raises(ValueError, match="unsupported hypothesis"):
+                kostka(kappa, mu, nu, method="tableaux")
             continue
-        assert rec == tab, (kappa, mu, nu)
+        assert kostka(kappa, mu, nu, method="tableaux") == rec, (kappa, mu, nu)
+        agree += 1
+    assert (agree, len(grid) - agree) == (469, 1641)
 
 
 def test_kostka_negative_row_is_zero():
     assert kostka((2, -1), (1,), (1,)).is_zero()
+    # the method is checked before the early zero
+    with pytest.raises(ValueError, match="method must be"):
+        kostka((2, -1), (1,), (1,), method="stacked")
 
 
 def test_symmetry_in_lam_mu():
@@ -99,3 +131,25 @@ def test_tableau_rules_agree_on_random_cells(lam, mu, data):
     ct = c_theorem(lam, mu, nu)
     assert ct == c_corollary(lam, mu, nu), (lam, mu, nu)
     assert ct.at_zero() == classical_lr(lam, mu, nu), (lam, mu, nu)
+
+
+_pieri_cells = [
+    (p, e, mu)
+    for mu in partitions_up_to(6)
+    for p in range(1, 5)
+    for e in range(len(mu))
+]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(_pieri_cells))
+def test_pieri_tableau_equals_stable_on_random_cells(cell):
+    p, e, mu = cell
+    assert pieri_tableau(p, e, mu) == pieri_stable(p, e, mu), cell
+
+
+@settings(max_examples=100)
+@given(_partitions, _partitions, st.data())
+def test_alternating_equals_theorem_on_random_cells(lam, mu, data):
+    nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))
+    assert c_alternating(lam, mu, nu) == c_theorem(lam, mu, nu), (lam, mu, nu)

@@ -53,3 +53,9 @@ def test_multiply_by_h_linear():
     out = multiply_by_h(1, 0, s)
     expected = pieri_stable(1, 0, (1,)).scale(a(1)) + pieri_stable(1, 0, (2,))
     assert out == expected
+
+
+def test_schursum_trims_trailing_zeros():
+    # nu is a canonical vector: trailing zeros name the same partition
+    assert pieri_stable(1, 0, (1,)).coeff((2, 0)) == APoly.one()
+    assert SchurSum.single((2, 1, 0)) == SchurSum.single((2, 1))
