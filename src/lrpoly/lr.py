@@ -6,12 +6,15 @@ The coefficient of s_nu in s_lam * s_mu is computed three independent ways:
   Yamanouchi column word, weighted with the row-order (theorem) or
   column-order (corollary) prefix partitions; the weights are summed during
   the tableau search, and fillings with a zero binomial are cut off;
-* c_alternating: the signed sum of Kostka-like coefficients over the
-  permuted-staircase shapes lam^omega, where each Kostka-like coefficient is
-  an iterated Pieri product.
+* c_alternating: the coefficient at nu of alternating_product, which
+  expands the whole product s_lam * s_mu once as the signed sum of
+  h_{lam^omega} * s_mu over the permuted-staircase shapes lam^omega, each an
+  iterated stable Pieri product; a sweep over nu reads every coefficient
+  from one product.
 
-All three agree, specialize at a = 0 to the classical Littlewood-Richardson
-numbers, and are homogeneous of degree |lam| + |mu| - |nu|.
+All three agree, vanish unless nu contains both lam and mu, specialize at
+a = 0 to the classical Littlewood-Richardson numbers, and are homogeneous of
+degree |lam| + |mu| - |nu|.
 """
 
 from .apoly import APoly
@@ -69,6 +72,20 @@ def pieri_tableau(p, e, mu):
     return SchurSum(out)
 
 
+def _h_product(kappa, mu, rule):
+    """h_{kappa,1} * s_mu as a SchurSum: rule folded over the rows of kappa.
+
+    rule(p, e, mu) expands h_{p,e} * s_mu; the rows are taken from the
+    bottom up.  Any negative entry of kappa gives the zero sum.
+    """
+    if any(k < 0 for k in kappa):
+        return SchurSum.zero()
+    s = SchurSum.single(mu)
+    for i in range(len(kappa), 0, -1):
+        s = multiply_by_h(kappa[i - 1], i - 1, s, rule)
+    return s
+
+
 def kostka(kappa, mu, nu, method="recursion"):
     """Coefficient of s_nu in h_{kappa,1} * s_mu.
 
@@ -83,22 +100,28 @@ def kostka(kappa, mu, nu, method="recursion"):
     rules = {"recursion": pieri_stable, "tableaux": pieri_tableau}
     if method not in rules:
         raise ValueError("method must be 'recursion' or 'tableaux'")
-    if any(k < 0 for k in kappa):
-        return APoly.zero()
-    s = SchurSum.single(mu)
-    for i in range(len(kappa), 0, -1):
-        s = multiply_by_h(kappa[i - 1], i - 1, s, rules[method])
-    return s.coeff(nu)
+    return _h_product(kappa, mu, rules[method]).coeff(nu)
+
+
+def alternating_product(lam, mu):
+    """s_lam * s_mu as a SchurSum: the signed sum of h_{lam^omega} * s_mu.
+
+    Jacobi-Trudi writes s_lam as the sum over omega of sgn(omega) h_{lam^omega};
+    each term is folded with the stable Pieri rule, so the result holds every
+    coefficient c^nu_{lam,mu}(a) at once.
+    """
+    lam = iv(lam)
+    out = {}
+    for omega in all_permutations(len(lam)):
+        kappa, sign = lambda_omega(lam, omega)
+        terms = _h_product(kappa, mu, pieri_stable).terms
+        accumulate(out, ((nu, c * sign) for nu, c in terms.items()))
+    return SchurSum(out)
 
 
 def c_alternating(lam, mu, nu):
-    """The signed sum of Kostka-like coefficients over shapes lam^omega."""
-    lam = iv(lam)
-    total = APoly.zero()
-    for omega in all_permutations(len(lam)):
-        kappa, sign = lambda_omega(lam, omega)
-        total = total + kostka(kappa, mu, nu) * sign
-    return total
+    """The coefficient of s_nu in alternating_product(lam, mu)."""
+    return alternating_product(lam, mu).coeff(nu)
 
 
 def _c_tableau(lam, mu, nu, order):

@@ -111,6 +111,15 @@ def test_shift_indices_matches_shifting_the_pairs(monomials, k):
     )
 
 
+@_packed
+@given(st.lists(st.tuples(_pairs, st.integers(-5, 5).filter(bool)), max_size=6))
+def test_json_round_trip_on_random_polynomials(terms):
+    p = APoly.zero()
+    for x, c in terms:
+        p = p + APoly({pack(x): c})
+    assert APoly.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+
 def test_degree_past_the_guard_bit_raises():
     half = 1 << (B - 1)
     assert APoly.var(0, half - 2) * a(0) == APoly.var(0, half - 1)

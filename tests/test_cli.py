@@ -6,6 +6,7 @@ import pytest
 
 from lrpoly import cli
 from lrpoly.cli import main
+from lrpoly.schursum import SchurSum
 
 
 def run(capsys, *argv):
@@ -220,6 +221,22 @@ def test_verify_reports_a_raising_case_as_its_failure(capsys, monkeypatch):
     assert "  FAIL value: raised ValueError('not straightenable')" in out
     assert "  FAIL assert: raised AssertionError('no partner')" in out
     assert out.strip().endswith("total: 1/3 passed")
+
+
+@pytest.mark.parametrize("extra", [(), (9,)])
+def test_verify_lr_fails_a_product_term_outside_the_support(capsys, monkeypatch, extra):
+    # a term at a nu that misses lam, or that is too large, fails its case
+    real = cli.alternating_product
+
+    def widened(lam, mu):
+        return real(lam, mu) + SchurSum.single(extra)
+
+    monkeypatch.setattr(cli, "alternating_product", widened)
+    code, out, _ = run(capsys, "verify", "--suite", "lr", "--max-weight", "1")
+    assert code == 3
+    assert "lr: FAIL (0/2 cases)" in out
+    assert f"  FAIL lr (1,)x(): (1,)x()->{extra}: alternating term outside the support" in out
+    assert out.strip().endswith("total: 0/2 passed")
 
 
 def test_verify_max_weight_below_one_exit_2(capsys):

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrpoly.apoly import APoly, a
-from lrpoly.shapes import contains, size, lr_targets, partitions_of, partitions_up_to
+from lrpoly.shapes import (
+    all_permutations,
+    contains,
+    lambda_omega,
+    lr_targets,
+    partitions_of,
+    partitions_up_to,
+    size,
+)
 from lrpoly.tableaux import enumerate_lr_tableaux, lr_weight_sum, tableau_weight
 from lrpoly.lr import (
     pieri_tableau,
@@ -14,6 +22,7 @@ from lrpoly.lr import (
     c_theorem,
     c_corollary,
     c_alternating,
+    alternating_product,
 )
 from lrpoly.stable_ring import pieri_stable
 from lrpoly.double_sym import classical_lr
@@ -153,3 +162,38 @@ def test_pieri_tableau_equals_stable_on_random_cells(cell):
 def test_alternating_equals_theorem_on_random_cells(lam, mu, data):
     nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))
     assert c_alternating(lam, mu, nu) == c_theorem(lam, mu, nu), (lam, mu, nu)
+
+
+def test_alternating_product_matches_the_per_nu_kostka_sum():
+    # the reference: the signed sum over omega of kostka at one nu at a time
+    cells = 0
+    for lam in partitions_up_to(4):
+        for mu in partitions_up_to(4):
+            product = alternating_product(lam, mu)
+            shapes = [lambda_omega(lam, omega) for omega in all_permutations(len(lam))]
+            for nu in lr_targets(lam, mu):
+                expected = APoly.zero()
+                for kappa, sign in shapes:
+                    expected = expected + kostka(kappa, mu, nu) * sign
+                assert product.coeff(nu) == expected, (lam, mu, nu)
+                cells += 1
+    assert cells == 4024
+
+
+def test_alternating_product_support_on_the_weight_5_grid():
+    # vanishing: every term has lam, mu contained in nu and |nu| <= |lam| + |mu|;
+    # homogeneity of degree |lam| + |mu| - |nu|; agreement with the theorem
+    # on the support and on every other target, where both vanish
+    pairs = [(lam, mu) for lam in partitions_up_to(5) if lam for mu in partitions_up_to(5)]
+    assert len(pairs) == 342
+    support = 0
+    for lam, mu in pairs:
+        product = alternating_product(lam, mu)
+        for nu, c in product.terms.items():
+            assert contains(nu, lam) and contains(nu, mu), (lam, mu, nu)
+            assert size(nu) <= size(lam) + size(mu), (lam, mu, nu)
+            assert c.is_homogeneous(size(lam) + size(mu) - size(nu)), (lam, mu, nu)
+        for nu in set(product.terms) | set(lr_targets(lam, mu)):
+            assert product.coeff(nu) == c_theorem(lam, mu, nu), (lam, mu, nu)
+        support += len(product.terms)
+    assert support == 4295
