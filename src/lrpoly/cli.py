@@ -175,14 +175,13 @@ def _suite_ring(w):
     """Free-ring Pieri identity: h_{p,e} * JT(mu) = sum of shifted JTs."""
     cases = []
     for mu in partitions_up_to(w, max_len=3):
-        l = len(mu)
         for p in range(1, min(3, w) + 1):
             for e in range(0, 4):
 
-                def check(mu=mu, l=l, p=p, e=e):
-                    lhs = SignedHSum.word([(p, e)]) * jacobi_trudi(mu, l=l)
+                def check(mu=mu, p=p, e=e):
+                    lhs = SignedHSum.word([(p, e)]) * jacobi_trudi(mu)
                     rhs = SignedHSum.zero()
-                    for m2, b2 in formal_pieri_terms(p, e, mu, staircase(l)):
+                    for m2, b2 in formal_pieri_terms(p, e, mu, staircase(len(mu))):
                         rhs = rhs + jacobi_trudi(m2, b2)
                     if not (lhs - rhs).is_zero():
                         return f"mu={mu} p={p} e={e}"

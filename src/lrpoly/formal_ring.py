@@ -61,22 +61,16 @@ def staircase(l):
     return tuple(range(l))
 
 
-def jacobi_trudi(mu, beta=None, l=None):
+def jacobi_trudi(mu, beta=None):
     """Determinant expansion of s_{mu,beta} as a SignedHSum.
 
-    Expands det(h_{mu_i + j - i, beta_i + j - i}) over permutations, applying
-    the unit/zero conventions factor by factor.  beta defaults to the
-    staircase (0, 1, ..., l-1).
+    Expands the l(mu) x l(mu) determinant det(h_{mu_i + j - i, beta_i + j - i})
+    over permutations, applying the unit/zero conventions factor by factor.
+    beta defaults to the staircase (0, 1, ..., l(mu) - 1).
     """
     mu = tuple(mu)
-    if l is None:
-        l = len(mu)
-    if l < len(mu):
-        raise ValueError("matrix size smaller than length of mu")
-    mu = pad(mu, l)
+    l = len(mu)
     beta = staircase(l) if beta is None else pad(tuple(beta), l)
-    if len(beta) < l:
-        raise ValueError("beta must be at least as long as the matrix size")
     # perm_sign runs only for permutations whose word is nonzero
     return SignedHSum(accumulate({}, (
         (w, perm_sign(omega))

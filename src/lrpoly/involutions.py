@@ -12,14 +12,15 @@ Three constructions live here:
   primed entry of negated weight and back.
 * pieri_bad_pair, a weight-preserving bijection between monomial tableaux
   whose row words target a non-horizontal-strip composition nu and those
-  targeting R-bar_{i,i+1} nu.
+  targeting R-bar_{i,i+1} nu.  One move serves both directions: a tail of
+  unprimed entries changes value between i+1 and i, and the primed entries
+  are placed back with their subscripts unchanged.
 """
 
-from itertools import product
 from typing import NamedTuple, Optional
 
 from .apoly import APoly
-from .shapes import iv, pad, apply_rbar, is_horizontal_strip
+from .shapes import iv, pad, is_horizontal_strip
 from .tableaux import (
     Entry,
     ReverseTableau,
@@ -403,31 +404,6 @@ def derived_monomial_tableaux(p, e, mu, nu, vmax):
     yield from rec(0, need)
 
 
-def _fix_prime_order(row, i):
-    """Restore weak decrease after a bad-pair rewrite, preserving monomials.
-
-    Each violation sits at a primed i left of an (i+1)-valued entry or a
-    primed i+1 right of an i-valued entry; the primed entry hops one box
-    toward its run (adjusting its value), which keeps its weight monomial
-    because the box content moves with it.
-    """
-    row = list(row)
-    while True:
-        t = next(
-            (u for u in range(len(row) - 1) if row[u].value < row[u + 1].value),
-            None,
-        )
-        if t is None:
-            return row
-        left, right = row[t], row[t + 1]
-        if right.primed and right.value == i + 1 and left.value == i and not left.primed:
-            row[t], row[t + 1] = plain(i, primed=True), left
-        elif left.primed and left.value == i and right.value == i + 1 and not right.primed:
-            row[t], row[t + 1] = right, plain(i + 1, primed=True)
-        else:
-            raise AssertionError("unfixable ordering violation")
-
-
 def _bad_row_index(mu, nu):
     """Minimal i with nu_{i+1} - mu_i > 0 (the non-horizontal-strip witness)."""
     ln = len(nu)
@@ -438,33 +414,44 @@ def _bad_row_index(mu, nu):
     raise AssertionError("nu is a horizontal strip over mu")
 
 
-def _bad_pair_forward(U, mu, i, d):
-    """Case d >= 0 of the bad-composition pairing on monomial tableaux."""
-    if d == 0:
-        return U
-    row = list(U.rows[-1])
-    # X: through the d-th barred i+1 counting left from the rightmost i+1
-    lo, hi = _run_bounds(row, i + 1)
-    xrange = range(_nth_barred(row, i + 1, d, lo, hi, from_end=True), hi)
-    moved = [row[t] for t in xrange if not row[t].primed]
-    x_low = [Entry(i, e.barred, False) for e in moved]
-    y_seq = [e for e in row if e.value == i and not e.primed]
-    empty = [t for t in xrange if not row[t].primed] + [
-        t for t, e in enumerate(row) if e.value == i and not e.primed
-    ]
-    filler = y_seq + x_low
-    new = list(row)
-    for t, e in zip(empty, filler):
-        new[t] = e
-    return _rebuild(U, _fix_prime_order(new, i))
+def _place_primed(unprimed, subs, e1):
+    """Row e1 of a tableau, built from its unprimed entries and primed subscripts.
+
+    Box j has content c = j - e1, and a primed entry of subscript s there has
+    value s + c.  Each box takes the primed entry with the largest value that
+    fits between the left neighbour and the next unprimed value (and is at
+    least 1), otherwise the next unprimed entry.  On a weakly decreasing row
+    this rebuilds the row itself.  Returns None when some primed entry finds
+    no box.
+    """
+    subs = sorted(subs, reverse=True)
+    row = []
+    u = 0
+    for c in range(1 - e1, len(unprimed) + len(subs) + 1 - e1):
+        left = row[-1].value if row else float("inf")
+        nxt = unprimed[u].value if u < len(unprimed) else 1
+        s = next((t for t in subs if nxt <= t + c <= left), None)
+        if s is not None:
+            subs.remove(s)
+            row.append(plain(s + c, primed=True))
+        elif u < len(unprimed):
+            row.append(unprimed[u])
+            u += 1
+        else:
+            return None
+    return row
 
 
 def pieri_bad_pair(U, mu):
     """Weight-preserving pairing across the two bad compositions nu and R-bar nu.
 
-    With d = nu_{i+1} - nu_i - 1, the d >= 0 direction relabels d barred
-    (i+1)'s as i's and reorders; the d < 0 direction is its exact inverse,
-    found by searching the bounded set of candidate partners.
+    With d = nu_{i+1} - nu_i - 1, the unprimed entries of the source run
+    (i+1 when d > 0, i when d < 0) from its |d|-th-from-last barred entry
+    on take the other value, bars kept, and move to the end of that value's
+    run.  The primed entries keep their subscripts, hence their weights, and
+    _place_primed puts them back.  The partner's d is -d, so applied to the
+    partner the same move undoes this one whenever both pick the same i.
+    Raises RuntimeError, naming U and mu, if the move cannot be made.
     """
     mu = iv(mu)
     nu, _ = apply_word(mu, row_word(U))
@@ -473,51 +460,22 @@ def pieri_bad_pair(U, mu):
     i = _bad_row_index(mu, nu)
     nu_p = pad(nu, i + 1)
     d = nu_p[i] - nu_p[i - 1] - 1
-    if d >= 0:
-        return _bad_pair_forward(U, mu, i, d)
-    # d < 0: invert the forward map from the partner composition
-    nu_t = apply_rbar(i, i + 1, nu)
-    nu_tp = pad(nu_t, i + 1)
-    mu_p = pad(mu, i + 1)
-    row = list(U.rows[-1])
-    pos = [t for t, e in enumerate(row) if e.value in (i, i + 1)]
-    n_primed = sum(1 for t in pos if row[t].primed)
-    b_hi = nu_tp[i] - mu_p[i]
-    b_lo = nu_tp[i - 1] - mu_p[i - 1]
-    matches = []
-    for split in range(len(pos) + 1):
-        segs = [(i + 1, split), (i, len(pos) - split)]
-        for decors in product(("bar", "plain", "prime"), repeat=len(pos)):
-            cand = []
-            ok = True
-            t = 0
-            for value, count in segs:
-                for _ in range(count):
-                    dec = decors[t]
-                    t += 1
-                    if dec == "bar":
-                        cand.append(bar(value))
-                    elif dec == "prime":
-                        cand.append(plain(value, primed=True))
-                    else:
-                        cand.append(plain(value))
-            if sum(1 for e in cand if e.barred and e.value == i + 1) != b_hi:
-                continue
-            if sum(1 for e in cand if e.barred and e.value == i) != b_lo:
-                continue
-            if sum(1 for e in cand if e.primed) != n_primed:
-                continue
-            new = list(row)
-            for t, e in zip(pos, cand):
-                new[t] = e
-            cand_t = _rebuild(U, new)
-            try:
-                if _bad_pair_forward(cand_t, mu, i, -d) == U:
-                    matches.append(cand_t)
-            except AssertionError:
-                continue
-    if len(matches) != 1:
-        raise AssertionError(
-            f"expected a unique partner, found {len(matches)}"
+    src, dst = (i + 1, i) if d > 0 else (i, i + 1)
+    row = U.rows[-1]
+    unprimed = [e for e in row if not e.primed]
+    lo, hi = _run_bounds(unprimed, src)
+    if sum(e.barred for e in unprimed[lo:hi]) < abs(d):
+        raise RuntimeError(
+            f"fewer than {abs(d)} barred {src}'s to move in {U.to_text()!r} over mu={mu}"
         )
-    return matches[0]
+    start = _nth_barred(unprimed, src, abs(d), lo, hi, from_end=True)
+    tail = [Entry(dst, e.barred) for e in unprimed[start:hi]]
+    rest = unprimed[:start] + unprimed[hi:]
+    at = sum(1 for e in rest if e.value >= dst)
+    subs = [s for e, s in zip(row, _subscripts(U, mu)) if e.primed]
+    new = _place_primed(rest[:at] + tail + rest[at:], subs, len(U.rows))
+    if new is None:
+        raise RuntimeError(
+            f"no weakly decreasing place for the primed entries of {U.to_text()!r} over mu={mu}"
+        )
+    return _rebuild(U, new)

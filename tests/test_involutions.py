@@ -21,6 +21,8 @@ from lrpoly.shapes import (
 )
 from lrpoly.tableaux import (
     ReverseTableau,
+    bar,
+    plain,
     row_word,
     apply_word,
     tableau_weight,
@@ -242,8 +244,29 @@ def _witness_row(mu, nu):
     raise AssertionError("target is a horizontal strip")
 
 
+def _check_pair(U, mu):
+    """Weight kept, image targets R-bar_{i,i+1} nu, and the inverse when i agrees.
+
+    Returns the sign of d = nu_{i+1} - nu_i - 1.
+    """
+    nu, _ = apply_word(mu, row_word(U))
+    Ut = pieri_bad_pair(U, mu)
+    assert Ut.is_valid(), (mu, U.to_text())
+    assert monomial_weight(Ut, mu) == monomial_weight(U, mu), (mu, U.to_text())
+    i = _witness_row(mu, nu)
+    target = iv(apply_rbar(i, i + 1, pad(nu, i + 1)))
+    word, _ = apply_word(mu, row_word(Ut))
+    assert iv(word) == target, (mu, nu, U.to_text())
+    # the pairing inverts exactly when both sides pick the same witness row
+    if _witness_row(mu, target) == i:
+        assert pieri_bad_pair(Ut, mu) == U, (mu, U.to_text())
+    nup = pad(nu, i + 1)
+    d = nup[i] - nup[i - 1] - 1
+    return (d > 0) - (d < 0)
+
+
 def test_pair_grid_weight_preserving_bijection():
-    checked = 0
+    signs = defaultdict(int)
     for mu in partitions_up_to(3):
         if not mu:
             continue
@@ -252,18 +275,58 @@ def test_pair_grid_weight_preserving_bijection():
             for e in range(0, l):
                 for nu in bad_compositions(mu, p):
                     for U in derived_monomial_tableaux(p, e, mu, nu, vmax=l + 1):
-                        Ut = pieri_bad_pair(U, mu)
-                        assert monomial_weight(Ut, mu) == monomial_weight(U, mu)
-                        i = _witness_row(mu, nu)
-                        target = iv(apply_rbar(i, i + 1, pad(nu, i + 1)))
-                        word, _ = apply_word(mu, row_word(Ut))
-                        assert iv(word) == target, (mu, nu, U.to_text())
-                        # the pairing inverts exactly when both sides pick the
-                        # same witness row
-                        if _witness_row(mu, target) == i:
-                            assert pieri_bad_pair(Ut, mu) == U, (mu, nu)
-                        checked += 1
-    assert checked > 100
+                        signs[_check_pair(U, mu)] += 1
+    assert sum(signs.values()) > 100
+    # both directions of the move are exercised
+    assert signs[1] > 0 and signs[-1] > 0, dict(signs)
+
+
+_BAD_PAIR_CELLS = [
+    (mu, p)
+    for mu in partitions_up_to(3)
+    for p in range(1, 8)
+    if mu and bad_compositions(mu, p)
+]
+
+
+@st.composite
+def _bad_pair_rows(draw):
+    """A row of up to 7 entries over |mu| <= 3 whose target is not a horizontal strip."""
+    mu, p = draw(st.sampled_from(_BAD_PAIR_CELLS))
+    l = len(mu)
+    nu = draw(st.sampled_from(bad_compositions(mu, p)))
+    mup = pad(mu, len(nu))
+    barred = [bar(k + 1) for k in range(len(nu)) for _ in range(nu[k] - mup[k])]
+    others = draw(st.lists(
+        st.builds(plain, st.integers(1, l + 2), st.booleans()),
+        min_size=p - len(barred),
+        max_size=p - len(barred),
+    ))
+    # a stable sort keeps the drawn order among entries of equal value
+    row = sorted(draw(st.permutations(barred + others)), key=lambda e: -e.value)
+    e = draw(st.integers(0, l - 1))
+    return ReverseTableau([[]] * e + [row]), mu
+
+
+@settings(max_examples=300)
+@given(_bad_pair_rows())
+def test_pair_on_random_rows(case):
+    # beyond the fixed grid: rows of up to 7 entries with values up to l(mu) + 2
+    _check_pair(*case)
+
+
+@pytest.mark.parametrize("text, image", [
+    (PAIR_U.to_text(), PAIR_UT.to_text()),
+    ("2~ 2~ 2~ 2' 2 2' 1' 1 1'", "2~ 2~ 1' 1 1' 1~ 1' 1 1'"),
+    ("2~ 2~ 2~ 2' 2 2' 2 1' 1 1'", "2~ 2~ 1' 1 1' 1~ 1 1' 1 1'"),
+])
+def test_pair_long_rows_round_trip(text, image):
+    # 8- to 10-entry rows over mu = (3, 2), nu = (3, 5): d = 1 one way and
+    # d = -1 back, so both directions of the move run on each
+    U = ReverseTableau.from_text(text)
+    assert pieri_bad_pair(U, PAIR_MU).to_text() == image
+    assert _check_pair(U, PAIR_MU) == 1
+    assert _check_pair(ReverseTableau.from_text(image), PAIR_MU) == -1
 
 
 def test_pair_non_mutual_witness_is_still_bijective():
