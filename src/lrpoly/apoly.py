@@ -94,7 +94,8 @@ def _mul_into(out, t1, t2):
     """Add the product of the term dicts t1 and t2 into the term dict out.
 
     The one fused monomial-product kernel: integer coefficients, keys that
-    cancel are dropped.  Returns out.
+    cancel are dropped.  Returns out.  t1 and t2 are only read, so either
+    may be a shared memo.
     """
     get = out.get
     for m1, k1 in t1.items():

@@ -3,8 +3,9 @@
 Subcommands: lr, pieri, schur, kostka, classical, verify, verify-involutions.
 Partitions are comma-separated positive integers; the empty string is the
 empty partition.  Exit codes: 0 success, 2 usage or unsupported input,
-3 verification mismatch.  Output is deterministic for fixed flags;
-verification cases run one after another in a fixed order.
+3 verification mismatch, arithmetic overflow or internal error (a
+RuntimeError, reported as "internal error: ...").  Output is deterministic
+for fixed flags; verification cases run one after another in a fixed order.
 """
 
 import argparse
@@ -464,6 +465,9 @@ def main(argv=None):
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -26,6 +26,7 @@ from .tableaux import (
     ReverseTableau,
     bar,
     plain,
+    format_entry,
     column_order,
     row_word,
     apply_word,
@@ -141,8 +142,13 @@ def _parse_blocks_before_barred(segment):
         else:
             cnt += 1
     if cnt:
-        raise AssertionError("segment must end with a barred entry")
+        raise RuntimeError(f"segment {_text(segment)!r} must end with a barred entry")
     return y
+
+
+def _text(row):
+    """A row of entries in the text format."""
+    return " ".join(map(format_entry, row))
 
 
 def _blocks_after(value, sizes):
@@ -186,7 +192,10 @@ def psi1(T, cell):
     # C2a
     b = ri[j - 1].value
     if not ri[j - 1].barred or b != ri1[j - 1].value + 1:
-        raise AssertionError("C2a cell must hold a barred entry one above the column partner")
+        raise RuntimeError(
+            f"C2a cell {tuple(cell)} of {T.to_text()!r} must hold a barred entry"
+            " one above its column partner"
+        )
     c = ri1[j - 1].value
     q = max(t + 1 for t, e in enumerate(ri) if e.value == b)
     x = _parse_blocks_after_barred(ri[j - 1 : q])
@@ -220,11 +229,14 @@ def _nth_barred(row, value, n, lo, hi, from_end):
 
     Returns the end of the shortest prefix, or with from_end the start of the
     shortest suffix, of row[lo:hi] that holds n such entries; raises
-    AssertionError if row[lo:hi] holds fewer.
+    RuntimeError, naming the row, if row[lo:hi] holds fewer.
     """
     hits = [t for t in range(lo, hi) if row[t].barred and row[t].value == value]
     if len(hits) < n:
-        raise AssertionError(f"fewer than {n} barred {value}'s to count")
+        raise RuntimeError(
+            f"fewer than {n} barred {value}'s to count in entries {lo}..{hi - 1}"
+            f" of row {_text(row)!r}"
+        )
     if from_end:
         return hits[-n] if n else hi
     return hits[n - 1] + 1 if n else lo
@@ -355,7 +367,9 @@ def monomial_involution(U, mu):
             jp = u
             break
     if jp is None:
-        raise AssertionError("no insertion point for the primed partner")
+        raise RuntimeError(
+            f"no insertion point for the primed partner in {U.to_text()!r} over mu={iv(mu)}"
+        )
     m = k + (jp + 1 - e1)
     new = row[:t] + row[t + 1 : jp + 1] + [plain(m, primed=True)] + row[jp + 1 :]
     return _rebuild(U, new)
@@ -407,11 +421,11 @@ def derived_monomial_tableaux(p, e, mu, nu, vmax):
 def _bad_row_index(mu, nu):
     """Minimal i with nu_{i+1} - mu_i > 0 (the non-horizontal-strip witness)."""
     ln = len(nu)
-    mu = pad(mu, ln)
+    mup = pad(mu, ln)
     for i in range(1, ln):
-        if nu[i] - mu[i - 1] > 0:
+        if nu[i] - mup[i - 1] > 0:
             return i
-    raise AssertionError("nu is a horizontal strip over mu")
+    raise RuntimeError(f"nu={nu} is a horizontal strip over mu={mu}")
 
 
 def _place_primed(unprimed, subs, e1):

@@ -19,7 +19,7 @@ degree |lam| + |mu| - |nu|.
 
 from .apoly import APoly
 from .schursum import SchurSum
-from .shapes import iv, size, contains, lambda_omega, all_permutations
+from .shapes import iv, lambda_omega, all_permutations
 from .sparse import accumulate
 from .stable_ring import multiply_by_h, pieri_stable
 from .tableaux import lr_weight_sum
@@ -125,12 +125,7 @@ def c_alternating(lam, mu, nu):
 
 
 def _c_tableau(lam, mu, nu, order):
-    lam = iv(lam)
-    mu = iv(mu)
-    nu = iv(nu)
-    if not contains(nu, mu) or size(nu) > size(lam) + size(mu):
-        return APoly.zero()
-    return APoly(lr_weight_sum(lam, mu, nu, order))
+    return APoly(lr_weight_sum(iv(lam), iv(mu), iv(nu), order))
 
 
 def c_theorem(lam, mu, nu):

@@ -15,15 +15,21 @@ tableau rules, builds none and sums the weights during the search instead.
 A binomial is zero exactly when rho_k = c, so in column order (the search's
 own order) a zero binomial cuts off its branch with every completion below
 it, and in row order it drops its filling before any product is formed.
+What depends only on the shape (the traversal, each box's neighbours and
+content, the rows and the row reading) is built once per shape by _plan,
+and the entries and binomials the search places are shared memos too; all
+three are functools.lru_cache functions, so cache_info() and cache_clear()
+reach them.
 
 Text format: one line per row, top to bottom; entries space-separated with a
 trailing "~" for bars and a trailing "'" for primes, e.g. "2 2~ 1~".
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .apoly import APoly, ONE_MONO, _mul_into, var_key
-from .shapes import iv, pad, is_partition
+from .shapes import iv, pad, is_partition, contains
 from .sparse import accumulate
 
 
@@ -252,13 +258,59 @@ def expand_monomials(T, mu, order):
     return out
 
 
-def _enumerate(boxes, mu, nu, plain_cap, column_strict, leaf, weight=None):
+class _Plan(NamedTuple):
+    """The shape-only part of one search: every field a tuple, indexed by position.
+
+    boxes lists the boxes in traversal order; left and below give the
+    position of each box's left neighbour and, when columns are strict, of
+    the box below it (None where there is none); content holds j - i; rows
+    lists each row's positions from the top row down; reading pairs each
+    position with its content in row order.
+    """
+
+    boxes: tuple
+    left: tuple
+    below: tuple
+    content: tuple
+    rows: tuple
+    reading: tuple
+
+
+@lru_cache(maxsize=None)
+def _plan(shape, order, column_strict):
+    """The search plan of a shape, traversed in the given order; built once per key."""
+    boxes = tuple(_boxes_in(order, shape))
+    pos = {box: t for t, box in enumerate(boxes)}
+    rows = tuple(
+        tuple(pos[(i, j)] for j in range(1, shape[i - 1] + 1))
+        for i in range(1, len(shape) + 1)
+    )
+    content = tuple(j - i for i, j in boxes)
+    return _Plan(
+        boxes=boxes,
+        left=tuple(pos.get((i, j - 1)) for i, j in boxes),
+        below=tuple(pos.get((i + 1, j)) if column_strict else None for i, j in boxes),
+        content=content,
+        rows=rows,
+        reading=tuple((t, content[t]) for row in reversed(rows) for t in row),
+    )
+
+
+@lru_cache(maxsize=None)
+def _entries(top):
+    """One barred and one plain Entry per value 1..top, each tuple indexed by value."""
+    values = range(1, top + 1)
+    return (None, *(Entry(k, True) for k in values)), (None, *(Entry(k) for k in values))
+
+
+def _enumerate(plan, mu, nu, plain_cap, leaf, weight=None):
     """Backtracking core of the tableau enumerators and the weighted LR sum.
 
-    Fills the boxes in the given traversal order; the word of barred values
-    in that order must be Yamanouchi and reach nu from mu.  plain_cap maps a
-    row number to the largest allowed plain value; column_strict additionally
-    requires each value to be strictly smaller than the entry directly below.
+    Fills the boxes of the plan in its traversal order; the word of barred
+    values in that order must be Yamanouchi and reach nu from mu.  plain_cap
+    maps a row number to the largest allowed plain value; a plan built with
+    column_strict additionally requires each value to be strictly smaller
+    than the entry directly below.
 
     Calls leaf(grid, w) for every filling, grid listing its entries in
     traversal order.  With a term dict weight, w is weight times the binomial
@@ -272,21 +324,16 @@ def _enumerate(boxes, mu, nu, plain_cap, column_strict, leaf, weight=None):
     if not is_partition(mu) or not is_partition(nu):
         raise ValueError("mu and nu must be partitions")
     ln = len(nu)
-    if any(m > v for m, v in zip(mu, nu)):
+    if not contains(nu, mu):
         return
+    boxes, left, below, content = plan.boxes, plan.left, plan.below, plan.content
     n = len(boxes)
     need = sum(nu) - sum(mu)
     if need < 0 or need > n:
         return
-    pos = {box: t for t, box in enumerate(boxes)}
-    left = [pos.get((i, j - 1)) for i, j in boxes]
-    below = [pos.get((i + 1, j)) if column_strict else None for i, j in boxes]
-    content = [j - i for i, j in boxes]
     caps = [plain_cap(i) for i, _ in boxes]
     top = max([ln, *caps])
-    # one Entry per value, indexed by value
-    bars = [None] + [Entry(k, barred=True) for k in range(1, top + 1)]
-    plains = [None] + [Entry(k) for k in range(1, top + 1)]
+    bars, plains = _entries(top)
     rho = list(pad(mu, top))
     grid = [None] * n
 
@@ -323,24 +370,21 @@ def _enumerate(boxes, mu, nu, plain_cap, column_strict, leaf, weight=None):
     rec(0, need, weight)
 
 
+@lru_cache(maxsize=None)
 def _binomial(p, q):
-    """The term dict of a_p - a_q."""
+    """The term dict of a_p - a_q, shared by every caller: read it, never write it."""
     return {var_key(p): 1, var_key(q): -1}
 
 
-def _tableaux(shape, boxes, mu, nu, plain_cap, column_strict):
+def _tableaux(shape, order, mu, nu, plain_cap, column_strict):
     """Every filling the search finds, as a ReverseTableau of the given shape."""
-    pos = {box: t for t, box in enumerate(boxes)}
-    rows = [
-        [pos[(i, j)] for j in range(1, shape[i - 1] + 1)]
-        for i in range(1, len(shape) + 1)
-    ]
+    plan = _plan(shape, order, column_strict)
     out = []
 
     def leaf(grid, _):
-        out.append(ReverseTableau([[grid[t] for t in row] for row in rows]))
+        out.append(ReverseTableau([[grid[t] for t in row] for row in plan.rows]))
 
-    _enumerate(boxes, mu, nu, plain_cap, column_strict, leaf)
+    _enumerate(plan, mu, nu, plain_cap, leaf)
     return out
 
 
@@ -352,21 +396,21 @@ def lr_weight_sum(lam, mu, nu, order):
     zero binomials cut their branch off.  In row order, each filling gets
     one integer pass that grows rho in row order; a filling with a zero
     binomial adds nothing, and the others multiply their binomials.
+    Raises ValueError unless mu and nu are partitions; the sum is empty
+    unless nu contains mu and has at most |lam| more boxes.
     """
-    lam = tuple(lam)
+    if order not in ("row", "column"):
+        raise ValueError("order must be 'row' or 'column'")
     cap = len(tuple(nu))
-    boxes = column_order(lam)
+    plan = _plan(tuple(lam), "column", True)
     out = {}
     if order == "column":
         _enumerate(
-            boxes, mu, nu, lambda i: cap, True,
+            plan, mu, nu, lambda i: cap,
             lambda grid, w: accumulate(out, w.items()), weight={ONE_MONO: 1},
         )
         return out
-    if order != "row":
-        raise ValueError("order must be 'row' or 'column'")
-    pos = {box: t for t, box in enumerate(boxes)}
-    reading = [(pos[(i, j)], j - i) for i, j in row_order(lam)]
+    reading = plan.reading
     start = pad(mu, cap)
 
     def leaf(grid, _):
@@ -381,12 +425,12 @@ def lr_weight_sum(lam, mu, nu, order):
                 return
             else:
                 binomials.append(_binomial(k - rk, k - c))
-        w = {ONE_MONO: 1}
-        for b in binomials:
+        w = binomials[0] if binomials else {ONE_MONO: 1}
+        for b in binomials[1:]:
             w = _mul_into({}, w, b)
         accumulate(out, w.items())
 
-    _enumerate(boxes, mu, nu, lambda i: cap, True, leaf)
+    _enumerate(plan, mu, nu, lambda i: cap, leaf)
     return out
 
 
@@ -399,9 +443,7 @@ def enumerate_lr_tableaux(lam, mu, nu, cap=None):
     lam = tuple(lam)
     if cap is None:
         cap = len(tuple(nu))
-    return _tableaux(
-        lam, column_order(lam), mu, nu, lambda i: cap, column_strict=True
-    )
+    return _tableaux(lam, "column", mu, nu, lambda i: cap, column_strict=True)
 
 
 def enumerate_pieri_tableaux(p, e, mu, nu, cap=None):
@@ -409,9 +451,7 @@ def enumerate_pieri_tableaux(p, e, mu, nu, cap=None):
     shape = (0,) * e + (p,)
     if cap is None:
         cap = len(tuple(nu))
-    return _tableaux(
-        shape, row_order(shape), mu, nu, lambda i: cap, column_strict=False
-    )
+    return _tableaux(shape, "row", mu, nu, lambda i: cap, column_strict=False)
 
 
 def enumerate_k_tableaux(kappa, mu, nu, cap=None):
@@ -429,4 +469,4 @@ def enumerate_k_tableaux(kappa, mu, nu, cap=None):
         caps = lambda i: lm + lk - i + 1
     else:
         caps = lambda i: cap
-    return _tableaux(kappa, row_order(kappa), mu, nu, caps, column_strict=False)
+    return _tableaux(kappa, "row", mu, nu, caps, column_strict=False)

@@ -16,6 +16,7 @@ from lrpoly.tableaux import (
     entry_weight,
 )
 from lrpoly.lr import c_theorem, c_corollary, alternating_product
+from lrpoly.schursum import SchurSum
 from lrpoly.involutions import BadCell, classify_bad, psi1, psi
 from lrpoly.double_sym import (
     h_n_shifted,
@@ -117,18 +118,26 @@ def test_criterion_05_stability():
 
 
 def test_criterion_06_four_way_agreement():
-    # the alternating coefficients come from one product per (lam, mu)
+    # the alternating coefficients come from one product per (lam, mu), and
+    # the theorem's nonzero cells of each pair must rebuild that whole
+    # product, so a product term at a nu off the grid fails too
     products = {}
+    theorem_terms = {}
     cells = 0
     for lam, mu, nu in _lr_grid():
         if (lam, mu) not in products:
             products[lam, mu] = alternating_product(lam, mu)
+            theorem_terms[lam, mu] = {}
         ct = c_theorem(lam, mu, nu)
         assert ct == c_corollary(lam, mu, nu), (lam, mu, nu)
         assert ct == products[lam, mu].coeff(nu), (lam, mu, nu)
         assert ct == c_oracle(lam, mu, nu), (lam, mu, nu)
+        if ct:
+            theorem_terms[lam, mu][nu] = ct
         cells += 1
     assert (cells, len(products)) == (2293, 132)
+    for pair, product in products.items():
+        assert SchurSum(theorem_terms[pair]) == product, pair
 
 
 def test_criterion_07_classical_specialization():

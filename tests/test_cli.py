@@ -223,6 +223,19 @@ def test_verify_reports_a_raising_case_as_its_failure(capsys, monkeypatch):
     assert out.strip().endswith("total: 1/3 passed")
 
 
+def test_internal_error_exit_3(capsys, monkeypatch):
+    # an internal failure outside verify names itself on stderr; it is
+    # neither a usage error (exit 2) nor a traceback
+    def broken(*args):
+        raise RuntimeError("no partner for '1~ 1' over mu=(1,)")
+
+    monkeypatch.setattr(cli, "c_theorem", broken)
+    code, out, err = run(capsys, "lr", "--lambda", "1", "--mu", "1", "--nu", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: no partner for '1~ 1' over mu=(1,)\n"
+
+
 @pytest.mark.parametrize("extra", [(), (9,)])
 def test_verify_lr_fails_a_product_term_outside_the_support(capsys, monkeypatch, extra):
     # a term at a nu that misses lam, or that is too large, fails its case

@@ -1,5 +1,6 @@
 """Cancellation involutions: tail swap + barred reorder, and the monomial maps."""
 
+import re
 from collections import defaultdict
 
 import pytest
@@ -30,7 +31,10 @@ from lrpoly.tableaux import (
     enumerate_k_tableaux,
     enumerate_pieri_tableaux,
 )
+from lrpoly import involutions
 from lrpoly.involutions import (
+    BadCell,
+    psi1,
     classify_bad,
     monomial_weight,
     psi,
@@ -38,6 +42,26 @@ from lrpoly.involutions import (
     derived_monomial_tableaux,
     pieri_bad_pair,
 )
+
+
+@pytest.mark.parametrize(
+    "call, names",
+    [
+        (lambda: psi1(ReverseTableau.from_text("1 1~\n1~"), BadCell(1, 1, "C2a")),
+         "(1, 1, 'C2a') of '1 1~\\n1~'"),
+        (lambda: involutions._nth_barred([bar(2), plain(2)], 2, 2, 0, 2, from_end=False),
+         "row '2~ 2'"),
+        (lambda: involutions._parse_blocks_before_barred([bar(1), plain(1)]),
+         "segment '1~ 1'"),
+        (lambda: involutions._bad_row_index((1,), (2,)),
+         "nu=(2,) is a horizontal strip over mu=(1,)"),
+    ],
+)
+def test_internal_failures_name_their_input(call, names):
+    # a broken precondition is an internal failure (RuntimeError, which the
+    # CLI reports with exit 3), and its message names the offending input
+    with pytest.raises(RuntimeError, match=re.escape(names)):
+        call()
 
 
 def test_psi_rejects_good_tableaux():

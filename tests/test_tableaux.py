@@ -1,11 +1,22 @@
 """Reverse tableaux, words, weights, and enumeration."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpoly.apoly import APoly
+from lrpoly import tableaux
+from lrpoly.apoly import APoly, var_key
 from lrpoly.involutions import monomial_weight
-from lrpoly.shapes import compositions_of, contains, partitions_of, partitions_up_to, size
+from lrpoly.lr import c_corollary, c_theorem
+from lrpoly.shapes import (
+    compositions_of,
+    contains,
+    lr_targets,
+    partitions_of,
+    partitions_up_to,
+    size,
+)
 from lrpoly.tableaux import (
     ReverseTableau,
     bar,
@@ -22,6 +33,7 @@ from lrpoly.tableaux import (
     enumerate_lr_tableaux,
     enumerate_pieri_tableaux,
     enumerate_k_tableaux,
+    lr_weight_sum,
 )
 
 # Worked tableau of shape (3, 6, 1), used as the golden fixture throughout:
@@ -75,6 +87,11 @@ def test_enumerate_lr_basic():
     assert [T.to_text() for T in ts] == ["1~"]
     # no tableaux when nu does not contain mu
     assert enumerate_lr_tableaux((1,), (2,), (1, 1)) == []
+    # mu longer than nu is not inside it either
+    assert enumerate_lr_tableaux((1,), (1, 1), (2,)) == []
+    assert enumerate_k_tableaux((1,), (1, 1), (2,)) == []
+    assert lr_weight_sum((1,), (1, 1), (2,), "row") == {}
+    assert lr_weight_sum((1,), (1, 1), (2,), "column") == {}
 
 
 def test_enumerate_lr_cap_insensitive():
@@ -134,3 +151,91 @@ def test_weights_agree_on_random_stacked_tableaux(kappa, mu, data):
             for box in plain_boxes:
                 product = product * entry_weight(T, mu, box, order)
             assert product == weight, (T.to_text(), order)
+
+
+def _clear_memos():
+    for memo in (tableaux._plan, tableaux._entries, tableaux._binomial):
+        memo.cache_clear()
+
+
+def _memo_probes():
+    """(label, thunk) for every search over |lam| <= 4, |mu| <= 3, interleaved per shape.
+
+    Each shape first asks for the two plans no caller uses (row order with
+    strict columns, column order without), then runs the column-strict LR
+    search and the row-order stacked and Pieri searches on it, so a memo
+    key that drops order or column_strict hands a search the wrong plan.
+    |lam| reaches 4 because (2, 2) is the smallest shape whose row and
+    column orders differ.
+    """
+    probes = []
+    for lam in partitions_up_to(4):
+        for order, strict in (("column", False), ("row", True), ("column", True), ("row", False)):
+            probes.append((("plan", lam, order, strict), partial(tableaux._plan, lam, order, strict)))
+        for mu in partitions_up_to(3):
+            for nu in lr_targets(lam, mu):
+                cell = (lam, mu, nu)
+                probes.append((("lr",) + cell, partial(enumerate_lr_tableaux, *cell)))
+                probes.append((("k",) + cell, partial(enumerate_k_tableaux, *cell)))
+                if len(lam) == 1:
+                    for e in (0, 1):
+                        args = (lam[0], e, mu, nu)
+                        probes.append((("pieri",) + args, partial(enumerate_pieri_tableaux, *args)))
+                for order in ("row", "column"):
+                    probes.append(((order,) + cell, partial(lr_weight_sum, *cell, order)))
+    return probes
+
+
+def test_memos_match_cold_results():
+    # warm every memo with the interleaved searches, then rerun each one
+    # alone on cleared memos: a shared plan, entry table or binomial that a
+    # search corrupted, or served under the wrong key, changes a result
+    probes = _memo_probes()
+    _clear_memos()
+    for _, thunk in probes:  # fill the memos in interleaved order
+        thunk()
+    warm = {label: thunk() for label, thunk in probes}
+    shapes = {label[1] for label in warm if label[0] == "plan"}
+    for shape in shapes:
+        for order in ("row", "column"):
+            for strict in (False, True):
+                fresh = tableaux._plan.__wrapped__(shape, order, strict)
+                assert tableaux._plan(shape, order, strict) == fresh, (shape, order, strict)
+    for top in range(1, 8):
+        assert tableaux._entries(top) == tableaux._entries.__wrapped__(top)
+    for p in range(-6, 7):
+        for q in range(-6, 7):
+            assert tableaux._binomial(p, q) == {var_key(p): 1, var_key(q): -1}, (p, q)
+    for label, thunk in probes:
+        _clear_memos()
+        assert thunk() == warm[label], label
+
+
+# non-partition mu or nu, including cells the tableau rules skip as zero
+# (mu not inside nu, nu too large) before any search runs
+NON_PARTITION_CELLS = [
+    ((1,), (1, 2), (2, 2)),
+    ((1,), (1, 2), (1, 1)),
+    ((1,), (1,), (1, 2)),
+    ((2,), (), (1, 2)),
+    ((2, 1), (1, 0, 2), (2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_non_partition_mu_or_nu_raises(warm):
+    _clear_memos()
+    if warm:  # the same shapes, searched on valid input first
+        for lam, _, _ in NON_PARTITION_CELLS:
+            for order in ("row", "column"):
+                lr_weight_sum(lam, (1,), (2, 1), order)
+    rules = [
+        c_theorem,
+        c_corollary,
+        partial(lr_weight_sum, order="row"),
+        partial(lr_weight_sum, order="column"),
+    ]
+    for cell in NON_PARTITION_CELLS:
+        for rule in rules:
+            with pytest.raises(ValueError, match="must be partitions"):
+                rule(*cell)
