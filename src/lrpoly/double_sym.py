@@ -330,7 +330,8 @@ def _decompose_sym(S):
     while work:
         nu = max(work, key=lambda e: (sum(e), e))
         if len(nu) > n:
-            raise ValueError(f"not in span: leading exponent {nu}")
+            # every input key has at most n parts, so only a broken basis gets here
+            raise RuntimeError(f"not in span: leading exponent {nu} has more than n={n} parts")
         # snapshot before the pass below, which also zeroes work[nu]
         result[nu] = APoly(dict(work[nu]))
         neg = {m: -k for m, k in work[nu].items()}

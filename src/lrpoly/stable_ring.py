@@ -7,14 +7,15 @@ Everything here rests on the entrywise relation
 the stable part of the concrete shift identity (the n-dependent a_{n+s}
 contribution vanishes in the inverse limit).  Along a determinant row the
 difference s - r is constant, so the same relation rewrites a whole row at
-once; iterating moves every second index onto the staircase 0, 1, ..., l-1,
-after which straightening yields genuine partitions.
+once; iterating moves every second index of a row to -1.  After that a row
+is fixed by its first label alone, so the Pieri rule folds the rows one at a
+time into strictly decreasing first labels, with the sign of the sort; two
+equal labels mean two equal rows and drop the term.
 """
 
 from .apoly import APoly
 from .schursum import SchurSum
 from .shapes import iv
-from .formal_ring import formal_pieri_terms, staircase, straighten
 from .sparse import accumulate
 
 
@@ -56,39 +57,20 @@ def _reduce_row(g, d, l):
     return out
 
 
-def reduce_to_staircase(mu, beta):
-    """Rewrite s_{mu,beta} as a combination of staircase-labelled elements.
-
-    Both vectors must have equal length l.  Each row i moves its second
-    index from beta_i to i-1 independently; the output maps first-index
-    vectors mu' (with implicit staircase second indices) to APoly
-    coefficients.  Rows that vanish identically drop their terms.
-    """
-    mu = tuple(mu)
-    beta = tuple(beta)
-    if len(mu) != len(beta):
-        raise ValueError("mu and beta must have equal length")
-    l = len(mu)
-    result = {(): APoly.one()}
-    for i in range(1, l + 1):
-        row = _reduce_row(mu[i - 1] - i, beta[i - 1] - i, l)
-        result = accumulate({}, (
-            (prefix + (g2 + i,), c * rc)
-            for prefix, c in result.items()
-            for g2, rc in row.items()
-        ))
-    return result
-
-
 _PIERI_CACHE = {}
 
 
 def pieri_stable(p, e, mu):
     """Expansion of h_{p,e} * s_mu in the Schur basis, with APoly coefficients.
 
-    Pipeline: the free-ring Pieri terms with staircase second indices, then
-    staircase reduction of every term, then straightening, collecting
-    coefficients per partition.
+    Row i of the free-ring Pieri term for a composition sigma of p has the
+    labels (mu_i + sigma_i - i, beta'_i + sigma_i - i), beta' = (0, 1, ...,
+    l(mu) - 1, e - p).  The rows are folded one at a time: each is reduced to
+    second label -1 and its first label g inserted into the sorted labels so
+    far, flipping the sign once for each smaller label it passes; a repeated
+    g drops the term.  Terms that share (boxes left, sorted labels) are added
+    at once, so cancellation happens before the next row multiplies them
+    out.  Sorted labels g_1 > ... > g_L name the partition (g_i + i).
     """
     mu = iv(mu)
     key = (p, e, mu)
@@ -101,14 +83,28 @@ def pieri_stable(p, e, mu):
         return result
     if p < 0:
         return SchurSum.zero()
-    l = len(mu)
-    target = staircase(l + 1)
-    # st = (sign, partition, labels), or None for a term that straightens to 0
+    L = len(mu) + 1
+    mu_ext = mu + (0,)
+    # (boxes left, strictly decreasing first labels of the rows so far) -> coeff
+    states = {(p, ()): APoly.one()}
+    for i in range(1, L + 1):
+        terms = []
+        for (left, gammas), coeff in states.items():
+            for s in range(left if i == L else 0, left + 1):
+                d = s - 1 if i < L else e - p + s - L
+                for g, rc in _reduce_row(mu_ext[i - 1] + s - i, d, L).items():
+                    if g in gammas:
+                        continue  # two equal rows
+                    k = sum(h > g for h in gammas)
+                    c = coeff * rc
+                    terms.append((
+                        (left - s, gammas[:k] + (g,) + gammas[k:]),
+                        -c if (len(gammas) - k) % 2 else c,
+                    ))
+        states = accumulate({}, terms)
     out = SchurSum(accumulate({}, (
-        (st[1], coeff * st[0])
-        for m2, b2 in formal_pieri_terms(p, e, mu, staircase(l))
-        for mu_star, coeff in reduce_to_staircase(m2, b2).items()
-        if (st := straighten(mu_star, target)) is not None
+        (iv(g + i for i, g in enumerate(gammas, 1)), c)
+        for (_, gammas), c in states.items()
     )))
     _PIERI_CACHE[key] = out
     return out

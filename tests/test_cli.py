@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from lrpoly import cli
+from lrpoly import cli, double_sym
+from lrpoly.apoly import APoly
 from lrpoly.cli import main
 from lrpoly.schursum import SchurSum
 
@@ -234,6 +235,25 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: no partner for '1~ 1' over mu=(1,)\n"
+
+
+def test_oracle_span_failure_is_internal(capsys, monkeypatch):
+    # a basis element with a key longer than n leaves the span: exit 3 with an
+    # internal error, not the usage error of exit 2
+    monkeypatch.setattr(double_sym, "_BRANCH_CACHE", {})
+    monkeypatch.setattr(double_sym, "_PRODUCT_CACHE", {})
+    original = double_sym._schur_sym_branch
+
+    def widened(lam, n):
+        return {**original(lam, n), (1,) * (n + 1): APoly.one()}
+
+    monkeypatch.setattr(double_sym, "_schur_sym_branch", widened)
+    code, out, err = run(
+        capsys, "lr", "--method", "oracle", "--lambda", "1", "--mu", "1", "--nu", "1"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: not in span: leading exponent (2, 1) has more than n=1 parts\n"
 
 
 @pytest.mark.parametrize("extra", [(), (9,)])

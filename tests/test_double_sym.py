@@ -179,3 +179,10 @@ def test_decompose_rejects_basis_without_unit_leading_coefficient(monkeypatch):
     monkeypatch.setattr(double_sym, "_schur_sym_branch", doubled)
     with pytest.raises(ArithmeticError, match="leading coefficient"):
         product_decomposition((1,), (1,), 2)
+
+
+def test_decompose_reports_a_key_longer_than_n_as_internal():
+    # every input key has at most n parts, so a longer leading exponent is a
+    # broken invariant, not bad input
+    with pytest.raises(RuntimeError, match=r"\(1, 1\) has more than n=1 parts"):
+        _decompose_sym(_Sym(1, {(1, 1): APoly.one()}))

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpoly.apoly import APoly, a
+from lrpoly.apoly import APoly, a, pack, unpack
 from lrpoly.shapes import (
     all_permutations,
     contains,
@@ -26,6 +26,7 @@ from lrpoly.lr import (
 )
 from lrpoly.stable_ring import pieri_stable
 from lrpoly.double_sym import classical_lr
+from lrpoly.schursum import SchurSum
 
 
 def test_single_box_product():
@@ -197,3 +198,47 @@ def test_alternating_product_support_on_the_weight_5_grid():
             assert product.coeff(nu) == c_theorem(lam, mu, nu), (lam, mu, nu)
         support += len(product.terms)
     assert support == 4295
+
+
+def _conjugate(lam):
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+
+
+def _dual(c):
+    """c(a') with a'_i = -a_{1-i}: a monomial of degree k gains the sign (-1)^k."""
+    out = {}
+    for m, k in c.terms.items():
+        pairs = unpack(m)
+        out[pack((1 - i, e) for i, e in pairs)] = -k if sum(e for _, e in pairs) % 2 else k
+    return APoly(out)
+
+
+def test_conjugation_duality_of_alternating_products():
+    # c^{nu'}_{lam',mu'}(a) = c^nu_{lam,mu}(a'), support included; no route is
+    # conjugation-symmetric by construction, so this guards the Pieri fold
+    products = {
+        (lam, mu): alternating_product(lam, mu)
+        for lam in partitions_up_to(4)
+        if lam
+        for mu in partitions_up_to(4)
+    }
+    assert len(products) == 132
+    for (lam, mu), product in products.items():
+        dual = SchurSum({_conjugate(nu): _dual(c) for nu, c in product.terms.items()})
+        assert products[_conjugate(lam), _conjugate(mu)] == dual, (lam, mu)
+
+
+def test_conjugation_duality_of_theorem_on_the_criterion_06_grid():
+    cells = [
+        (lam, mu, nu)
+        for lam in partitions_up_to(4)
+        if lam
+        for mu in partitions_up_to(4)
+        for nu in lr_targets(lam, mu)
+        if contains(nu, mu)
+    ]
+    assert len(cells) == 2293
+    for lam, mu, nu in cells:
+        assert c_theorem(_conjugate(lam), _conjugate(mu), _conjugate(nu)) == _dual(
+            c_theorem(lam, mu, nu)
+        ), (lam, mu, nu)
