@@ -265,17 +265,17 @@ def _psi_report(lam, mu, nu, cap):
             shapes.add(tuple(kappa))
     for kappa in sorted(shapes):
         for T in enumerate_k_tableaux(kappa, mu, nu, cap=cap):
-            cell = classify_bad(T, mu, nu)
+            cell = classify_bad(T, mu)
             if cell is None:
                 continue
-            Tt = psi(T, mu, nu)
+            Tt = psi(T, mu)
             expected_shape = tuple(apply_rbar(cell.row, cell.row + 1, kappa))
             if Tt.shape != expected_shape or not Tt.is_valid():
                 return f"psi broke shape on:\n{T.to_text()}", groups
             word, yam = apply_word(mu, row_word(Tt))
             if not yam or tuple(word) != tuple(iv(nu)):
                 return f"psi broke the row word on:\n{T.to_text()}", groups
-            if psi(Tt, mu, nu) != T:
+            if psi(Tt, mu) != T:
                 return f"psi not an involution on:\n{T.to_text()}", groups
             groups[(kappa, cell.row)] += tableau_weight(T, mu, "row")
     for (kappa, i), w in groups.items():

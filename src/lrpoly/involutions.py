@@ -1,15 +1,18 @@
 """Sign- and weight-cancellation machinery on tableaux.
 
-Three constructions live here:
+Three constructions live here, each one move:
 
 * psi = psi2 . psi1, an involution pairing each "bad" stacked-Pieri tableau
   of shape kappa with a bad tableau of the swapped shape R-bar_{i,i+1} kappa,
   holding the row-word target fixed.  Bad tableaux are the fillings that feed
   the alternating Kostka sum but not the direct tableau rule; their weights
-  cancel in aggregate across the two shapes (not entry by entry).
+  cancel in aggregate across the two shapes (not entry by entry).  psi1 is
+  one tail swap between rows i and i+1 for all three kinds of bad cell, and
+  psi2 reorders barred entries so the row word grows partitions again.
 * monomial_involution, a weight-reversing involution on bad monomial (primed)
-  tableaux of a single Pieri row: it converts an oversized plain entry into a
-  primed entry of negated weight and back.
+  tableaux of a single Pieri row: the entry of largest bad subscript turns
+  from plain to primed or back, and the row is rebuilt from its unprimed
+  entries and primed subscripts.
 * pieri_bad_pair, a weight-preserving bijection between monomial tableaux
   whose row words target a non-horizontal-strip composition nu and those
   targeting R-bar_{i,i+1} nu.  One move serves both directions: a tail of
@@ -80,7 +83,7 @@ def _p1_break_column(T, mu, i):
     return None
 
 
-def classify_bad(T, mu, nu=None) -> Optional[BadCell]:
+def classify_bad(T, mu) -> Optional[BadCell]:
     """The unique bad cell of a stacked-Pieri tableau, or None if it is good.
 
     A tableau is bad when some row i exhibits one of: a non-Yamanouchi prefix
@@ -172,55 +175,39 @@ def _blocks_before(value, sizes):
 def psi1(T, cell):
     """Tail swap: move the rows-i/i+1 tails across, landing on shape R-bar kappa.
 
-    For a C2a cell this includes "fixing the column ordering", which trades
-    the block structure of the b's in row i against the c's in row i+1 before
-    (case q >= r) or after (case q < r) the swap.
+    Row i keeps its first j-1 entries and takes row i+1 from column r+1 on;
+    row i+1 keeps its first j entries and takes row i from column q+1 on.
+    For C2b, (q, r) = (j-1, j); C2c is C2b at j = kappa_i + 1.  For C2a, the
+    segment of b's from column j through the last b (column q) and the
+    segment of c's from column j+1 through the matching barred c (column r)
+    trade block structures on the way across ("fixing the column ordering"):
+    row i gets b's in the block sizes of the c's, row i+1 c's in those of the b's.
     """
     i, j, cond = cell
     rows = [list(r) for r in T.rows]
     ri = rows[i - 1]
     ri1 = rows[i]
-    ki, ki1 = len(ri), len(ri1)
-    if cond == "C2b":
-        rows[i - 1] = ri[: j - 1] + ri1[j:]
-        rows[i] = ri1[:j] + ri[j - 1 :]
-        return ReverseTableau(rows)
+    after = before = []
     if cond == "C2c":
-        rows[i - 1] = ri + ri1[ki + 1 :]
-        rows[i] = ri1[: ki + 1]
-        return ReverseTableau(rows)
-    # C2a
-    b = ri[j - 1].value
-    if not ri[j - 1].barred or b != ri1[j - 1].value + 1:
-        raise RuntimeError(
-            f"C2a cell {tuple(cell)} of {T.to_text()!r} must hold a barred entry"
-            " one above its column partner"
-        )
-    c = ri1[j - 1].value
-    q = max(t + 1 for t, e in enumerate(ri) if e.value == b)
-    x = _parse_blocks_after_barred(ri[j - 1 : q])
-    # r: column of the len(x)-th barred c at or right of column j+1 in row i+1
-    r = _nth_barred(ri1, c, len(x), j, ki1, from_end=False)
-    y = _parse_blocks_before_barred(ri1[j : r])
-    if q >= r:
-        # fix the column ordering, then swap the tails from column r
-        new_i = list(ri)
-        new_i[j - 1 : r - 1] = _blocks_after(b, y)
-        sigma = _blocks_before(c, x)
-        new_i1 = list(ri1)
-        new_i1[j : r] = sigma[: r - j]
-        new_i[r - 1 : q] = sigma[r - j :]
-        rows[i - 1] = new_i[: r - 1] + new_i1[r:]
-        rows[i] = new_i1[:r] + new_i[r - 1 :]
-        return ReverseTableau(rows)
-    # q < r: swap the tails from column q, then fix the column ordering
-    half_i = ri[:q] + ri1[q + 1 :]
-    half_i1 = ri1[: q + 1] + ri[q:]
-    if q < r - 1:
-        half_i[j - 1 : r - 1] = _blocks_after(b, y)
-        half_i1[j : q + 1] = _blocks_before(c, x)
-    rows[i - 1] = half_i
-    rows[i] = half_i1
+        j = len(ri) + 1
+    if cond != "C2a":
+        q, r = j - 1, j
+    else:
+        b = ri[j - 1].value
+        if not ri[j - 1].barred or b != ri1[j - 1].value + 1:
+            raise RuntimeError(
+                f"C2a cell {tuple(cell)} of {T.to_text()!r} must hold a barred entry"
+                " one above its column partner"
+            )
+        c = ri1[j - 1].value
+        q = max(t + 1 for t, e in enumerate(ri) if e.value == b)
+        x = _parse_blocks_after_barred(ri[j - 1 : q])
+        # r: column of the len(x)-th barred c at or right of column j+1 in row i+1
+        r = _nth_barred(ri1, c, len(x), j, len(ri1), from_end=False)
+        after = _blocks_after(b, _parse_blocks_before_barred(ri1[j:r]))
+        before = _blocks_before(c, x)
+    rows[i - 1] = ri[: j - 1] + after + ri1[r:]
+    rows[i] = ri1[:j] + before + ri[q:]
     return ReverseTableau(rows)
 
 
@@ -294,9 +281,9 @@ def psi2(T1, cell, mu):
     return ReverseTableau(rows)
 
 
-def psi(T, mu, nu=None):
+def psi(T, mu):
     """The full bad-tableau involution: tail swap, then reorder barred entries."""
-    cell = classify_bad(T, mu, nu)
+    cell = classify_bad(T, mu)
     if cell is None:
         raise ValueError("tableau is good")
     return psi2(psi1(T, cell), cell, mu)
@@ -324,54 +311,43 @@ def monomial_involution(U, mu):
 
     An entry is bad if it is plain unprimed with value above l = l(mu), or
     primed with subscript above l - y (y counting the barred (l+1)'s).  The
-    selected entry with maximal subscript k is traded: a plain entry of
-    weight a_k becomes a primed entry of weight -a_k further right, and vice
-    versa, so double application restores the original.
+    largest bad subscript k is traded with one move: a primed entry of
+    subscript k (weight -a_k) becomes the plain entry v = max(k, l+1), put
+    among the unprimed entries just after the (v-k)-th barred v (first when
+    v = k) so that its weight is a_k; otherwise the leftmost plain entry of
+    subscript k becomes a primed one.  The primed entries are then placed
+    back by their subscripts, so double application restores the original.
+    Raises RuntimeError, naming U and mu, if they find no place.
     """
-    e1 = len(U.rows)
-    row = list(U.rows[-1])
+    row = U.rows[-1]
     l = len(iv(mu))
     y = row_word(U).count(l + 1)
     subs = _subscripts(U, mu)
     bad_subs = [
         s
-        for t, (e, s) in enumerate(zip(row, subs))
+        for e, s in zip(row, subs)
         if s is not None
         and ((not e.primed and e.value > l) or (e.primed and s > l - y))
     ]
     if not bad_subs:
         raise ValueError("tableau is good")
     k = max(bad_subs)
-    primed_at = [
-        t for t, (e, s) in enumerate(zip(row, subs)) if e.primed and s == k
-    ]
-    if primed_at:
-        t = primed_at[0]
-        if k > l + 1:
-            new = [plain(k)] + row[:t] + row[t + 1 :]
-        else:
-            jp = _nth_barred(row, l + 1, l + 1 - k, 0, len(row), from_end=False)
-            new = row[:jp] + [plain(l + 1)] + row[jp:t] + row[t + 1 :]
-        return _rebuild(U, new)
-    # plain case: leftmost plain unprimed entry with subscript k
-    t = next(
-        u
-        for u, (e, s) in enumerate(zip(row, subs))
-        if s == k and not e.primed and not e.barred
-    )
-    jp = None
-    for u in range(t, len(row)):
-        m = k + (u + 1 - e1)
-        nxt = row[u + 1].value if u + 1 < len(row) else 0
-        if m >= nxt and m >= 1:
-            jp = u
-            break
-    if jp is None:
+    unprimed = [e for e in row if not e.primed]
+    primed = [s for e, s in zip(row, subs) if e.primed]
+    if k in primed:
+        primed.remove(k)
+        v = max(k, l + 1)
+        at = _nth_barred(unprimed, v, v - k, 0, len(unprimed), from_end=False)
+        unprimed.insert(at, plain(v))
+    else:
+        # the leftmost plain unprimed entry with subscript k (barred ones have None)
+        del unprimed[[s for e, s in zip(row, subs) if not e.primed].index(k)]
+        primed.append(k)
+    new = _place_primed(unprimed, primed, len(U.rows))
+    if new is None:
         raise RuntimeError(
-            f"no insertion point for the primed partner in {U.to_text()!r} over mu={iv(mu)}"
+            f"no weakly decreasing place for the primed entries of {U.to_text()!r} over mu={iv(mu)}"
         )
-    m = k + (jp + 1 - e1)
-    new = row[:t] + row[t + 1 : jp + 1] + [plain(m, primed=True)] + row[jp + 1 :]
     return _rebuild(U, new)
 
 

@@ -67,7 +67,7 @@ def test_criterion_01_golden_tableau_words_and_weights():
 def test_criterion_02_golden_two_stage_involution():
     mu, nu = (2, 2), (4, 3, 2, 1)
     T = ReverseTableau.from_text("4~ 4 4 4 3 2 2~ 2 2\n3 3 3~ 3 3~ 3 1 1~ 1~")
-    cell = classify_bad(T, mu, nu)
+    cell = classify_bad(T, mu)
     assert cell == BadCell(1, 1, "C2a")
     T1 = psi1(T, cell)
     assert T1.shape == (8, 10)
@@ -86,9 +86,11 @@ def test_criterion_02_golden_two_stage_involution():
     n2 = max(mup[1] + barred_count(2, cell.row) - mup[0] - barred_count(1, 3), 0)
     n3 = max(mup[2] + barred_count(3, cell.row) - mup[1] - barred_count(2, 3), 0)
     assert n2 == 1 and n3 == 0
-    Tt = psi(T, mu, nu)
+    Tt = psi(T, mu)
     assert Tt.to_text() == "4~ 4 3 3~ 3 2~ 2 1~\n3 3 3 3 3~ 3 2 1 1 1~"
-    assert psi(Tt, mu, nu) == T
+    # the row word still takes mu to nu, on both sides
+    assert apply_word(mu, row_word(T)) == apply_word(mu, row_word(Tt)) == (nu, True)
+    assert psi(Tt, mu) == T
 
 
 def test_criterion_03_free_ring_pieri_identity():

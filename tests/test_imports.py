@@ -6,7 +6,9 @@ the module reads the name, lists it in ``__all__``, or re-exports it to a
 test that imports it from that module.  A module-level function, class or
 assigned name of the package counts as read when some package or test file
 loads it as a name, reads it as an attribute, imports it by name or lists
-it in ``__all__``.
+it in ``__all__``.  A parameter of a package function, other than
+``self``, ``cls`` and names starting with ``_``, counts as used when the
+function's body loads it.
 """
 
 import ast
@@ -70,6 +72,26 @@ def _definitions(tree):
                         yield name.id, node.lineno
 
 
+def _unread_parameters(tree):
+    """(function, parameter, line) for every parameter its function never loads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        loaded = {
+            name.id
+            for stmt in node.body
+            for name in ast.walk(stmt)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        }
+        for param in params:
+            name = param.arg
+            if name not in loaded and name not in ("self", "cls") and not name.startswith("_"):
+                yield node.name, name, node.lineno
+
+
 def _reexports(trees):
     """Package module path -> names that some test imports from it."""
     out = {}
@@ -110,3 +132,13 @@ def test_no_unused_definitions():
         if name not in reads
     ]
     assert not unused, "unused definitions:\n" + "\n".join(unused)
+
+
+def test_no_unused_parameters():
+    unread = [
+        f"{path.relative_to(ROOT)}:{line}: {func}({param})"
+        for path in SOURCES
+        if path.parent == PACKAGE
+        for func, param, line in _unread_parameters(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not unread, "parameters never read:\n" + "\n".join(unread)

@@ -55,6 +55,8 @@ from lrpoly.involutions import (
          "segment '1~ 1'"),
         (lambda: involutions._bad_row_index((1,), (2,)),
          "nu=(2,) is a horizontal strip over mu=(1,)"),
+        (lambda: monomial_involution(ReverseTableau.from_text("\n\n3 1 1' 2'"), (2, 1)),
+         "of \"\\n\\n3 1 1' 2'\" over mu=(2, 1)"),
     ],
 )
 def test_internal_failures_name_their_input(call, names):
@@ -67,7 +69,7 @@ def test_internal_failures_name_their_input(call, names):
 def test_psi_rejects_good_tableaux():
     good = ReverseTableau.from_text("1~")
     with pytest.raises(ValueError, match="tableau is good"):
-        psi(good, (), (1,))
+        psi(good, ())
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +115,11 @@ def test_psi_involution_grid():
     for lam, mu, nu in _psi_wide_grid_cases():
         for kappa in _psi_shapes(lam):
             for T in enumerate_k_tableaux(kappa, mu, nu, cap=6):
-                cell = classify_bad(T, mu, nu)
+                cell = classify_bad(T, mu)
                 if cell is None:
                     continue
                 conditions[cell.condition] += 1
-                Tt = psi(T, mu, nu)
+                Tt = psi(T, mu)
                 assert Tt.shape == tuple(
                     apply_rbar(cell.row, cell.row + 1, kappa)
                 ), T.to_text()
@@ -125,9 +127,9 @@ def test_psi_involution_grid():
                 word, yam = apply_word(mu, row_word(Tt))
                 assert yam and tuple(word) == tuple(iv(nu)), T.to_text()
                 # the partner is bad in the same row
-                pcell = classify_bad(Tt, mu, nu)
+                pcell = classify_bad(Tt, mu)
                 assert pcell is not None and pcell.row == cell.row, T.to_text()
-                assert psi(Tt, mu, nu) == T, T.to_text()
+                assert psi(Tt, mu) == T, T.to_text()
                 checked += 1
     assert checked > 1000
     # all three defect kinds are exercised
@@ -145,14 +147,30 @@ def test_psi_involution_on_random_two_row_cells(lam, mu, data):
     nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))
     for kappa in _psi_shapes(lam):
         for T in enumerate_k_tableaux(kappa, mu, nu, cap=CAP):
-            cell = classify_bad(T, mu, nu)
+            cell = classify_bad(T, mu)
             if cell is None:
                 continue
-            Tt = psi(T, mu, nu)
+            Tt = psi(T, mu)
             assert Tt.shape == tuple(apply_rbar(cell.row, cell.row + 1, kappa)), T.to_text()
             word, yam = apply_word(mu, row_word(Tt))
             assert yam and tuple(word) == tuple(iv(nu)), T.to_text()
-            assert psi(Tt, mu, nu) == T, T.to_text()
+            assert psi(Tt, mu) == T, T.to_text()
+
+
+@pytest.mark.parametrize("text, condition, image", [
+    ("1\n1", "C2b", "\n1 1"),
+    # the C2c cell sits past row i+1; the swap runs from column kappa_i + 1
+    ("\n1 1", "C2c", "1\n1"),
+    # C2a over the target nu = (1, 1): q = r - 1, q < r - 1 and q >= r
+    ("2~\n1 1~ 1", "C2a", "2~ 1\n1 1~"),
+    ("2~\n1 1 1~", "C2a", "2~ 2\n1 1~"),
+    ("2~ 2\n1 1~", "C2a", "2~\n1 1 1~"),
+])
+def test_psi1_golden_per_condition(text, condition, image):
+    T = ReverseTableau.from_text(text)
+    cell = classify_bad(T, ())
+    assert cell.condition == condition
+    assert psi1(T, cell).to_text() == image
 
 
 def test_psi_aggregate_weight_cancellation():
@@ -168,7 +186,7 @@ def test_psi_aggregate_weight_cancellation():
             if any(k < 0 for k in kappa):
                 continue
             for T in enumerate_k_tableaux(kappa, mu, nu, cap=CAP):
-                cell = classify_bad(T, mu, nu)
+                cell = classify_bad(T, mu)
                 if cell is None:
                     continue
                 w = tableau_weight(T, mu, "row")
@@ -231,6 +249,43 @@ def test_monomial_involution_grid():
                                 assert monomial_involution(Ut, mu) == U
                                 checked += 1
     assert checked > 400
+
+
+_MONO_MUS = [mu for mu in partitions_up_to(4) if mu]
+
+
+@st.composite
+def _monomial_rows(draw):
+    """A weakly decreasing row of up to 8 entries over 1 <= |mu| <= 4."""
+    mu = draw(st.sampled_from(_MONO_MUS))
+    l = len(mu)
+    entries = draw(st.lists(
+        st.one_of(
+            st.builds(bar, st.integers(1, l + 1)),
+            st.builds(plain, st.integers(1, l + 3), st.booleans()),
+        ),
+        min_size=1,
+        max_size=8,
+    ))
+    row = sorted(entries, key=lambda e: -e.value)
+    e = draw(st.integers(0, l - 1))
+    return ReverseTableau([[]] * e + [row]), mu
+
+
+@settings(max_examples=300)
+@given(_monomial_rows())
+def test_monomial_involution_on_random_rows(case):
+    # beyond the fixed grid: rows of up to 8 entries, plain values up to
+    # l(mu) + 3, targets that need not be partitions
+    U, mu = case
+    try:
+        Ut = monomial_involution(U, mu)
+    except ValueError as err:
+        assert str(err) == "tableau is good"
+        return
+    assert Ut.is_valid(), (mu, U.to_text())
+    assert monomial_weight(Ut, mu) == -monomial_weight(U, mu), (mu, U.to_text())
+    assert monomial_involution(Ut, mu) == U, (mu, U.to_text())
 
 
 # ---------------------------------------------------------------------------
