@@ -6,9 +6,10 @@ Three constructions live here, each one move:
   of shape kappa with a bad tableau of the swapped shape R-bar_{i,i+1} kappa,
   holding the row-word target fixed.  Bad tableaux are the fillings that feed
   the alternating Kostka sum but not the direct tableau rule; their weights
-  cancel in aggregate across the two shapes (not entry by entry).  psi1 is
-  one tail swap between rows i and i+1 for all three kinds of bad cell, and
-  psi2 reorders barred entries so the row word grows partitions again.
+  cancel in aggregate across the two shapes (not entry by entry).  Both
+  maps start from the one cell (i, j) of classify_bad, a C2c cell being C2b
+  at j = kappa_i + 1: psi1 is one tail swap between rows i and i+1 there,
+  and psi2 reorders barred entries so the row word grows partitions again.
 * monomial_involution, a weight-reversing involution on bad monomial (primed)
   tableaux of a single Pieri row: the entry of largest bad subscript turns
   from plain to primed or back, and the row is rebuilt from its unprimed
@@ -62,14 +63,6 @@ def monomial_weight(U, mu):
     return total
 
 
-def _val(T, i, j):
-    """Absolute value of the entry at (i, j), or 0 outside the shape."""
-    shape = T.shape
-    if 1 <= i <= len(shape) and 1 <= j <= shape[i - 1]:
-        return T.rows[i - 1][j - 1].value
-    return 0
-
-
 def _p1_break_column(T, mu, i):
     """Leftmost column where the column word of rows >= i stops being Yamanouchi.
 
@@ -89,38 +82,24 @@ def classify_bad(T, mu) -> Optional[BadCell]:
     A tableau is bad when some row i exhibits one of: a non-Yamanouchi prefix
     of the column word of rows >= i (P1), a column-strictness failure against
     row i+1 (P2), or a shorter row than the one below it (P3).  The cell is
-    fixed by taking i maximal, then the smallest offending column.
+    fixed by taking i maximal, then the smallest offending column: C2b where
+    the entry is at most the one below it, C2a from the P1 break column on.
+    A row bad by P3 alone is C2c, the cell just past row i at column
+    kappa_i + 1, and both maps treat it as C2b there.
     """
-    shape = T.shape
-    l = len(shape)
-    best_i = None
-    breaks = {}
-    for i in range(1, l + 1):
-        bad_here = False
+    rows = T.rows
+    for i in range(len(rows), 0, -1):
+        ri = rows[i - 1]
+        ri1 = rows[i] if i < len(rows) else ()
         bc = _p1_break_column(T, mu, i)
-        if bc is not None and bc <= shape[i - 1]:
-            bad_here = True
-            breaks[i] = bc
-        if i < l:
-            if shape[i - 1] < shape[i]:
-                bad_here = True
-            for j in range(1, min(shape[i - 1], shape[i]) + 1):
-                if _val(T, i, j) <= _val(T, i + 1, j):
-                    bad_here = True
-                    break
-        if bad_here:
-            best_i = i
-    if best_i is None:
-        return None
-    i = best_i
-    bc = breaks.get(i)
-    for j in range(1, shape[i - 1] + 1):
-        below = _val(T, i + 1, j)
-        if j <= (shape[i] if i < l else 0) and _val(T, i, j) <= below:
-            return BadCell(i, j, "C2b")
-        if bc is not None and j >= bc and _val(T, i, j) > below:
-            return BadCell(i, j, "C2a")
-    return BadCell(i, shape[i] + 1, "C2c")
+        for j, e in enumerate(ri, 1):
+            if j <= len(ri1) and e.value <= ri1[j - 1].value:
+                return BadCell(i, j, "C2b")
+            if bc is not None and j >= bc:
+                return BadCell(i, j, "C2a")
+        if len(ri) < len(ri1):
+            return BadCell(i, len(ri) + 1, "C2c")
+    return None
 
 
 def _parse_blocks_after_barred(segment):
@@ -188,8 +167,6 @@ def psi1(T, cell):
     ri = rows[i - 1]
     ri1 = rows[i]
     after = before = []
-    if cond == "C2c":
-        j = len(ri) + 1
     if cond != "C2a":
         q, r = j - 1, j
     else:
@@ -251,12 +228,7 @@ def psi2(T1, cell, mu):
     rows = [list(r) for r in T1.rows]
     ri = rows[i - 1]
     ri1 = rows[i]
-    if cell.condition == "C2c":
-        # C2c is C2b with an empty X, so the column partner sits at the end
-        # of the shortened row i+1 (originally box (i+1, kappa_i + 1)).
-        c = ri1[-1].value if ri1 else 0
-    else:
-        c = ri1[cell.col - 1].value
+    c = ri1[cell.col - 1].value
     mup = pad(mu, c)
     # barred counts from row i down, and from row i+2 down
     from_i = row_word(ReverseTableau(rows[i - 1 :]))
@@ -300,10 +272,19 @@ def _subscripts(U, mu):
     ]
 
 
-def _rebuild(U, row):
-    rows = [list(r) for r in U.rows]
-    rows[-1] = row
-    return ReverseTableau(rows)
+def _pieri_row(U, mu):
+    """The last row of U, a monomial tableau of shape (0^e, p) over mu.
+
+    Raises ValueError, naming U and mu, unless the rows above it are empty,
+    e <= l(mu), the row weakly decreases and its barred values are at most
+    l(mu) + 1.  Below row l(mu) + 1 a primed entry can need a value below 1.
+    """
+    l = len(iv(mu))
+    row = U.rows[-1]
+    bounded = len(U.rows) <= l + 1 and all(e.value <= l + 1 for e in row if e.barred)
+    if any(U.rows[:-1]) or not bounded or not U.is_valid():
+        raise ValueError(f"{U.to_text()!r} is not a Pieri row over mu={iv(mu)}")
+    return row
 
 
 def monomial_involution(U, mu):
@@ -317,9 +298,9 @@ def monomial_involution(U, mu):
     v = k) so that its weight is a_k; otherwise the leftmost plain entry of
     subscript k becomes a primed one.  The primed entries are then placed
     back by their subscripts, so double application restores the original.
-    Raises RuntimeError, naming U and mu, if they find no place.
+    Raises ValueError, naming U and mu, outside the domain (see _pieri_row).
     """
-    row = U.rows[-1]
+    row = _pieri_row(U, mu)
     l = len(iv(mu))
     y = row_word(U).count(l + 1)
     subs = _subscripts(U, mu)
@@ -343,12 +324,7 @@ def monomial_involution(U, mu):
         # the leftmost plain unprimed entry with subscript k (barred ones have None)
         del unprimed[[s for e, s in zip(row, subs) if not e.primed].index(k)]
         primed.append(k)
-    new = _place_primed(unprimed, primed, len(U.rows))
-    if new is None:
-        raise RuntimeError(
-            f"no weakly decreasing place for the primed entries of {U.to_text()!r} over mu={iv(mu)}"
-        )
-    return _rebuild(U, new)
+    return _place_primed(U, mu, unprimed, primed)
 
 
 def derived_monomial_tableaux(p, e, mu, nu, vmax):
@@ -404,16 +380,17 @@ def _bad_row_index(mu, nu):
     raise RuntimeError(f"nu={nu} is a horizontal strip over mu={mu}")
 
 
-def _place_primed(unprimed, subs, e1):
-    """Row e1 of a tableau, built from its unprimed entries and primed subscripts.
+def _place_primed(U, mu, unprimed, subs):
+    """U with its last row rebuilt from unprimed entries and primed subscripts.
 
-    Box j has content c = j - e1, and a primed entry of subscript s there has
-    value s + c.  Each box takes the primed entry with the largest value that
-    fits between the left neighbour and the next unprimed value (and is at
-    least 1), otherwise the next unprimed entry.  On a weakly decreasing row
-    this rebuilds the row itself.  Returns None when some primed entry finds
-    no box.
+    In that row e1 = len(U.rows), box j has content c = j - e1, and a primed
+    entry of subscript s there has value s + c.  Each box takes the primed
+    entry with the largest value that fits between the left neighbour and
+    the next unprimed value (and is at least 1), otherwise the next unprimed
+    entry.  On a weakly decreasing row this rebuilds the row itself.  Raises
+    RuntimeError, naming U and mu, when some primed entry finds no box.
     """
+    e1 = len(U.rows)
     subs = sorted(subs, reverse=True)
     row = []
     u = 0
@@ -428,8 +405,11 @@ def _place_primed(unprimed, subs, e1):
             row.append(unprimed[u])
             u += 1
         else:
-            return None
-    return row
+            raise RuntimeError(
+                f"no weakly decreasing place for the primed entries of {U.to_text()!r}"
+                f" over mu={iv(mu)}"
+            )
+    return ReverseTableau(U.rows[:-1] + (row,))
 
 
 def pieri_bad_pair(U, mu):
@@ -441,9 +421,11 @@ def pieri_bad_pair(U, mu):
     run.  The primed entries keep their subscripts, hence their weights, and
     _place_primed puts them back.  The partner's d is -d, so applied to the
     partner the same move undoes this one whenever both pick the same i.
-    Raises RuntimeError, naming U and mu, if the move cannot be made.
+    Raises ValueError, naming U and mu, outside the domain (see _pieri_row),
+    and RuntimeError if the move cannot be made.
     """
     mu = iv(mu)
+    row = _pieri_row(U, mu)
     nu, _ = apply_word(mu, row_word(U))
     if is_horizontal_strip(nu, mu):
         raise ValueError("nu is good")
@@ -451,7 +433,6 @@ def pieri_bad_pair(U, mu):
     nu_p = pad(nu, i + 1)
     d = nu_p[i] - nu_p[i - 1] - 1
     src, dst = (i + 1, i) if d > 0 else (i, i + 1)
-    row = U.rows[-1]
     unprimed = [e for e in row if not e.primed]
     lo, hi = _run_bounds(unprimed, src)
     if sum(e.barred for e in unprimed[lo:hi]) < abs(d):
@@ -463,9 +444,4 @@ def pieri_bad_pair(U, mu):
     rest = unprimed[:start] + unprimed[hi:]
     at = sum(1 for e in rest if e.value >= dst)
     subs = [s for e, s in zip(row, _subscripts(U, mu)) if e.primed]
-    new = _place_primed(rest[:at] + tail + rest[at:], subs, len(U.rows))
-    if new is None:
-        raise RuntimeError(
-            f"no weakly decreasing place for the primed entries of {U.to_text()!r} over mu={mu}"
-        )
-    return _rebuild(U, new)
+    return _place_primed(U, mu, rest[:at] + tail + rest[at:], subs)

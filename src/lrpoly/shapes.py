@@ -1,4 +1,4 @@
-"""Integer vectors, compositions, partitions, boxes, and raising operators.
+"""Integer vectors, compositions, partitions, and raising operators.
 
 Integer vectors are plain tuples of ints with trailing zeros trimmed; two
 vectors are equal iff their trimmed tuples are equal.  Partitions and
@@ -48,11 +48,6 @@ def contains(alpha, beta):
 def content(i, j):
     """Content j - i of the box in row i, column j (both 1-based)."""
     return j - i
-
-
-def boxes(shape):
-    """All boxes (i, j) of a composition diagram, row by row."""
-    return [(i + 1, j + 1) for i, r in enumerate(shape) for j in range(r)]
 
 
 def is_horizontal_strip(nu, mu):

@@ -4,11 +4,12 @@ A standard-library stand-in for a linter's unused-import and dead-code
 rules, run over the package and the tests.  An import counts as used when
 the module reads the name, lists it in ``__all__``, or re-exports it to a
 test that imports it from that module.  A module-level function, class or
-assigned name of the package counts as read when some package or test file
-loads it as a name, reads it as an attribute, imports it by name or lists
-it in ``__all__``.  A parameter of a package function, other than
-``self``, ``cls`` and names starting with ``_``, counts as used when the
-function's body loads it.
+assigned name of a package module counts as read when that module loads it
+as a name or lists it in ``__all__``, or some package or test file imports
+it from that module or reads it as ``<alias of that module>.<name>``; a
+read of the same name from another module does not count.  A parameter of
+a package function, other than ``self``, ``cls`` and names starting with
+``_``, counts as used when the function's body loads it.
 """
 
 import ast
@@ -46,16 +47,51 @@ def _used(tree):
     return used | set(_all_entries(tree))
 
 
-def _reads(tree):
-    """Names the module loads, reads as attributes, imports or exports."""
-    reads = set(_all_entries(tree))
+def _module_name(path):
+    """Dotted module name of a source file; a test is named by its stem."""
+    if path.parent != PACKAGE:
+        return path.stem
+    return "lrpoly" if path.stem == "__init__" else f"lrpoly.{path.stem}"
+
+
+def _dotted(node):
+    """'a.b.c' for a name or a chain of attributes on one, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _reads(path, tree):
+    """(module, name) for every module-level name the file reads, by module.
+
+    The file reads from itself the names it loads or lists in ``__all__``,
+    from another module the names it imports from it, and from any module
+    bound to a local name the attributes it reads off that name.
+    """
+    here = _module_name(path)
+    reads = {(here, name) for name in _all_entries(tree)}
+    modules = {}  # local name -> dotted name of the module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                modules[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            # relative imports occur only inside the package
+            source = ".".join(filter(None, ["lrpoly" if node.level else None, node.module]))
+            for alias in node.names:
+                reads.add((source, alias.name))
+                modules[alias.asname or alias.name] = f"{source}.{alias.name}"
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            reads.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            reads.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            reads.update(alias.name for alias in node.names)
+            reads.add((here, node.id))
+        elif isinstance(node, ast.Attribute) and (base := _dotted(node.value)):
+            head, _, rest = base.partition(".")
+            if head in modules:
+                reads.add((".".join(filter(None, [modules[head], rest])), node.attr))
     return reads
 
 
@@ -123,13 +159,13 @@ def test_no_unused_imports():
 
 def test_no_unused_definitions():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    reads = set().union(*map(_reads, trees.values()))
+    reads = set().union(*(_reads(path, tree) for path, tree in trees.items()))
     unused = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path, tree in trees.items()
         if path.parent == PACKAGE
         for name, line in _definitions(tree)
-        if name not in reads
+        if (_module_name(path), name) not in reads
     ]
     assert not unused, "unused definitions:\n" + "\n".join(unused)
 

@@ -55,8 +55,9 @@ from lrpoly.involutions import (
          "segment '1~ 1'"),
         (lambda: involutions._bad_row_index((1,), (2,)),
          "nu=(2,) is a horizontal strip over mu=(1,)"),
-        (lambda: monomial_involution(ReverseTableau.from_text("\n\n3 1 1' 2'"), (2, 1)),
-         "of \"\\n\\n3 1 1' 2'\" over mu=(2, 1)"),
+        # a subscript below the content of the only box has no place
+        (lambda: involutions._place_primed(ReverseTableau.from_text("1'"), (1,), [], [-1]),
+         "of \"1'\" over mu=(1,)"),
     ],
 )
 def test_internal_failures_name_their_input(call, names):
@@ -64,6 +65,23 @@ def test_internal_failures_name_their_input(call, names):
     # CLI reports with exit 3), and its message names the offending input
     with pytest.raises(RuntimeError, match=re.escape(names)):
         call()
+
+
+@pytest.mark.parametrize("move, text, mu", [
+    # the row does not weakly decrease
+    (monomial_involution, "\n\n3 1 1' 2'", (2, 1)),
+    (pieri_bad_pair, "1 3~ 3~", (2,)),
+    # e = 2 empty rows above the row, more than l(mu) = 1
+    (monomial_involution, "\n\n2", (1,)),
+    # a barred value above l(mu) + 1
+    (monomial_involution, "3~ 3~ 3' 3 1", (2,)),
+    # an entry above the last row
+    (monomial_involution, "2\n3", (1, 1)),
+])
+def test_pieri_row_domain(move, text, mu):
+    # input outside the domain is a usage error (ValueError), not an internal one
+    with pytest.raises(ValueError, match=re.escape(f"{text!r} is not a Pieri row over mu={mu}")):
+        move(ReverseTableau.from_text(text), mu)
 
 
 def test_psi_rejects_good_tableaux():
@@ -119,6 +137,10 @@ def test_psi_involution_grid():
                 if cell is None:
                     continue
                 conditions[cell.condition] += 1
+                if cell.condition == "C2c":
+                    # C2c is C2b just past row i: the cell (i, kappa_i + 1)
+                    assert cell.col == kappa[cell.row - 1] + 1, T.to_text()
+                    assert kappa[cell.row - 1] < kappa[cell.row], T.to_text()
                 Tt = psi(T, mu)
                 assert Tt.shape == tuple(
                     apply_rbar(cell.row, cell.row + 1, kappa)
@@ -157,19 +179,18 @@ def test_psi_involution_on_random_two_row_cells(lam, mu, data):
             assert psi(Tt, mu) == T, T.to_text()
 
 
-@pytest.mark.parametrize("text, condition, image", [
-    ("1\n1", "C2b", "\n1 1"),
-    # the C2c cell sits past row i+1; the swap runs from column kappa_i + 1
-    ("\n1 1", "C2c", "1\n1"),
+@pytest.mark.parametrize("text, cell, image", [
+    ("1\n1", BadCell(1, 1, "C2b"), "\n1 1"),
+    # the C2c cell sits just past row i, at column kappa_i + 1
+    ("\n1 1", BadCell(1, 1, "C2c"), "1\n1"),
     # C2a over the target nu = (1, 1): q = r - 1, q < r - 1 and q >= r
-    ("2~\n1 1~ 1", "C2a", "2~ 1\n1 1~"),
-    ("2~\n1 1 1~", "C2a", "2~ 2\n1 1~"),
-    ("2~ 2\n1 1~", "C2a", "2~\n1 1 1~"),
-])
-def test_psi1_golden_per_condition(text, condition, image):
+    ("2~\n1 1~ 1", BadCell(1, 1, "C2a"), "2~ 1\n1 1~"),
+    ("2~\n1 1 1~", BadCell(1, 1, "C2a"), "2~ 2\n1 1~"),
+    ("2~ 2\n1 1~", BadCell(1, 1, "C2a"), "2~\n1 1 1~"),
+], ids=lambda v: v.condition if isinstance(v, BadCell) else None)  # a cell's id is its condition
+def test_psi1_golden_per_condition(text, cell, image):
     T = ReverseTableau.from_text(text)
-    cell = classify_bad(T, ())
-    assert cell.condition == condition
+    assert classify_bad(T, ()) == cell
     assert psi1(T, cell).to_text() == image
 
 
