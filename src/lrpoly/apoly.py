@@ -247,7 +247,3 @@ class APoly(Terms):
     def __repr__(self):
         return f"APoly({self})"
 
-
-def a(i):
-    """Shorthand for the variable a_i."""
-    return APoly.var(i)

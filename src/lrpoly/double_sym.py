@@ -1,12 +1,11 @@
 """Symmetric polynomials in x_1..x_n with exact coefficients in Z[a].
 
-Provides the deformed complete homogeneous polynomials h_p(x||a), their
-index-shifted variants, Schur elements via the branching rule over
-horizontal strips (the combinatorial reverse-tableau formula), the
-one-variable evaluation map, decomposition in the Schur basis, and a
-brute-force oracle for the structure coefficients.  Also contains an
-independent classical (all a_i = 0) Littlewood-Richardson implementation
-used as a cross-check.
+Provides Schur elements via the branching rule over horizontal strips (the
+combinatorial reverse-tableau formula), decomposition in the Schur basis,
+and a brute-force oracle for the structure coefficients.  XPoly is the
+dense form that the schur command prints.  Also contains an independent
+classical (all a_i = 0) Littlewood-Richardson implementation used as a
+cross-check.
 """
 
 from itertools import permutations, product
@@ -29,45 +28,8 @@ class XPoly(Terms):
     def _like(self, terms):
         return XPoly(self.n, terms)
 
-    @staticmethod
-    def const(n, c):
-        if isinstance(c, int):
-            c = APoly.const(c)
-        if c.is_zero():
-            return XPoly(n, {})
-        return XPoly(n, {(0,) * n: c})
-
-    @staticmethod
-    def one(n):
-        return XPoly.const(n, 1)
-
-    @staticmethod
-    def x(i, n):
-        """The variable x_i (1-based) in n variables."""
-        e = [0] * n
-        e[i - 1] = 1
-        return XPoly(n, {tuple(e): APoly.one()})
-
     def __eq__(self, other):
         return Terms.__eq__(self, other) and self.n == other.n
-
-    def __mul__(self, other):
-        # accumulate coefficient terms at the raw-dict level
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(u + v for u, v in zip(e1, e2))
-                _mul_into(out.setdefault(e, {}), c1.terms, c2.terms)
-        return XPoly(self.n, {e: APoly(d) for e, d in out.items() if d})
-
-    def at_zero(self):
-        """Specialize every a_i to 0, keeping integer coefficients."""
-        out = {}
-        for e, c in self.terms.items():
-            k = c.at_zero()
-            if k:
-                out[e] = APoly.const(k)
-        return XPoly(self.n, out)
 
     def to_json(self):
         return {
@@ -94,39 +56,6 @@ class XPoly(Terms):
 
     def __repr__(self):
         return f"XPoly(n={self.n}, {self})"
-
-
-def h_n(p, n):
-    """Deformed complete homogeneous polynomial of degree p in n variables.
-
-    Sum over n >= i_1 >= ... >= i_p >= 1 of the products
-    prod_k (x_{i_k} - a_{i_k - k + 1}); h_0 = 1, and h_p = 0 for p > 0, n = 0.
-    """
-    if p < 0:
-        return XPoly.zero(n)
-    if p == 0:
-        return XPoly.one(n)
-    # G[m] at level k holds the partial sum over i_k >= ... >= i_p with i_k <= m
-    G = [XPoly.one(n)] * (n + 1)
-    for k in range(p, 0, -1):
-        nxt = [XPoly.zero(n)] * (n + 1)
-        for m in range(1, n + 1):
-            factor = XPoly.x(m, n) + XPoly.const(n, APoly.var(m - k + 1, coeff=-1))
-            nxt[m] = nxt[m - 1] + factor * G[m]
-        G = nxt
-    return G[n]
-
-
-def h_n_shifted(r, s, n):
-    """tau^s applied to h_r: every a-index in every coefficient moves by s."""
-    if r < 0:
-        return XPoly.zero(n)
-    if r == 0:
-        return XPoly.one(n)
-    base = h_n(r, n)
-    if s == 0:
-        return base
-    return XPoly(n, {e: c.shift_indices(s) for e, c in base.terms.items()})
 
 
 class _Sym(Terms):
@@ -302,17 +231,6 @@ def double_schur_n(lam, n):
     return _sym_expand(_Sym(n, _schur_sym_branch(lam, n)))
 
 
-def phi_n(P):
-    """Evaluation map: substitute x_n := a_n, landing in n-1 variables."""
-    n = P.n
-    if n < 1:
-        raise ValueError("no variable to evaluate")
-    return XPoly(n - 1, accumulate({}, (
-        (e[:-1], c * APoly.var(n, exp=e[-1]) if e[-1] else c)
-        for e, c in P.terms.items()
-    )))
-
-
 def _decompose_sym(S):
     """Greedy Schur-basis elimination on a symmetric representative.
 
@@ -374,6 +292,8 @@ def c_oracle(lam, mu, nu):
     same for every n >= l(nu).  The decomposition at n0 + 1 may hold
     partitions of length n0 + 1; restricted to length <= n0 it must equal
     the one at n0, which checks that argument at run time.
+    tests/test_acceptance.py checks phi_n on the Schur elements
+    themselves (criterion 05).
     """
     lam, mu, nu = iv(lam), iv(mu), iv(nu)
     n0 = max(len(nu), 1)

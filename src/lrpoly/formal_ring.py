@@ -3,12 +3,14 @@
 Conventions: h_{0,s} = 1 for every s, and h_{r,s} = 0 whenever r < 0.  A word
 is a sorted tuple of (r, s) pairs with r >= 1; a SignedHSum is an integer
 linear combination of words.  Schur-type elements s_{mu,beta} are represented
-by their expanded Jacobi-Trudi determinants.
+by their expanded Jacobi-Trudi determinants, and formal_pieri_terms lists the
+index pairs of h_{p,e} * s_{mu,beta}.  Sorting those rows back into
+canonical order happens inside stable_ring.pieri_stable, row by row.
 """
 
 from itertools import permutations
 
-from .shapes import iv, pad, perm_sign, compositions_of
+from .shapes import pad, perm_sign, compositions_of
 from .sparse import Terms, accumulate
 
 
@@ -80,48 +82,6 @@ def jacobi_trudi(mu, beta=None):
             for i in range(l)
         )) is not None
     )))
-
-
-def straighten(mu, beta):
-    """Sort the row labels of s_{mu,beta} into canonical strictly decreasing order.
-
-    Works with gamma_i = mu_i - i and delta_i = beta_i - i, which the adjacent
-    swap rule simply exchanges at the cost of a sign.  Returns None when the
-    element is zero (two identical determinant rows, or a row that vanishes
-    identically), otherwise (sign, mu*, beta*) with gamma* strictly decreasing.
-
-    Raises when two rows share gamma but not delta; such elements have no
-    canonical sorted form and never arise in the staircase pipeline.
-    """
-    mu = tuple(mu)
-    beta = tuple(beta)
-    l = max(len(mu), len(beta))
-    mu = pad(mu, l)
-    beta = pad(beta, l)
-    gamma = [mu[i] - (i + 1) for i in range(l)]
-    delta = [beta[i] - (i + 1) for i in range(l)]
-    sign = 1
-    # insertion sort on gamma, carrying delta along; each swap flips the sign
-    for i in range(1, l):
-        k = i
-        while k > 0 and gamma[k] >= gamma[k - 1]:
-            if gamma[k] == gamma[k - 1]:
-                if delta[k] == delta[k - 1]:
-                    return None
-                raise ValueError(
-                    "not straightenable: equal first labels with distinct second labels"
-                )
-            gamma[k], gamma[k - 1] = gamma[k - 1], gamma[k]
-            delta[k], delta[k - 1] = delta[k - 1], delta[k]
-            sign = -sign
-            k -= 1
-    # a sorted row whose first index stays negative across the whole row is 0
-    for i in range(l):
-        if gamma[i] + l < 0:
-            return None
-    mu_star = iv(gamma[i] + (i + 1) for i in range(l))
-    beta_star = iv(delta[i] + (i + 1) for i in range(l))
-    return sign, mu_star, beta_star
 
 
 def formal_pieri_terms(p, e_val, mu, beta):

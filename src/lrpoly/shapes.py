@@ -45,11 +45,6 @@ def contains(alpha, beta):
     return all(a[i] >= b[i] for i in range(l))
 
 
-def content(i, j):
-    """Content j - i of the box in row i, column j (both 1-based)."""
-    return j - i
-
-
 def is_horizontal_strip(nu, mu):
     """True iff mu is contained in nu and nu/mu has at most one box per column."""
     if not contains(nu, mu):

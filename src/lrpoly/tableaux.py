@@ -1,17 +1,19 @@
 """Reverse tableaux with barred/plain (optionally primed) entries.
 
 A reverse tableau fills the boxes of a composition shape with entries whose
-absolute values weakly decrease along each row.  Barred entries drive the row
-and column words; plain entries carry binomial weights a_{k - rho_k} -
-a_{k - c}, where rho is the partition grown so far by the word prefix and c
-is the box content.  Priming a plain entry selects the second (negated)
+absolute values weakly decrease along each row.  Barred entries drive the
+word, read in row or column order; plain entries carry binomial weights
+a_{k - rho_k} - a_{k - c}, where rho is the partition grown so far by the
+word prefix and c is the box content.  Priming a plain entry selects the second (negated)
 monomial of its weight, which is how tableau weights expand into monomials.
 Outside the search, every word, rho and weight comes from one walk,
 reading, which yields each box with rho_k and grows rho with add_box.
 
-One backtracking search (_enumerate) finds every filling.  The enumerators
-collect its fillings as ReverseTableau objects; lr_weight_sum, behind the
-tableau rules, builds none and sums the weights during the search instead.
+One backtracking search (_enumerate) finds every filling.
+enumerate_k_tableaux, the stacked-Pieri enumeration behind the involution
+checks, collects its fillings as ReverseTableau objects; lr_weight_sum,
+behind the tableau rules, builds none and sums the weights of the LR
+tableaux during the search instead.
 A binomial is zero exactly when rho_k = c, so in column order (the search's
 own order) a zero binomial cuts off its branch with every completion below
 it, and in row order it drops its filling before any product is formed.
@@ -185,11 +187,6 @@ def row_word(T):
     return tuple(e.value for _, _, e, _ in reading(T, (), "row") if e.barred)
 
 
-def column_word(T):
-    """Values of the barred entries, read in column order."""
-    return tuple(e.value for _, _, e, _ in reading(T, (), "column") if e.barred)
-
-
 def apply_word(mu, word):
     """Grow mu by adding a box to row s for each s in the word.
 
@@ -203,27 +200,6 @@ def apply_word(mu, word):
     return iv(rho), good
 
 
-def rho_at(T, mu, alpha, order):
-    """mu grown by the barred-entry prefix up to and including box alpha."""
-    prefix = []
-    for i, j, e, _ in reading(T, mu, order):
-        if e.barred:
-            prefix.append(e.value)
-        if (i, j) == alpha:
-            return apply_word(mu, prefix)[0]
-    raise ValueError("box not in shape")
-
-
-def entry_weight(T, mu, alpha, order):
-    """The binomial a_{k - rho(alpha)_k} - a_{k - c(alpha)} for a plain entry."""
-    for i, j, e, rk in reading(T, mu, order):
-        if (i, j) == alpha:
-            if e.barred:
-                raise ValueError("barred entry has no weight")
-            return APoly.var(e.value - rk) - APoly.var(e.value - (j - i))
-    raise ValueError("box not in shape")
-
-
 def tableau_weight(T, mu, order):
     """Product of the weights of all plain entries (empty product is 1)."""
     total = APoly.one()
@@ -233,29 +209,6 @@ def tableau_weight(T, mu, order):
             if total.is_zero():
                 return total
     return total
-
-
-def expand_monomials(T, mu, order):
-    """All primed variants of T with their signed monomial weights.
-
-    Each plain entry is either left unprimed (contributing the monomial
-    a_{k - rho_k}) or primed (contributing -a_{k - c}).  The signed monomials
-    over all 2^(#plain) variants sum to tableau_weight(T, mu, order).
-    """
-    out = [(T, APoly.one())]
-    for i, j, e, rk in reading(T, mu, order):
-        if e.barred:
-            continue
-        unprimed = APoly.var(e.value - rk)
-        primed = APoly.var(e.value - (j - i), coeff=-1)
-        nxt = []
-        for U, mono in out:
-            nxt.append((U, mono * unprimed))
-            rows = [list(r) for r in U.rows]
-            rows[i - 1][j - 1] = Entry(e.value, False, True)
-            nxt.append((ReverseTableau(rows), mono * primed))
-        out = nxt
-    return out
 
 
 class _Plan(NamedTuple):
@@ -304,7 +257,7 @@ def _entries(top):
 
 
 def _enumerate(plan, mu, nu, plain_cap, leaf, weight=None):
-    """Backtracking core of the tableau enumerators and the weighted LR sum.
+    """Backtracking core of _tableaux and the weighted LR sum.
 
     Fills the boxes of the plan in its traversal order; the word of barred
     values in that order must be Yamanouchi and reach nu from mu.  plain_cap
@@ -389,9 +342,10 @@ def _tableaux(shape, order, mu, nu, plain_cap, column_strict):
 
 
 def lr_weight_sum(lam, mu, nu, order):
-    """The sum of tableau_weight(T, mu, order) over enumerate_lr_tableaux(lam, mu, nu).
+    """The sum of tableau_weight(T, mu, order) over the LR tableaux T.
 
-    Returned as a term dict.  No tableau is built.  In column order, the
+    These have shape lam, strict columns, plain values at most l(nu) and a
+    Yamanouchi column word taking mu to nu.  Returned as a term dict.  No tableau is built.  In column order, the
     search's own order, the weight is multiplied up as boxes are placed and
     zero binomials cut their branch off.  In row order, each filling gets
     one integer pass that grows rho in row order; a filling with a zero
@@ -432,26 +386,6 @@ def lr_weight_sum(lam, mu, nu, order):
 
     _enumerate(plan, mu, nu, lambda i: cap, leaf)
     return out
-
-
-def enumerate_lr_tableaux(lam, mu, nu, cap=None):
-    """Shape-lam tableaux with Yamanouchi column word mu -> nu and strict columns.
-
-    Plain values are capped at l(nu) (override with cap); barred values are
-    bounded by the Yamanouchi condition automatically.
-    """
-    lam = tuple(lam)
-    if cap is None:
-        cap = len(tuple(nu))
-    return _tableaux(lam, "column", mu, nu, lambda i: cap, column_strict=True)
-
-
-def enumerate_pieri_tableaux(p, e, mu, nu, cap=None):
-    """Single-row tableaux of shape (0,...,0,p) (row e+1) with Yamanouchi row word."""
-    shape = (0,) * e + (p,)
-    if cap is None:
-        cap = len(tuple(nu))
-    return _tableaux(shape, "row", mu, nu, lambda i: cap, column_strict=False)
 
 
 def enumerate_k_tableaux(kappa, mu, nu, cap=None):

@@ -5,26 +5,22 @@ Each test prints one pass/fail line via pytest -v.  All comparisons are exact
 """
 
 from lrpoly import cli
-from lrpoly.apoly import APoly, a
+from lrpoly.apoly import APoly
 from lrpoly.shapes import pad, size, contains, lr_targets, partitions_of, partitions_up_to
 from lrpoly.tableaux import (
     ReverseTableau,
     row_word,
-    column_word,
     apply_word,
-    rho_at,
-    entry_weight,
 )
 from lrpoly.lr import c_theorem, c_corollary, alternating_product
 from lrpoly.schursum import SchurSum
 from lrpoly.involutions import BadCell, classify_bad, psi1, psi
 from lrpoly.double_sym import (
-    h_n_shifted,
     double_schur_n,
-    phi_n,
     c_oracle,
     classical_lr,
 )
+from definitions import a, column_word, rho_at, entry_weight, h_n_shifted, phi_n
 
 
 def _assert_suite_passes(name, weight, count):

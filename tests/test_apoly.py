@@ -5,8 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpoly.apoly import B, ONE_MONO, APoly, a, pack, unpack
+from lrpoly.apoly import B, ONE_MONO, APoly, pack, unpack
 from lrpoly.cli import main
+from definitions import a
 
 
 def test_ring_axioms_small():

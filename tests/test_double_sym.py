@@ -3,13 +3,11 @@
 import pytest
 
 from lrpoly import double_sym
-from lrpoly.apoly import APoly, a
+from lrpoly.apoly import APoly
 from lrpoly.schursum import SchurSum
 from lrpoly.shapes import all_permutations, partitions_up_to, perm_sign, size
 from lrpoly.double_sym import (
     XPoly,
-    h_n,
-    h_n_shifted,
     double_schur_n,
     product_decomposition,
     c_oracle,
@@ -18,18 +16,19 @@ from lrpoly.double_sym import (
     _schur_sym_branch,
     _decompose_sym,
 )
+from definitions import a, x_const, x_one, x_var, x_mul, x_at_zero, h_n, h_n_shifted
 
 
 def test_h_n_small():
     # h_1 in 2 variables: (x_1 - a_1) + (x_2 - a_2)
     h = h_n(1, 2)
     expected = (
-        XPoly.x(1, 2)
-        + XPoly.x(2, 2)
-        + XPoly.const(2, APoly.var(1, coeff=-1) - a(2))
+        x_var(1, 2)
+        + x_var(2, 2)
+        + x_const(2, APoly.var(1, coeff=-1) - a(2))
     )
     assert h == expected
-    assert h_n(0, 3) == XPoly.one(3)
+    assert h_n(0, 3) == x_one(3)
     assert h_n(2, 0).is_zero()
 
 
@@ -43,16 +42,16 @@ def test_double_schur_symmetric_and_classical_leading_term():
         # at a = 0 this is the classical Schur polynomial; check its
         # leading monomial x^lam has coefficient 1
         lead = tuple(lam) + (0,) * (3 - len(lam))
-        assert P.at_zero().terms.get(lead) == APoly.one()
+        assert x_at_zero(P).terms.get(lead) == APoly.one()
 
 
 def _jacobi_trudi_dense(lam, n):
     """det[h_{lam_i + j - i} shifted by j - 1] as a Leibniz sum of dense products."""
     total = XPoly.zero(n)
     for w in all_permutations(len(lam)):
-        term = XPoly.const(n, perm_sign(w))
+        term = x_const(n, perm_sign(w))
         for i, wi in enumerate(w, start=1):
-            term = term * h_n_shifted(lam[i - 1] + wi - i, wi - 1, n)
+            term = x_mul(term, h_n_shifted(lam[i - 1] + wi - i, wi - 1, n))
         total = total + term
     return total
 

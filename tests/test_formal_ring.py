@@ -4,9 +4,9 @@ from lrpoly.formal_ring import (
     SignedHSum,
     staircase,
     jacobi_trudi,
-    straighten,
     formal_pieri_terms,
 )
+from definitions import straighten
 
 
 def test_word_conventions():

@@ -5,11 +5,13 @@ rules, run over the package and the tests.  An import counts as used when
 the module reads the name, lists it in ``__all__``, or re-exports it to a
 test that imports it from that module.  A module-level function, class or
 assigned name of a package module counts as read when that module loads it
-as a name or lists it in ``__all__``, or some package or test file imports
+as a name or lists it in ``__all__``, or some other package module imports
 it from that module or reads it as ``<alias of that module>.<name>``; a
-read of the same name from another module does not count.  A parameter of
-a package function, other than ``self``, ``cls`` and names starting with
-``_``, counts as used when the function's body loads it.
+read of the same name from another module does not count, and neither
+does a read from a test: a definition only the tests read belongs in
+``tests/definitions.py``.  A parameter of a package function, other than
+``self``, ``cls`` and names starting with ``_``, counts as used when the
+function's body loads it.
 """
 
 import ast
@@ -17,7 +19,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lrpoly"
-SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE_SOURCES = sorted(PACKAGE.glob("*.py"))
+SOURCES = PACKAGE_SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imports(tree):
@@ -48,9 +51,7 @@ def _used(tree):
 
 
 def _module_name(path):
-    """Dotted module name of a source file; a test is named by its stem."""
-    if path.parent != PACKAGE:
-        return path.stem
+    """Dotted module name of a package source file."""
     return "lrpoly" if path.stem == "__init__" else f"lrpoly.{path.stem}"
 
 
@@ -158,12 +159,11 @@ def test_no_unused_imports():
 
 
 def test_no_unused_definitions():
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in PACKAGE_SOURCES}
     reads = set().union(*(_reads(path, tree) for path, tree in trees.items()))
     unused = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path, tree in trees.items()
-        if path.parent == PACKAGE
         for name, line in _definitions(tree)
         if (_module_name(path), name) not in reads
     ]
@@ -173,8 +173,7 @@ def test_no_unused_definitions():
 def test_no_unused_parameters():
     unread = [
         f"{path.relative_to(ROOT)}:{line}: {func}({param})"
-        for path in SOURCES
-        if path.parent == PACKAGE
+        for path in PACKAGE_SOURCES
         for func, param, line in _unread_parameters(ast.parse(path.read_text(), str(path)))
     ]
     assert not unread, "parameters never read:\n" + "\n".join(unread)

@@ -6,7 +6,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpoly.apoly import APoly, a
+from lrpoly.apoly import APoly
 from lrpoly.shapes import (
     iv,
     pad,
@@ -27,9 +27,7 @@ from lrpoly.tableaux import (
     row_word,
     apply_word,
     tableau_weight,
-    expand_monomials,
     enumerate_k_tableaux,
-    enumerate_pieri_tableaux,
 )
 from lrpoly import involutions
 from lrpoly.involutions import (
@@ -42,6 +40,7 @@ from lrpoly.involutions import (
     derived_monomial_tableaux,
     pieri_bad_pair,
 )
+from definitions import a, expand_monomials, enumerate_pieri_tableaux
 
 
 @pytest.mark.parametrize(
@@ -158,15 +157,10 @@ def test_psi_involution_grid():
     assert set(conditions) == {"C2a", "C2b", "C2c"}
 
 
-@settings(max_examples=250)
-@given(
-    st.sampled_from([lam for lam in partitions_up_to(5) if len(lam) == 2]),
-    st.sampled_from(partitions_up_to(3)),
-    st.data(),
-)
-def test_psi_involution_on_random_two_row_cells(lam, mu, data):
-    # beyond the fixed grids: |lam| up to 5 and |mu| up to 3
-    nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))
+def _assert_psi_involution_on_cell(lam, mu, nu):
+    """psi on every bad stacked tableau of the cell: a valid tableau on the
+    swapped shape whose row word still takes mu to nu, bad in the same row,
+    and mapped back to where it came from."""
     for kappa in _psi_shapes(lam):
         for T in enumerate_k_tableaux(kappa, mu, nu, cap=CAP):
             cell = classify_bad(T, mu)
@@ -174,9 +168,38 @@ def test_psi_involution_on_random_two_row_cells(lam, mu, data):
                 continue
             Tt = psi(T, mu)
             assert Tt.shape == tuple(apply_rbar(cell.row, cell.row + 1, kappa)), T.to_text()
+            assert Tt.is_valid(), T.to_text()
             word, yam = apply_word(mu, row_word(Tt))
             assert yam and tuple(word) == tuple(iv(nu)), T.to_text()
+            pcell = classify_bad(Tt, mu)
+            assert pcell is not None and pcell.row == cell.row, T.to_text()
             assert psi(Tt, mu) == T, T.to_text()
+
+
+def _cells(rows):
+    """Every (lam, mu, nu) with l(lam) = rows, |lam| <= 5, |mu| <= 3, mu <= nu."""
+    return [
+        (lam, mu, nu)
+        for lam in partitions_up_to(5)
+        if len(lam) == rows
+        for mu in partitions_up_to(3)
+        for nu in lr_targets(lam, mu)
+        if contains(nu, mu)
+    ]
+
+
+@settings(max_examples=250)
+@given(st.sampled_from(_cells(2)))
+def test_psi_involution_on_random_two_row_cells(cell):
+    # beyond the fixed grids: |lam| up to 5 and |mu| up to 3
+    _assert_psi_involution_on_cell(*cell)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_cells(3)))
+def test_psi_involution_on_random_three_row_cells(cell):
+    # three rows, so psi also acts between rows 2 and 3: 761 cells to draw from
+    _assert_psi_involution_on_cell(*cell)
 
 
 @pytest.mark.parametrize("text, cell, image", [

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpoly.apoly import APoly, a, pack, unpack
+from lrpoly.apoly import APoly, pack, unpack
 from lrpoly.shapes import (
     all_permutations,
     contains,
@@ -15,7 +15,7 @@ from lrpoly.shapes import (
     partitions_up_to,
     size,
 )
-from lrpoly.tableaux import enumerate_lr_tableaux, lr_weight_sum, tableau_weight
+from lrpoly.tableaux import lr_weight_sum, tableau_weight
 from lrpoly.lr import (
     pieri_tableau,
     kostka,
@@ -27,6 +27,7 @@ from lrpoly.lr import (
 from lrpoly.stable_ring import pieri_stable
 from lrpoly.double_sym import classical_lr
 from lrpoly.schursum import SchurSum
+from definitions import a, enumerate_lr_tableaux
 
 
 def test_single_box_product():
@@ -242,3 +243,29 @@ def test_conjugation_duality_of_theorem_on_the_criterion_06_grid():
         assert c_theorem(_conjugate(lam), _conjugate(mu), _conjugate(nu)) == _dual(
             c_theorem(lam, mu, nu)
         ), (lam, mu, nu)
+
+
+def test_associativity_of_alternating_products():
+    # (s_lam s_mu) s_rho = s_lam (s_mu s_rho), multiplying a SchurSum by a
+    # Schur function term by term through alternating_product
+    shapes = [lam for lam in partitions_up_to(3) if lam]
+    triples = [
+        (lam, mu, rho)
+        for lam in shapes
+        for mu in shapes
+        for rho in shapes
+        if size(lam) + size(mu) + size(rho) <= 6
+    ]
+    assert len(triples) == 72
+    for lam, mu, rho in triples:
+        left = sum(
+            (alternating_product(kappa, rho).scale(c)
+             for kappa, c in alternating_product(lam, mu).terms.items()),
+            SchurSum(),
+        )
+        right = sum(
+            (alternating_product(lam, kappa).scale(c)
+             for kappa, c in alternating_product(mu, rho).terms.items()),
+            SchurSum(),
+        )
+        assert left == right and left, (lam, mu, rho)

@@ -5,7 +5,6 @@ from lrpoly.shapes import (
     pad,
     size,
     contains,
-    content,
     is_partition,
     is_composition,
     is_horizontal_strip,
@@ -34,12 +33,11 @@ def test_predicates():
     assert not is_composition((1, -1))
 
 
-def test_pad_size_contains_content():
+def test_pad_size_contains():
     assert pad((2, 1), 4) == (2, 1, 0, 0)
     assert size((3, 2)) == 5
     assert contains((3, 2), (2, 2))
     assert not contains((3, 2), (2, 3))
-    assert content(2, 5) == 3
 
 
 def test_horizontal_strip():

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from lrpoly.apoly import APoly, a, pack
+from lrpoly.apoly import APoly, pack
 from lrpoly.double_sym import XPoly, _Sym
 from lrpoly.formal_ring import SignedHSum
 from lrpoly.lr import kostka
@@ -10,6 +10,7 @@ from lrpoly.schursum import SchurSum
 from lrpoly.shapes import partitions_up_to
 from lrpoly.sparse import accumulate
 from lrpoly.stable_ring import _PIERI_CACHE, _ROW_CACHE, multiply_by_h
+from definitions import a
 
 
 def _all_nonzero(terms):

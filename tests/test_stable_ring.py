@@ -2,12 +2,13 @@
 
 from hypothesis import given, settings, strategies as st
 
-from lrpoly.apoly import APoly, a
-from lrpoly.formal_ring import formal_pieri_terms, staircase, straighten
+from lrpoly.apoly import APoly
+from lrpoly.formal_ring import formal_pieri_terms, staircase
 from lrpoly.schursum import SchurSum
 from lrpoly.shapes import partitions_up_to
 from lrpoly.sparse import accumulate
 from lrpoly.stable_ring import _reduce_row, pieri_stable, multiply_by_h
+from definitions import a, straighten
 
 
 def reduce_to_staircase(mu, beta):

@@ -28,12 +28,14 @@ from lrpoly.tableaux import (
     row_word,
     apply_word,
     tableau_weight,
+    enumerate_k_tableaux,
+    lr_weight_sum,
+)
+from definitions import (
     entry_weight,
     expand_monomials,
     enumerate_lr_tableaux,
     enumerate_pieri_tableaux,
-    enumerate_k_tableaux,
-    lr_weight_sum,
 )
 
 # Worked tableau of shape (3, 6, 1), used as the golden fixture throughout:
