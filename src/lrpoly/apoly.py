@@ -189,6 +189,17 @@ class APoly(Terms):
             terms = {step(m): c for m, c in terms.items()}
         return self if terms is self.terms else APoly(terms)
 
+    def dual(self):
+        """The involution a_i -> -a_{1-i}: a monomial of degree k gains the sign (-1)^k.
+
+        It is the coefficient map of conjugation duality: c^{nu'}_{lam',mu'}
+        is the dual of c^nu_{lam,mu}, with ' the conjugate partition.
+        """
+        out = {}
+        for m, c in self.terms.items():
+            out[pack((1 - i, e) for i, e in unpack(m))] = -c if (m & _FIELD) % 2 else c
+        return APoly(out)
+
     def substitute(self, assignment):
         """Exact rational evaluation; assignment maps variable index to a number."""
         total = Fraction(0)

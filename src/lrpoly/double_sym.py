@@ -12,7 +12,7 @@ from itertools import permutations, product
 
 from .apoly import APoly, _mul_into
 from .schursum import SchurSum
-from .shapes import iv, pad, is_partition, lambda_omega, partitions_of
+from .shapes import conjugate, iv, pad, is_partition, lambda_omega, partitions_of
 from .sparse import Terms, accumulate
 
 
@@ -284,8 +284,18 @@ def product_decomposition(lam, mu, n):
 def c_oracle(lam, mu, nu):
     """Structure coefficient of s_nu in s_lam * s_mu, by brute force.
 
-    Expands the product in n0 = max(l(nu), 1) variables, the smallest count
-    at which s_nu is nonzero.  This is enough: the evaluation phi_n
+    Expands the product in n0 = min(l(nu), nu_1) variables (1 for the empty
+    nu).  When nu_1 < l(nu) it brute-forces the conjugate cell instead and
+    maps the answer back by conjugation duality,
+    c^nu_{lam,mu}(a) = c^{nu'}_{lam',mu'}(a') with a'_i = -a_{1-i}: the
+    involution omega of Molev, "Comultiplication rules for the double Schur
+    functions and Cauchy identities" (EJC 2009).  So on a flipped cell the
+    value rests on that theorem as well as on brute force;
+    tests/test_double_sym.py checks the theorem by brute force on both
+    sides of a whole grid.
+
+    On the cell it expands, n0 = max(l(nu), 1) is the smallest count at
+    which s_nu is nonzero.  This is enough: the evaluation phi_n
     (x_n := a_n) is a ring homomorphism sending s_kappa in n variables to
     s_kappa in n - 1 variables, or to 0 when l(kappa) = n, and it leaves the
     a-coefficients alone.  So the coefficient of s_nu in s_lam * s_mu is the
@@ -296,12 +306,16 @@ def c_oracle(lam, mu, nu):
     themselves (criterion 05).
     """
     lam, mu, nu = iv(lam), iv(mu), iv(nu)
+    flip = bool(nu) and nu[0] < len(nu)
+    if flip:
+        lam, mu, nu = conjugate(lam), conjugate(mu), conjugate(nu)
     n0 = max(len(nu), 1)
     d1 = product_decomposition(lam, mu, n0)
     d2 = product_decomposition(lam, mu, n0 + 1)
     if d1 != SchurSum({k: c for k, c in d2.terms.items() if len(k) <= n0}):
         raise ArithmeticError(f"unstable at chosen n: n0={n0} vs n0+1 disagree")
-    return d1.coeff(nu)
+    c = d1.coeff(nu)
+    return c.dual() if flip else c
 
 
 def _horizontal_strip_extensions(mu, p):

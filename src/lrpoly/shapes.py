@@ -45,6 +45,11 @@ def contains(alpha, beta):
     return all(a[i] >= b[i] for i in range(l))
 
 
+def conjugate(lam):
+    """The conjugate partition: its j-th part counts the parts of lam above j - 1."""
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+
+
 def is_horizontal_strip(nu, mu):
     """True iff mu is contained in nu and nu/mu has at most one box per column."""
     if not contains(nu, mu):

@@ -5,7 +5,15 @@ import pytest
 from lrpoly import double_sym
 from lrpoly.apoly import APoly
 from lrpoly.schursum import SchurSum
-from lrpoly.shapes import all_permutations, partitions_up_to, perm_sign, size
+from lrpoly.shapes import (
+    all_permutations,
+    conjugate,
+    contains,
+    lr_targets,
+    partitions_up_to,
+    perm_sign,
+    size,
+)
 from lrpoly.double_sym import (
     XPoly,
     double_schur_n,
@@ -102,7 +110,8 @@ def _restricted(d, n):
 
 def test_product_decomposition_stable_in_n():
     # the coefficient of s_nu is the same in every n >= l(nu), which is what
-    # lets c_oracle expand at max(l(nu), 1) variables
+    # lets c_oracle expand the cell it brute-forces, nu or its conjugate,
+    # at max(l(nu), 1) variables
     for lam in partitions_up_to(4):
         for mu in partitions_up_to(4 - size(lam)):
             for n in range(1, size(lam) + size(mu) + 2):
@@ -111,19 +120,56 @@ def test_product_decomposition_stable_in_n():
                 ), (lam, mu, n)
 
 
-def test_c_oracle_detects_instability(monkeypatch):
-    lam, mu, nu = (1,), (1,), (1, 1)
+@pytest.mark.parametrize(
+    "cell, expanded",
+    [
+        # nu_1 < l(nu): the conjugate cell is expanded, at n0 = 1
+        (((1,), (1,), (1, 1)), ((1,), (1,), (2,))),
+        # nu_1 >= l(nu): the cell itself is expanded, at n0 = 2
+        (((1,), (1, 1), (2, 1)), ((1,), (1, 1), (2, 1))),
+    ],
+    ids=["flipped", "unflipped"],
+)
+def test_c_oracle_detects_instability(monkeypatch, cell, expanded):
+    lam, mu, nu = expanded
+    n0 = len(nu)
     original = double_sym.product_decomposition
+    calls = []
 
-    def tampered(lam, mu, n):
-        d = original(lam, mu, n)
-        if n == len(nu) + 1:
+    def tampered(lam_, mu_, n):
+        calls.append((lam_, mu_, n))
+        d = original(lam_, mu_, n)
+        if (lam_, mu_, n) == (lam, mu, n0 + 1):
             d = d + SchurSum.single(nu)
         return d
 
     monkeypatch.setattr(double_sym, "product_decomposition", tampered)
     with pytest.raises(ArithmeticError):
-        c_oracle(lam, mu, nu)
+        c_oracle(*cell)
+    assert calls == [(lam, mu, n0), (lam, mu, n0 + 1)]
+
+
+def _expanded_coefficient(lam, mu, nu):
+    """c^nu_{lam,mu} read off the expansion in max(l(nu), 1) variables, never flipped."""
+    return product_decomposition(lam, mu, max(len(nu), 1)).coeff(nu)
+
+
+def test_conjugation_duality_by_brute_force_on_both_sides():
+    # c_oracle expands the conjugate cell when nu_1 < l(nu) and trusts
+    # c^nu_{lam,mu} = dual of c^{nu'}_{lam',mu'}; here both sides are expanded
+    cells = [
+        (lam, mu, nu)
+        for lam in partitions_up_to(3)
+        if lam
+        for mu in partitions_up_to(3)
+        for nu in lr_targets(lam, mu)
+        if contains(nu, mu)
+    ]
+    assert len(cells) == 385
+    for lam, mu, nu in cells:
+        assert _expanded_coefficient(lam, mu, nu) == _expanded_coefficient(
+            conjugate(lam), conjugate(mu), conjugate(nu)
+        ).dual(), (lam, mu, nu)
 
 
 def test_decomposition_leaves_cached_bases_intact():

@@ -5,9 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpoly.apoly import APoly, pack, unpack
+from lrpoly.apoly import APoly
 from lrpoly.shapes import (
     all_permutations,
+    conjugate,
     contains,
     lambda_omega,
     lr_targets,
@@ -201,19 +202,6 @@ def test_alternating_product_support_on_the_weight_5_grid():
     assert support == 4295
 
 
-def _conjugate(lam):
-    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
-
-
-def _dual(c):
-    """c(a') with a'_i = -a_{1-i}: a monomial of degree k gains the sign (-1)^k."""
-    out = {}
-    for m, k in c.terms.items():
-        pairs = unpack(m)
-        out[pack((1 - i, e) for i, e in pairs)] = -k if sum(e for _, e in pairs) % 2 else k
-    return APoly(out)
-
-
 def test_conjugation_duality_of_alternating_products():
     # c^{nu'}_{lam',mu'}(a) = c^nu_{lam,mu}(a'), support included; no route is
     # conjugation-symmetric by construction, so this guards the Pieri fold
@@ -225,8 +213,8 @@ def test_conjugation_duality_of_alternating_products():
     }
     assert len(products) == 132
     for (lam, mu), product in products.items():
-        dual = SchurSum({_conjugate(nu): _dual(c) for nu, c in product.terms.items()})
-        assert products[_conjugate(lam), _conjugate(mu)] == dual, (lam, mu)
+        dual = SchurSum({conjugate(nu): c.dual() for nu, c in product.terms.items()})
+        assert products[conjugate(lam), conjugate(mu)] == dual, (lam, mu)
 
 
 def test_conjugation_duality_of_theorem_on_the_criterion_06_grid():
@@ -240,9 +228,18 @@ def test_conjugation_duality_of_theorem_on_the_criterion_06_grid():
     ]
     assert len(cells) == 2293
     for lam, mu, nu in cells:
-        assert c_theorem(_conjugate(lam), _conjugate(mu), _conjugate(nu)) == _dual(
-            c_theorem(lam, mu, nu)
+        assert c_theorem(conjugate(lam), conjugate(mu), conjugate(nu)) == (
+            c_theorem(lam, mu, nu).dual()
         ), (lam, mu, nu)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(partitions_up_to(6)), st.sampled_from(partitions_up_to(6)), st.data())
+def test_conjugation_duality_of_theorem_on_random_cells(lam, mu, data):
+    nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))
+    assert c_theorem(conjugate(lam), conjugate(mu), conjugate(nu)) == (
+        c_theorem(lam, mu, nu).dual()
+    ), (lam, mu, nu)
 
 
 def test_associativity_of_alternating_products():
