@@ -14,6 +14,7 @@ import sys
 from collections import defaultdict
 
 from .apoly import APoly
+from .sparse import Terms
 from .shapes import (
     iv,
     size,
@@ -22,8 +23,7 @@ from .shapes import (
     is_horizontal_strip,
     bad_compositions,
     apply_rbar,
-    lambda_omega,
-    all_permutations,
+    jacobi_trudi_fold,
     lr_targets,
     partitions_of,
     partitions_up_to,
@@ -255,15 +255,15 @@ def _suite_lr(w):
 def _psi_report(lam, mu, nu, cap):
     """Check psi on all bad stacked tableaux for one (lam, mu, nu) cell.
 
+    The shapes kappa, the lam^omega with no negative entry, are the keys
+    jacobi_trudi_fold builds by prepending each row's p, trimmed and sorted.
     Returns (failure-or-None, {(kappa, row): aggregate bad weight}).
     """
     groups = defaultdict(APoly.zero)
-    shapes = set()
-    for omega in all_permutations(len(lam)):
-        kappa, _ = lambda_omega(lam, omega)
-        if all(k >= 0 for k in kappa):
-            shapes.add(tuple(kappa))
-    for kappa in sorted(shapes):
+    signed = jacobi_trudi_fold(
+        lam, Terms({(): 1}), lambda t, p, _i: Terms({(p,) + k: c for k, c in t.terms.items()})
+    )
+    for kappa in sorted(iv(k) for k in signed.terms):
         for T in enumerate_k_tableaux(kappa, mu, nu, cap=cap):
             cell = classify_bad(T, mu)
             if cell is None:

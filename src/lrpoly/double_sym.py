@@ -8,11 +8,11 @@ classical (all a_i = 0) Littlewood-Richardson implementation used as a
 cross-check.
 """
 
-from itertools import permutations, product
+from itertools import product
 
 from .apoly import APoly, _mul_into
 from .schursum import SchurSum
-from .shapes import conjugate, iv, pad, is_partition, lambda_omega, partitions_of
+from .shapes import conjugate, iv, pad, is_partition, jacobi_trudi_fold, partitions_of
 from .sparse import Terms, accumulate
 
 
@@ -344,30 +344,22 @@ _CLASSICAL_CACHE = {}
 def classical_lr(lam, mu, nu):
     """Classical Littlewood-Richardson coefficient, all a_i = 0.
 
-    Independent integer implementation: alternating sum over permuted
-    staircase compositions of iterated classical Pieri multiplications
-    (horizontal strips), per the determinant expansion of the classical
-    Jacobi-Trudi identity.  The sum is taken once per (lam, mu) for every
-    nu at once, and cached.
+    Independent integer implementation: the classical Jacobi-Trudi
+    determinant folded row by row (jacobi_trudi_fold), each row an
+    iterated classical Pieri multiplication (horizontal strips) on integer
+    counts, with no call to the stable Pieri rule.  The sum is taken once
+    per (lam, mu) for every nu at once, and cached.
     """
     lam, mu = iv(lam), iv(mu)
     key = (lam, mu)
     table = _CLASSICAL_CACHE.get(key)
     if table is None:
-        table = {}
-        l = len(lam)
-        for omega in permutations(range(1, l + 1)):
-            kappa, sign = lambda_omega(lam, omega)
-            kappa = pad(kappa, l)
-            if any(k < 0 for k in kappa):
-                continue
-            counts = {mu: 1}
-            for i in range(l - 1, -1, -1):
-                nxt = {}
-                for part, cnt in counts.items():
-                    for ext in _horizontal_strip_extensions(part, kappa[i]):
-                        nxt[ext] = nxt.get(ext, 0) + cnt
-                counts = nxt
-            accumulate(table, ((nu, sign * cnt) for nu, cnt in counts.items()))
+        def add_strips(counts, p, _i):
+            out = {}
+            for part, cnt in counts.terms.items():
+                accumulate(out, ((ext, cnt) for ext in _horizontal_strip_extensions(part, p)))
+            return Terms(out)
+
+        table = jacobi_trudi_fold(lam, Terms({mu: 1}), add_strips).terms
         _CLASSICAL_CACHE[key] = table
     return table.get(iv(nu), 0)

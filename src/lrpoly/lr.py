@@ -8,9 +8,9 @@ The coefficient of s_nu in s_lam * s_mu is computed three independent ways:
   the tableau search, and fillings with a zero binomial are cut off;
 * c_alternating: the coefficient at nu of alternating_product, which
   expands the whole product s_lam * s_mu once as the signed sum of
-  h_{lam^omega} * s_mu over the permuted-staircase shapes lam^omega, each an
-  iterated stable Pieri product; a sweep over nu reads every coefficient
-  from one product.
+  h_{lam^omega} * s_mu, folding the Jacobi-Trudi determinant in row by row
+  (jacobi_trudi_fold) with the stable Pieri rule; a sweep over nu reads
+  every coefficient from one product.
 
 All three agree, vanish unless nu contains both lam and mu, specialize at
 a = 0 to the classical Littlewood-Richardson numbers, and are homogeneous of
@@ -19,7 +19,7 @@ degree |lam| + |mu| - |nu|.
 
 from .apoly import APoly
 from .schursum import SchurSum
-from .shapes import iv, lambda_omega, all_permutations
+from .shapes import iv, jacobi_trudi_fold
 from .sparse import accumulate
 from .stable_ring import multiply_by_h, pieri_stable
 from .tableaux import lr_weight_sum
@@ -72,20 +72,6 @@ def pieri_tableau(p, e, mu):
     return SchurSum(out)
 
 
-def _h_product(kappa, mu, rule):
-    """h_{kappa,1} * s_mu as a SchurSum: rule folded over the rows of kappa.
-
-    rule(p, e, mu) expands h_{p,e} * s_mu; the rows are taken from the
-    bottom up.  Any negative entry of kappa gives the zero sum.
-    """
-    if any(k < 0 for k in kappa):
-        return SchurSum.zero()
-    s = SchurSum.single(mu)
-    for i in range(len(kappa), 0, -1):
-        s = multiply_by_h(kappa[i - 1], i - 1, s, rule)
-    return s
-
-
 def kostka(kappa, mu, nu, method="recursion"):
     """Coefficient of s_nu in h_{kappa,1} * s_mu.
 
@@ -100,23 +86,23 @@ def kostka(kappa, mu, nu, method="recursion"):
     rules = {"recursion": pieri_stable, "tableaux": pieri_tableau}
     if method not in rules:
         raise ValueError("method must be 'recursion' or 'tableaux'")
-    return _h_product(kappa, mu, rules[method]).coeff(nu)
+    if any(k < 0 for k in kappa):
+        return APoly.zero()
+    s = SchurSum.single(mu)
+    for i in range(len(kappa), 0, -1):
+        s = multiply_by_h(kappa[i - 1], i - 1, s, rules[method])
+    return s.coeff(nu)
 
 
 def alternating_product(lam, mu):
     """s_lam * s_mu as a SchurSum: the signed sum of h_{lam^omega} * s_mu.
 
-    Jacobi-Trudi writes s_lam as the sum over omega of sgn(omega) h_{lam^omega};
-    each term is folded with the stable Pieri rule, so the result holds every
+    jacobi_trudi_fold expands s_lam row by row, each factor h_{p,i-1} is
+    applied with the stable Pieri rule, and partial products over the same
+    rows are added before the next factor; the result holds every
     coefficient c^nu_{lam,mu}(a) at once.
     """
-    lam = iv(lam)
-    out = {}
-    for omega in all_permutations(len(lam)):
-        kappa, sign = lambda_omega(lam, omega)
-        terms = _h_product(kappa, mu, pieri_stable).terms
-        accumulate(out, ((nu, c * sign) for nu, c in terms.items()))
-    return SchurSum(out)
+    return jacobi_trudi_fold(lam, SchurSum.single(mu), lambda s, p, i: multiply_by_h(p, i - 1, s))
 
 
 def c_alternating(lam, mu, nu):

@@ -6,8 +6,6 @@ compositions are just integer vectors satisfying extra predicates.  All
 functions here are pure and all values immutable.
 """
 
-from itertools import permutations
-
 
 def iv(entries):
     """Canonical integer vector: tuple with trailing zeros trimmed."""
@@ -127,9 +125,38 @@ def lambda_omega(lam, omega):
     return iv(out[k] - pi[k] for k in range(l)), perm_sign(omega)
 
 
-def all_permutations(l):
-    """All permutations of {1..l} as tuples of images."""
-    return [tuple(p) for p in permutations(range(1, l + 1))]
+def jacobi_trudi_fold(lam, start, times):
+    """The Jacobi-Trudi sum s_lam = sum_omega sgn(omega) h_{lam^omega} applied to start.
+
+    The determinant det(h_{lam_k - k + i}) is expanded row by row: position
+    i, from l(lam) down to 1, takes a source row k not yet placed with
+    p = lam_k - k + i >= 0, times(value, p, i) applies that factor, and the
+    sign is (-1)^#{placed k' < k}.  Values that have placed the same set of
+    sources are added before the next factor, so at most 2^l(lam) are held.
+    The thresholds k - lam_k increase with k, and a set is never built if
+    the r-th unplaced source has a threshold above r, since those sources
+    could not fill the positions left.  Values are Terms; for the empty lam
+    the result is start itself.
+    """
+    lam = iv(lam)
+    l = len(lam)
+    states = {frozenset(): start}
+    for i in range(l, 0, -1):
+        nxt = {}
+        for placed, value in states.items():
+            for k in range(1, l + 1):
+                p = lam[k - 1] - k + i
+                if k in placed or p < 0:
+                    continue
+                rest = [r for r in range(1, l + 1) if r != k and r not in placed]
+                if any(r - lam[r - 1] > n for n, r in enumerate(rest, 1)):
+                    continue
+                term = times(-value if sum(r < k for r in placed) % 2 else value, p, i)
+                key = placed | {k}
+                nxt[key] = nxt[key] + term if key in nxt else term
+        states = nxt
+    (value,) = states.values()
+    return value
 
 
 def compositions_of(p, max_len):

@@ -11,6 +11,8 @@ the reference the tests compare with:
 - ``enumerate_lr_tableaux``, ``enumerate_pieri_tableaux``: the LR and
   single-row Pieri tableaux as objects, from the search behind
   ``lr_weight_sum`` and ``enumerate_k_tableaux``;
+- ``all_permutations``: the permutations omega of the Jacobi-Trudi sum,
+  which ``jacobi_trudi_fold`` expands row by row instead;
 - ``straighten``: sorting the rows of s_{mu,beta}, which ``pieri_stable``
   folds into its row-by-row expansion instead;
 - ``h_n``, ``h_n_shifted``, ``phi_n`` and the ``XPoly`` arithmetic they
@@ -19,6 +21,8 @@ the reference the tests compare with:
   the evaluation x_n := a_n, which the branching Schur construction does
   without.
 """
+
+from itertools import permutations
 
 from lrpoly.apoly import APoly, _mul_into
 from lrpoly.double_sym import XPoly
@@ -98,6 +102,14 @@ def enumerate_pieri_tableaux(p, e, mu, nu, cap=None):
     """Single-row tableaux of shape (0,...,0,p) (row e+1) with Yamanouchi row word."""
     cap = len(tuple(nu)) if cap is None else cap
     return _tableaux((0,) * e + (p,), "row", mu, nu, lambda i: cap, column_strict=False)
+
+
+# --- Jacobi-Trudi ---------------------------------------------------------
+
+
+def all_permutations(l):
+    """All permutations of {1..l} as tuples of images."""
+    return [tuple(p) for p in permutations(range(1, l + 1))]
 
 
 # --- formal ring ----------------------------------------------------------

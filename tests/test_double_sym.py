@@ -6,7 +6,6 @@ from lrpoly import double_sym
 from lrpoly.apoly import APoly
 from lrpoly.schursum import SchurSum
 from lrpoly.shapes import (
-    all_permutations,
     conjugate,
     contains,
     lr_targets,
@@ -24,7 +23,7 @@ from lrpoly.double_sym import (
     _schur_sym_branch,
     _decompose_sym,
 )
-from definitions import a, x_const, x_one, x_var, x_mul, x_at_zero, h_n, h_n_shifted
+from definitions import a, all_permutations, x_const, x_one, x_var, x_mul, x_at_zero, h_n, h_n_shifted
 
 
 def test_h_n_small():

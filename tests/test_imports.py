@@ -12,6 +12,11 @@ does a read from a test: a definition only the tests read belongs in
 ``tests/definitions.py``.  A parameter of a package function, other than
 ``self``, ``cls`` and names starting with ``_``, counts as used when the
 function's body loads it.
+
+One more check keeps ``shapes.jacobi_trudi_fold`` the only Jacobi-Trudi
+expansion of the routes: no package module but ``formal_ring``, whose
+free-ring determinant stays a permutation sum, takes
+``itertools.permutations``, by name or as an attribute.
 """
 
 import ast
@@ -177,3 +182,41 @@ def test_no_unused_parameters():
         for func, param, line in _unread_parameters(ast.parse(path.read_text(), str(path)))
     ]
     assert not unread, "parameters never read:\n" + "\n".join(unread)
+
+
+def _permutations_uses(tree):
+    """Lines where the module takes itertools.permutations, by import or attribute."""
+    itertools_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "itertools"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(alias.name == "permutations" for alias in node.names):
+                yield node.lineno
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "permutations"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in itertools_names
+        ):
+            yield node.lineno
+
+
+def test_only_formal_ring_walks_permutations():
+    for source in (
+        "from itertools import product, permutations",
+        "import itertools\nitertools.permutations(range(3))",
+        "import itertools as it\nit.permutations(range(3))",
+    ):
+        assert list(_permutations_uses(ast.parse(source))), source
+    uses = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in PACKAGE_SOURCES
+        if path.stem != "formal_ring"
+        for line in _permutations_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not uses, "itertools.permutations outside formal_ring:\n" + "\n".join(uses)

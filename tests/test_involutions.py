@@ -15,7 +15,6 @@ from lrpoly.shapes import (
     apply_rbar,
     bad_compositions,
     lambda_omega,
-    all_permutations,
     lr_targets,
     partitions_of,
     partitions_up_to,
@@ -40,7 +39,7 @@ from lrpoly.involutions import (
     derived_monomial_tableaux,
     pieri_bad_pair,
 )
-from definitions import a, expand_monomials, enumerate_pieri_tableaux
+from definitions import a, all_permutations, expand_monomials, enumerate_pieri_tableaux
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from lrpoly.apoly import APoly
 from lrpoly.shapes import (
-    all_permutations,
     conjugate,
     contains,
     lambda_omega,
@@ -28,7 +27,7 @@ from lrpoly.lr import (
 from lrpoly.stable_ring import pieri_stable
 from lrpoly.double_sym import classical_lr
 from lrpoly.schursum import SchurSum
-from definitions import a, enumerate_lr_tableaux
+from definitions import a, all_permutations, enumerate_lr_tableaux
 
 
 def test_single_box_product():
@@ -200,6 +199,17 @@ def test_alternating_product_support_on_the_weight_5_grid():
             assert product.coeff(nu) == c_theorem(lam, mu, nu), (lam, mu, nu)
         support += len(product.terms)
     assert support == 4295
+
+
+def test_alternating_product_on_long_lam():
+    # long lam, where the permutation sum ran 8! and 6! Pieri folds
+    for lam, mu in [((1,) * 8, (1,)), ((3, 3, 2, 2, 1, 1), (1,))]:
+        product = alternating_product(lam, mu)
+        targets = [nu for nu in lr_targets(lam, mu) if contains(nu, mu)]
+        for nu in set(product.terms) | set(targets):
+            c = product.coeff(nu)
+            assert c == c_theorem(lam, mu, nu), (lam, mu, nu)
+            assert c.at_zero() == classical_lr(lam, mu, nu), (lam, mu, nu)
 
 
 def test_conjugation_duality_of_alternating_products():

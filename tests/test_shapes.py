@@ -13,11 +13,13 @@ from lrpoly.shapes import (
     apply_rbar,
     perm_sign,
     lambda_omega,
-    all_permutations,
+    jacobi_trudi_fold,
     compositions_of,
     partitions_of,
     partitions_up_to,
 )
+from lrpoly.sparse import Terms
+from definitions import all_permutations
 
 
 def test_iv_trims_trailing_zeros():
@@ -90,6 +92,27 @@ def test_lambda_omega_signed_sum_is_determinant_expansion():
         assert kappa not in seen
         seen[kappa] = sign
     assert sum(seen.values()) == 0
+
+
+def test_jacobi_trudi_fold_builds_the_signed_nonnegative_lambda_omega():
+    # with a times that prepends p, the fold returns the signed set of kappa:
+    # its signs and pruning, checked against the permutation sum directly
+    def prepend(t, p, _i):
+        return Terms({(p,) + k: c for k, c in t.terms.items()})
+
+    shapes = partitions_up_to(7)
+    assert len(shapes) == 45
+    for lam in shapes:
+        folded = jacobi_trudi_fold(lam, Terms({(): 1}), prepend)
+        expected = {}
+        for omega in all_permutations(len(lam)):
+            kappa, sign = lambda_omega(lam, omega)
+            if all(k >= 0 for k in kappa):
+                expected[kappa] = sign
+        assert {iv(k): c for k, c in folded.terms.items()} == expected, lam
+        assert all(len(k) == len(lam) for k in folded.terms), lam
+    start = Terms({(5,): 1})
+    assert jacobi_trudi_fold((), start, prepend) is start
 
 
 def test_compositions_and_partitions():
