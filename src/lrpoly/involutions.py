@@ -31,11 +31,11 @@ from .tableaux import (
     bar,
     plain,
     format_entry,
-    column_order,
     row_word,
     apply_word,
     reading,
     add_box,
+    _plan,
 )
 
 
@@ -69,7 +69,7 @@ def _p1_break_column(T, mu, i):
     Returns None if the whole column word stays Yamanouchi when applied to mu.
     """
     rho = list(mu)
-    for r, c in column_order(T.shape):
+    for r, c in _plan(T.shape, "column", False).boxes:
         e = T.rows[r - 1][c - 1]
         if r >= i and e.barred and not add_box(rho, e.value):
             return c

@@ -5,7 +5,11 @@ The coefficient of s_nu in s_lam * s_mu is computed three independent ways:
 * c_theorem / c_corollary: direct tableau sums over shape-lam fillings with a
   Yamanouchi column word, weighted with the row-order (theorem) or
   column-order (corollary) prefix partitions; the weights are summed during
-  the tableau search, and fillings with a zero binomial are cut off;
+  the tableau search, and fillings with a zero binomial are cut off.
+  theorem_product / corollary_product expand the whole product s_lam * s_mu
+  by the same rules from one search with no nu bound (lr_weight_table),
+  which files every filling under the nu it ends on.  The table costs the
+  sum of its cells, so the single-cell rules keep their own search;
 * c_alternating: the coefficient at nu of alternating_product, which
   expands the whole product s_lam * s_mu once as the signed sum of
   h_{lam^omega} * s_mu, folding the Jacobi-Trudi determinant in row by row
@@ -22,7 +26,7 @@ from .schursum import SchurSum
 from .shapes import iv, jacobi_trudi_fold
 from .sparse import accumulate
 from .stable_ring import multiply_by_h, pieri_stable
-from .tableaux import lr_weight_sum
+from .tableaux import lr_weight_sum, lr_weight_table
 
 
 def pieri_tableau(p, e, mu):
@@ -122,3 +126,18 @@ def c_theorem(lam, mu, nu):
 def c_corollary(lam, mu, nu):
     """Tableau rule with column-order prefix weights."""
     return _c_tableau(lam, mu, nu, "column")
+
+
+def _tableau_product(lam, mu, order):
+    table = lr_weight_table(iv(lam), iv(mu), order)
+    return SchurSum({nu: APoly(terms) for nu, terms in table.items()})
+
+
+def theorem_product(lam, mu):
+    """s_lam * s_mu as a SchurSum: c_theorem at every nu, from one tableau search."""
+    return _tableau_product(lam, mu, "row")
+
+
+def corollary_product(lam, mu):
+    """s_lam * s_mu as a SchurSum: c_corollary at every nu, from one tableau search."""
+    return _tableau_product(lam, mu, "column")

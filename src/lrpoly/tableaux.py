@@ -9,16 +9,20 @@ monomial of its weight, which is how tableau weights expand into monomials.
 Outside the search, every word, rho and weight comes from one walk,
 reading, which yields each box with rho_k and grows rho with add_box.
 
-One backtracking search (_enumerate) finds every filling.
+One backtracking search (_enumerate) finds every filling, either for one
+target nu or, with no nu bound, for every nu at once.
 enumerate_k_tableaux, the stacked-Pieri enumeration behind the involution
 checks, collects its fillings as ReverseTableau objects; lr_weight_sum,
 behind the tableau rules, builds none and sums the weights of the LR
-tableaux during the search instead.
+tableaux during the search instead, and lr_weight_table files the weights
+of one every-nu search under the nu each filling ends on, which expands a
+whole product s_lam * s_mu.
 A binomial is zero exactly when rho_k = c, so in column order (the search's
 own order) a zero binomial cuts off its branch with every completion below
 it, and in row order it drops its filling before any product is formed.
 What depends only on the shape (the traversal, each box's neighbours and
-content, the rows and the row reading) is built once per shape by _plan,
+content, the rows, the row reading and the rows left after each box) is
+built once per shape by _plan, which also serves reading its box order,
 and the entries and binomials the search places are shared memos too; all
 three are functools.lru_cache functions, so cache_info() and cache_clear()
 reach them.
@@ -161,9 +165,10 @@ def reading(T, mu, order):
 
     Yields (i, j, entry, rho_k) for every box, where rho_k is part k of rho
     for the entry's value k, read before a barred entry adds its box to row k.
+    The boxes come from the shape's cached search plan.
     """
     rho = list(mu)
-    for i, j in _boxes_in(order, T.shape):
+    for i, j in _plan(T.shape, order, False).boxes:
         e = T.rows[i - 1][j - 1]
         k = e.value
         yield i, j, e, rho[k - 1] if k <= len(rho) else 0
@@ -218,7 +223,8 @@ class _Plan(NamedTuple):
     position of each box's left neighbour and, when columns are strict, of
     the box below it (None where there is none); content holds j - i; rows
     lists each row's positions from the top row down; reading pairs each
-    position with its content in row order.
+    position with its content in row order; rows_from[t] counts the rows
+    with a box at position t or later (rows_from[len(boxes)] is 0).
     """
 
     boxes: tuple
@@ -227,6 +233,7 @@ class _Plan(NamedTuple):
     content: tuple
     rows: tuple
     reading: tuple
+    rows_from: tuple
 
 
 @lru_cache(maxsize=None)
@@ -246,6 +253,7 @@ def _plan(shape, order, column_strict):
         content=content,
         rows=rows,
         reading=tuple((t, content[t]) for row in reversed(rows) for t in row),
+        rows_from=tuple(len({i for i, _ in boxes[t:]}) for t in range(len(boxes) + 1)),
     )
 
 
@@ -257,45 +265,64 @@ def _entries(top):
 
 
 def _enumerate(plan, mu, nu, plain_cap, leaf, weight=None):
-    """Backtracking core of _tableaux and the weighted LR sum.
+    """Backtracking core of _tableaux and the weighted LR sums.
 
     Fills the boxes of the plan in its traversal order; the word of barred
-    values in that order must be Yamanouchi and reach nu from mu.  plain_cap
+    values in that order must be Yamanouchi from mu and reach nu.  plain_cap
     maps a row number to the largest allowed plain value; a plan built with
-    column_strict additionally requires each value to be strictly smaller
+    column_strict additionally requires each value to be strictly larger
     than the entry directly below.
 
-    Calls leaf(grid, w) for every filling, grid listing its entries in
-    traversal order.  With a term dict weight, w is weight times the binomial
-    a_{k - rho_k} - a_{k - c} of every plain entry k in a box of content c,
-    where rho is mu grown by the barred prefix in traversal order; a plain
-    entry whose binomial is zero (rho_k = c) is cut off together with every
-    completion below it.  Without a weight, w is None.
+    With nu None the search has no target and finds the fillings of every
+    nu at once: any number of boxes may be barred, a barred k only has to
+    keep rho a partition, and barred values are bounded by the largest plain
+    cap.  A filling counts only if its plain values are also at most l(rho)
+    at its end, which is the cap l(nu) of the cell it belongs to.  Values
+    weakly decrease along a row and every plan reads a row left to right,
+    so each row adds at most one row to rho; a branch whose rows left
+    cannot lengthen rho to its largest plain value is cut.
+
+    Calls leaf(grid, w, rho) for every filling, grid listing its entries in
+    traversal order and rho the live list of mu grown by the whole word,
+    padded with zeros (read it, never keep it).  With a term dict weight, w
+    is weight times the binomial a_{k - rho_k} - a_{k - c} of every plain
+    entry k in a box of content c, where rho is mu grown by the barred
+    prefix in traversal order; a plain entry whose binomial is zero
+    (rho_k = c) is cut off together with every completion below it.
+    Without a weight, w is None.
     """
     mu = tuple(mu)
-    nu = tuple(nu)
-    if not is_partition(mu) or not is_partition(nu):
+    if not is_partition(mu) or not (nu is None or is_partition(tuple(nu))):
         raise ValueError("mu and nu must be partitions")
-    ln = len(nu)
-    if not contains(nu, mu):
-        return
     boxes, left, below, content = plan.boxes, plan.left, plan.below, plan.content
     n = len(boxes)
-    need = sum(nu) - sum(mu)
-    if need < 0 or need > n:
-        return
     caps = [plain_cap(i) for i, _ in boxes]
-    top = max([ln, *caps])
+    if nu is None:
+        # no target: rho never reaches the bound, and need stays below
+        # n - t, so neither count cuts a branch
+        top = max(caps, default=0)
+        ln, need, reach = top, -1, plan.rows_from
+        nu = (sum(mu) + n + 1,) * top
+    else:
+        nu = tuple(nu)
+        ln = len(nu)
+        if not contains(nu, mu):
+            return
+        need = sum(nu) - sum(mu)
+        if need < 0 or need > n:
+            return
+        top, reach = max([ln, *caps]), None
     bars, plains = _entries(top)
-    rho = list(pad(mu, top))
+    rho = [*pad(mu, top), 0]  # the trailing 0 marks l(rho)
     grid = [None] * n
 
-    def rec(t, need, w):
+    def rec(t, need, w, high):
         if need > n - t:
             return
+        if reach is not None and high > rho.index(0) + reach[t]:
+            return  # the rows left cannot lengthen rho to the largest plain value
         if t == n:
-            if need == 0:
-                leaf(grid, w)
+            leaf(grid, w, rho)
             return
         hi = top if left[t] is None else grid[left[t]].value
         lo = 1 if below[t] is None else grid[below[t]].value + 1
@@ -307,20 +334,22 @@ def _enumerate(plan, mu, nu, plain_cap, leaf, weight=None):
                 continue
             rho[k - 1] += 1
             grid[t] = bars[k]
-            rec(t + 1, need - 1, w)
+            rec(t + 1, need - 1, w, high)
             rho[k - 1] -= 1
         if need == n - t:
             return  # every box left must be barred
-        for k in range(lo, min(caps[t], hi) + 1):
+        cap = caps[t] if reach is None else min(caps[t], rho.index(0) + reach[t + 1])
+        for k in range(lo, min(cap, hi) + 1):
             grid[t] = plains[k]
+            h = k if k > high else high
             if w is None:
-                rec(t + 1, need, None)
+                rec(t + 1, need, None, h)
                 continue
             rk, c = rho[k - 1], content[t]
             if rk != c:
-                rec(t + 1, need, _mul_into({}, w, _binomial(k - rk, k - c)))
+                rec(t + 1, need, _mul_into({}, w, _binomial(k - rk, k - c)), h)
 
-    rec(0, need, weight)
+    rec(0, need, weight, 0)
 
 
 @lru_cache(maxsize=None)
@@ -334,40 +363,41 @@ def _tableaux(shape, order, mu, nu, plain_cap, column_strict):
     plan = _plan(shape, order, column_strict)
     out = []
 
-    def leaf(grid, _):
+    def leaf(grid, _, __):
         out.append(ReverseTableau([[grid[t] for t in row] for row in plan.rows]))
 
     _enumerate(plan, mu, nu, plain_cap, leaf)
     return out
 
 
-def lr_weight_sum(lam, mu, nu, order):
-    """The sum of tableau_weight(T, mu, order) over the LR tableaux T.
+def _lr_search(lam, mu, nu, cap, order, out):
+    """Add the weight of every LR filling into the term dict out.
 
-    These have shape lam, strict columns, plain values at most l(nu) and a
-    Yamanouchi column word taking mu to nu.  Returned as a term dict.  No tableau is built.  In column order, the
-    search's own order, the weight is multiplied up as boxes are placed and
-    zero binomials cut their branch off.  In row order, each filling gets
-    one integer pass that grows rho in row order; a filling with a zero
-    binomial adds nothing, and the others multiply their binomials.
-    Raises ValueError unless mu and nu are partitions; the sum is empty
-    unless nu contains mu and has at most |lam| more boxes.
+    The fillings have shape lam, strict columns, plain values at most cap
+    and a Yamanouchi column word from mu to nu; with nu None (the every-nu
+    search of _enumerate) each weight goes into out[nu] instead, for the
+    partition nu the filling ends on.  The weight is tableau_weight in the
+    given order.  In column order, the search's own order, it is multiplied
+    up as boxes are placed and zero binomials cut their branch off.  In row
+    order, each filling gets one integer pass that grows rho in row order; a
+    filling with a zero binomial is dropped, and the others multiply their
+    binomials.
     """
     if order not in ("row", "column"):
         raise ValueError("order must be 'row' or 'column'")
-    cap = len(tuple(nu))
     plan = _plan(tuple(lam), "column", True)
-    out = {}
+    table = nu is None
     if order == "column":
-        _enumerate(
-            plan, mu, nu, lambda i: cap,
-            lambda grid, w: accumulate(out, w.items()), weight={ONE_MONO: 1},
-        )
-        return out
+        if table:
+            leaf = lambda _grid, w, rho: accumulate(out.setdefault(iv(rho), {}), w.items())
+        else:
+            leaf = lambda _grid, w, _rho: accumulate(out, w.items())
+        _enumerate(plan, mu, nu, lambda i: cap, leaf, weight={ONE_MONO: 1})
+        return
     reading = plan.reading
     start = pad(mu, cap)
 
-    def leaf(grid, _):
+    def leaf(grid, _, end):
         rho = list(start)
         binomials = []
         for t, c in reading:
@@ -382,10 +412,38 @@ def lr_weight_sum(lam, mu, nu, order):
         w = binomials[0] if binomials else {ONE_MONO: 1}
         for b in binomials[1:]:
             w = _mul_into({}, w, b)
-        accumulate(out, w.items())
+        accumulate(out.setdefault(iv(end), {}) if table else out, w.items())
 
     _enumerate(plan, mu, nu, lambda i: cap, leaf)
+
+
+def lr_weight_sum(lam, mu, nu, order):
+    """The sum of tableau_weight(T, mu, order) over the LR tableaux T.
+
+    These have shape lam, strict columns, plain values at most l(nu) and a
+    Yamanouchi column word taking mu to nu.  Returned as a term dict.  No
+    tableau is built.  Raises ValueError unless mu and nu are partitions;
+    the sum is empty unless nu contains mu and has at most |lam| more boxes.
+    """
+    out = {}
+    _lr_search(lam, mu, nu, len(tuple(nu)), order, out)
     return out
+
+
+def lr_weight_table(lam, mu, order):
+    """lr_weight_sum(lam, mu, nu, order) at every nu, as {nu: nonzero term dict}.
+
+    One search with no nu bound (see _enumerate): each filling adds its
+    weight under the partition nu that its barred word ends on, and counts
+    only if its largest plain value is at most l(nu), the per-cell cap.
+    Each row of lam adds at most one row to mu, so l(mu) + l(lam) bounds
+    every l(nu) and caps the search.  Only nu containing mu appear, with
+    |nu| - |mu| at most |lam|.  The table costs the sum of its cells; use it
+    when every nu is wanted.
+    """
+    out = {}
+    _lr_search(lam, mu, None, len(tuple(mu)) + len(tuple(lam)), order, out)
+    return {nu: terms for nu, terms in out.items() if terms}
 
 
 def enumerate_k_tableaux(kappa, mu, nu, cap=None):

@@ -1,13 +1,15 @@
 """Command-line interface: parsing, output formats, exit codes, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from lrpoly import cli, double_sym
+from lrpoly import cli, double_sym, lr, tableaux
 from lrpoly.apoly import APoly
 from lrpoly.cli import main
 from lrpoly.schursum import SchurSum
+from lrpoly.shapes import partitions_up_to
 
 
 def run(capsys, *argv):
@@ -256,20 +258,45 @@ def test_oracle_span_failure_is_internal(capsys, monkeypatch):
     assert err == "internal error: not in span: leading exponent (2, 1) has more than n=1 parts\n"
 
 
+@pytest.mark.parametrize("product", ["theorem", "corollary", "alternating"])
 @pytest.mark.parametrize("extra", [(), (9,)])
-def test_verify_lr_fails_a_product_term_outside_the_support(capsys, monkeypatch, extra):
+def test_verify_lr_fails_a_product_term_outside_the_support(capsys, monkeypatch, extra, product):
     # a term at a nu that misses lam, or that is too large, fails its case
-    real = cli.alternating_product
+    # and names the product that holds it
+    real = getattr(cli, f"{product}_product")
 
     def widened(lam, mu):
         return real(lam, mu) + SchurSum.single(extra)
 
-    monkeypatch.setattr(cli, "alternating_product", widened)
+    monkeypatch.setattr(cli, f"{product}_product", widened)
     code, out, _ = run(capsys, "verify", "--suite", "lr", "--max-weight", "1")
     assert code == 3
     assert "lr: FAIL (0/2 cases)" in out
-    assert f"  FAIL lr (1,)x(): (1,)x()->{extra}: alternating term outside the support" in out
+    assert f"  FAIL lr (1,)x(): (1,)x()->{extra}: {product} term outside the support" in out
     assert out.strip().endswith("total: 0/2 passed")
+
+
+def test_verify_lr_runs_one_every_nu_search_per_pair_and_order(capsys, monkeypatch):
+    # each case expands the theorem and corollary products from one tableau
+    # search apiece with no nu bound, and searches no single cell
+    searches, tables = [], Counter()
+    real_enumerate, real_table = tableaux._enumerate, lr.lr_weight_table
+
+    def counted_enumerate(plan, mu, nu, *args, **kwargs):
+        searches.append(nu)
+        return real_enumerate(plan, mu, nu, *args, **kwargs)
+
+    def counted_table(lam, mu, order):
+        tables[lam, mu, order] += 1
+        return real_table(lam, mu, order)
+
+    monkeypatch.setattr(tableaux, "_enumerate", counted_enumerate)
+    monkeypatch.setattr(lr, "lr_weight_table", counted_table)
+    code, out, _ = run(capsys, "verify", "--suite", "lr", "--max-weight", "3")
+    assert code == 0, out
+    pairs = [(lam, mu) for lam in partitions_up_to(3) if lam for mu in partitions_up_to(3)]
+    assert tables == Counter({(lam, mu, order): 1 for lam, mu in pairs for order in ("row", "column")})
+    assert searches == [None] * (2 * len(pairs))
 
 
 def test_verify_max_weight_below_one_exit_2(capsys):

@@ -1,12 +1,13 @@
 """Reverse tableaux, words, weights, and enumeration."""
 
+from collections import Counter
 from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrpoly import tableaux
-from lrpoly.apoly import APoly, var_key
+from lrpoly.apoly import APoly, ONE_MONO, var_key
 from lrpoly.involutions import monomial_weight
 from lrpoly.lr import c_corollary, c_theorem
 from lrpoly.shapes import (
@@ -30,8 +31,10 @@ from lrpoly.tableaux import (
     tableau_weight,
     enumerate_k_tableaux,
     lr_weight_sum,
+    lr_weight_table,
 )
 from definitions import (
+    column_word,
     entry_weight,
     expand_monomials,
     enumerate_lr_tableaux,
@@ -155,6 +158,53 @@ def test_weights_agree_on_random_stacked_tableaux(kappa, mu, data):
             assert product == weight, (T.to_text(), order)
 
 
+def test_lr_weight_table_matches_lr_weight_sum_on_the_weight_5_grid():
+    # one search with no nu bound files every filling under the nu it ends
+    # on: each of the 342 pairs, in both orders, must give every cell's sum
+    cells = 0
+    for lam in partitions_up_to(5):
+        if not lam:
+            continue
+        for mu in partitions_up_to(5):
+            targets = lr_targets(lam, mu)
+            for order in ("row", "column"):
+                table = lr_weight_table(lam, mu, order)
+                assert set(table) <= set(targets), (lam, mu, order)
+                assert all(table.values()), (lam, mu, order)
+                for nu in targets:
+                    if contains(nu, mu):
+                        cells += 1
+                        assert table.get(nu, {}) == lr_weight_sum(lam, mu, nu, order), (
+                            lam, mu, nu, order)
+    assert cells == 2 * 10700
+    for mu in partitions_up_to(3):
+        for order in ("row", "column"):
+            assert lr_weight_table((), mu, order) == {mu: {ONE_MONO: 1}}
+    with pytest.raises(ValueError):
+        lr_weight_table((1,), (), "diagonal")
+    with pytest.raises(ValueError, match="must be partitions"):
+        lr_weight_table((1,), (1, 2), "row")
+
+
+def test_every_nu_search_finds_exactly_the_fillings_of_each_cell():
+    # with no nu bound the search must visit each cell's LR tableaux once,
+    # and nothing else: a filling whose plain values exceed the length of
+    # the nu it ends on is not counted, though such weights cancel in sum
+    for lam in partitions_up_to(4):
+        for mu in partitions_up_to(4):
+            found = Counter()
+            cap = len(mu) + len(lam)
+            for T in tableaux._tableaux(lam, "column", mu, None, lambda i: cap, True):
+                found[apply_word(mu, column_word(T))[0], T] += 1
+            expected = Counter(
+                (nu, T)
+                for nu in lr_targets(lam, mu)
+                if contains(nu, mu)
+                for T in enumerate_lr_tableaux(lam, mu, nu)
+            )
+            assert found == expected, (lam, mu)
+
+
 def _clear_memos():
     for memo in (tableaux._plan, tableaux._entries, tableaux._binomial):
         memo.cache_clear()
@@ -163,9 +213,10 @@ def _clear_memos():
 def _memo_probes():
     """(label, thunk) for every search over |lam| <= 4, |mu| <= 3, interleaved per shape.
 
-    Each shape first asks for the two plans no caller uses (row order with
-    strict columns, column order without), then runs the column-strict LR
-    search and the row-order stacked and Pieri searches on it, so a memo
+    Each shape first asks for the row-order plan with strict columns, which
+    no caller uses, and the column-order plan without, which only reading
+    uses, then runs the column-strict LR search, per cell and with no nu
+    bound, and the row-order stacked and Pieri searches on it, so a memo
     key that drops order or column_strict hands a search the wrong plan.
     |lam| reaches 4 because (2, 2) is the smallest shape whose row and
     column orders differ.
@@ -185,6 +236,8 @@ def _memo_probes():
                         probes.append((("pieri",) + args, partial(enumerate_pieri_tableaux, *args)))
                 for order in ("row", "column"):
                     probes.append(((order,) + cell, partial(lr_weight_sum, *cell, order)))
+            for order in ("row", "column"):
+                probes.append((("table", lam, mu, order), partial(lr_weight_table, lam, mu, order)))
     return probes
 
 
