@@ -6,13 +6,20 @@ and a brute-force oracle for the structure coefficients.  XPoly is the
 dense form that the schur command prints.  Also contains an independent
 classical (all a_i = 0) Littlewood-Richardson implementation used as a
 cross-check.
+
+Every memo is a functools.lru_cache function (_schur_sym_branch, _product,
+_classical_table), so cache_info() and cache_clear() reach it; the values
+are shared: read them, never write them.
 """
 
+from functools import lru_cache
 from itertools import product
 
 from .apoly import APoly, _mul_into
 from .schursum import SchurSum
-from .shapes import conjugate, iv, pad, is_partition, jacobi_trudi_fold, partitions_of
+from .shapes import (
+    conjugate, iv, pad, is_partition, jacobi_trudi_fold, partitions_of, require_partitions,
+)
 from .sparse import Terms, accumulate
 
 
@@ -152,9 +159,6 @@ def _sym_expand(S):
     return XPoly(S.n, out)
 
 
-_BRANCH_CACHE = {}
-
-
 def _strip_removals(lam):
     """All (mu, strip boxes) with lam/mu a horizontal strip (mu = lam included)."""
     lam = iv(lam)
@@ -179,6 +183,7 @@ def _strip_removals(lam):
     return out
 
 
+@lru_cache(maxsize=None)
 def _schur_sym_branch(lam, n):
     """Symmetric representative of the Schur element via variable splitting.
 
@@ -189,16 +194,12 @@ def _schur_sym_branch(lam, n):
     functions (Molev-Sagan, Trans. AMS 1999); its equality with the
     Jacobi-Trudi determinant in the shifted h's is asserted by
     tests/test_double_sym.py::test_branching_matches_jacobi_trudi_determinant.
+    lam is a trimmed partition tuple.
     """
-    lam = iv(lam)
     if not lam:
         return {(): APoly.one()}
     if len(lam) > n:
         return {}
-    key = (lam, n)
-    cached = _BRANCH_CACHE.get(key)
-    if cached is not None:
-        return cached
     result = {}
     for mu, boxes in _strip_removals(lam):
         inner = _schur_sym_branch(mu, n - 1)
@@ -219,7 +220,6 @@ def _schur_sym_branch(lam, n):
                 ((k1,) + ktail if k1 else ktail, shifted * elem[s - k1])
                 for k1 in range(lo, s + 1)
             ))
-    _BRANCH_CACHE[key] = result
     return result
 
 
@@ -265,20 +265,14 @@ def _decompose_sym(S):
     return SchurSum(result)
 
 
-_PRODUCT_CACHE = {}
-
-
 def product_decomposition(lam, mu, n):
-    """Decomposition of s_lam * s_mu in n variables, cached and symmetric in (lam, mu)."""
-    lam, mu = iv(lam), iv(mu)
-    key = (tuple(sorted((lam, mu))), n)
-    cached = _PRODUCT_CACHE.get(key)
-    if cached is None:
-        cached = _decompose_sym(
-            _Sym(n, _schur_sym_branch(lam, n)) * _Sym(n, _schur_sym_branch(mu, n))
-        )
-        _PRODUCT_CACHE[key] = cached
-    return cached
+    """Decomposition of s_lam * s_mu in n variables; (lam, mu) and (mu, lam) share one memo."""
+    return _product(*sorted((iv(lam), iv(mu))), n)
+
+
+@lru_cache(maxsize=None)
+def _product(lam, mu, n):
+    return _decompose_sym(_Sym(n, _schur_sym_branch(lam, n)) * _Sym(n, _schur_sym_branch(mu, n)))
 
 
 def c_oracle(lam, mu, nu):
@@ -306,6 +300,7 @@ def c_oracle(lam, mu, nu):
     themselves (criterion 05).
     """
     lam, mu, nu = iv(lam), iv(mu), iv(nu)
+    require_partitions(lam, mu, nu)
     flip = bool(nu) and nu[0] < len(nu)
     if flip:
         lam, mu, nu = conjugate(lam), conjugate(mu), conjugate(nu)
@@ -338,9 +333,6 @@ def _horizontal_strip_extensions(mu, p):
     return out
 
 
-_CLASSICAL_CACHE = {}
-
-
 def classical_lr(lam, mu, nu):
     """Classical Littlewood-Richardson coefficient, all a_i = 0.
 
@@ -348,18 +340,21 @@ def classical_lr(lam, mu, nu):
     determinant folded row by row (jacobi_trudi_fold), each row an
     iterated classical Pieri multiplication (horizontal strips) on integer
     counts, with no call to the stable Pieri rule.  The sum is taken once
-    per (lam, mu) for every nu at once, and cached.
+    per (lam, mu) for every nu at once, by the cached _classical_table.
     """
-    lam, mu = iv(lam), iv(mu)
-    key = (lam, mu)
-    table = _CLASSICAL_CACHE.get(key)
-    if table is None:
-        def add_strips(counts, p, _i):
-            out = {}
-            for part, cnt in counts.terms.items():
-                accumulate(out, ((ext, cnt) for ext in _horizontal_strip_extensions(part, p)))
-            return Terms(out)
+    require_partitions(nu)
+    return _classical_table(iv(lam), iv(mu)).get(iv(nu), 0)
 
-        table = jacobi_trudi_fold(lam, Terms({mu: 1}), add_strips).terms
-        _CLASSICAL_CACHE[key] = table
-    return table.get(iv(nu), 0)
+
+@lru_cache(maxsize=None)
+def _classical_table(lam, mu):
+    """{nu: classical coefficient} of s_lam * s_mu; shared, never written."""
+    require_partitions(lam, mu)
+
+    def add_strips(counts, p, _i):
+        out = {}
+        for part, cnt in counts.terms.items():
+            accumulate(out, ((ext, cnt) for ext in _horizontal_strip_extensions(part, p)))
+        return Terms(out)
+
+    return jacobi_trudi_fold(lam, Terms({mu: 1}), add_strips).terms

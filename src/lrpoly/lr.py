@@ -23,7 +23,7 @@ degree |lam| + |mu| - |nu|.
 
 from .apoly import APoly
 from .schursum import SchurSum
-from .shapes import iv, jacobi_trudi_fold
+from .shapes import iv, jacobi_trudi_fold, require_partitions
 from .sparse import accumulate
 from .stable_ring import multiply_by_h, pieri_stable
 from .tableaux import lr_weight_sum, lr_weight_table
@@ -106,11 +106,13 @@ def alternating_product(lam, mu):
     rows are added before the next factor; the result holds every
     coefficient c^nu_{lam,mu}(a) at once.
     """
+    require_partitions(lam, mu)
     return jacobi_trudi_fold(lam, SchurSum.single(mu), lambda s, p, i: multiply_by_h(p, i - 1, s))
 
 
 def c_alternating(lam, mu, nu):
     """The coefficient of s_nu in alternating_product(lam, mu)."""
+    require_partitions(nu)
     return alternating_product(lam, mu).coeff(nu)
 
 

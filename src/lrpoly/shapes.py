@@ -31,9 +31,13 @@ def is_composition(alpha):
 
 
 def is_partition(alpha):
-    return all(alpha[i] >= alpha[i + 1] for i in range(len(alpha) - 1)) and (
-        len(alpha) == 0 or alpha[-1] >= 0
-    )
+    return list(alpha) == sorted(alpha, reverse=True) and (not alpha or alpha[-1] >= 0)
+
+
+def require_partitions(*shapes):
+    """Raise ValueError unless every given tuple is a partition (lam, mu, nu of a cell)."""
+    if not all(map(is_partition, shapes)):
+        raise ValueError("lam, mu and nu must be partitions")
 
 
 def contains(alpha, beta):

@@ -11,7 +11,12 @@ once; iterating moves every second index of a row to -1.  After that a row
 is fixed by its first label alone, so the Pieri rule folds the rows one at a
 time into strictly decreasing first labels, with the sign of the sort; two
 equal labels mean two equal rows and drop the term.
+
+Both recursions are memoized by functools.lru_cache functions, _reduce_row
+and _pieri (behind pieri_stable); their values are shared: read, never write.
 """
+
+from functools import lru_cache
 
 from .apoly import APoly
 from .schursum import SchurSum
@@ -19,9 +24,7 @@ from .shapes import iv
 from .sparse import accumulate
 
 
-_ROW_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _reduce_row(g, d, l):
     """Rewrite a determinant row with labels (gamma, delta) = (g, d) to delta = -1.
 
@@ -34,10 +37,6 @@ def _reduce_row(g, d, l):
         return {}
     if d == -1:
         return {g: APoly.one()}
-    key = (g, d, l)
-    cached = _ROW_CACHE.get(key)
-    if cached is not None:
-        return cached
     out = {}
     if d > -1:
         # row(g, d) = row(g, d-1) + a_{d-g+1} row(g-1, d-1)
@@ -53,11 +52,7 @@ def _reduce_row(g, d, l):
         ]
     for table, factor in parts:
         accumulate(out, ((g2, c * factor) for g2, c in table.items()))
-    _ROW_CACHE[key] = out
     return out
-
-
-_PIERI_CACHE = {}
 
 
 def pieri_stable(p, e, mu):
@@ -72,15 +67,14 @@ def pieri_stable(p, e, mu):
     at once, so cancellation happens before the next row multiplies them
     out.  Sorted labels g_1 > ... > g_L name the partition (g_i + i).
     """
-    mu = iv(mu)
-    key = (p, e, mu)
-    cached = _PIERI_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _pieri(p, e, iv(mu))
+
+
+@lru_cache(maxsize=None)
+def _pieri(p, e, mu):
+    """pieri_stable on a trimmed mu; one shared SchurSum per key, never written."""
     if p == 0:
-        result = SchurSum.single(mu)
-        _PIERI_CACHE[key] = result
-        return result
+        return SchurSum.single(mu)
     if p < 0:
         return SchurSum.zero()
     L = len(mu) + 1
@@ -106,7 +100,6 @@ def pieri_stable(p, e, mu):
         (iv(g + i for i, g in enumerate(gammas, 1)), c)
         for (_, gammas), c in states.items()
     )))
-    _PIERI_CACHE[key] = out
     return out
 
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .apoly import APoly, ONE_MONO, _mul_into, var_key
-from .shapes import iv, pad, is_partition, contains
+from .shapes import iv, pad, is_partition, contains, require_partitions
 from .sparse import accumulate
 
 
@@ -239,6 +239,8 @@ class _Plan(NamedTuple):
 @lru_cache(maxsize=None)
 def _plan(shape, order, column_strict):
     """The search plan of a shape, traversed in the given order; built once per key."""
+    if column_strict:  # an LR search, whose lam is checked once per cached plan
+        require_partitions(shape)
     boxes = tuple(_boxes_in(order, shape))
     pos = {box: t for t, box in enumerate(boxes)}
     rows = tuple(
@@ -292,8 +294,7 @@ def _enumerate(plan, mu, nu, plain_cap, leaf, weight=None):
     Without a weight, w is None.
     """
     mu = tuple(mu)
-    if not is_partition(mu) or not (nu is None or is_partition(tuple(nu))):
-        raise ValueError("mu and nu must be partitions")
+    require_partitions(mu, () if nu is None else tuple(nu))
     boxes, left, below, content = plan.boxes, plan.left, plan.below, plan.content
     n = len(boxes)
     caps = [plain_cap(i) for i, _ in boxes]
@@ -422,7 +423,7 @@ def lr_weight_sum(lam, mu, nu, order):
 
     These have shape lam, strict columns, plain values at most l(nu) and a
     Yamanouchi column word taking mu to nu.  Returned as a term dict.  No
-    tableau is built.  Raises ValueError unless mu and nu are partitions;
+    tableau is built.  Raises ValueError unless lam, mu and nu are partitions;
     the sum is empty unless nu contains mu and has at most |lam| more boxes.
     """
     out = {}

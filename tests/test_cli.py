@@ -239,11 +239,9 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     assert err == "internal error: no partner for '1~ 1' over mu=(1,)\n"
 
 
-def test_oracle_span_failure_is_internal(capsys, monkeypatch):
+def test_oracle_span_failure_is_internal(capsys, monkeypatch, clear_oracle_memos):
     # a basis element with a key longer than n leaves the span: exit 3 with an
     # internal error, not the usage error of exit 2
-    monkeypatch.setattr(double_sym, "_BRANCH_CACHE", {})
-    monkeypatch.setattr(double_sym, "_PRODUCT_CACHE", {})
     original = double_sym._schur_sym_branch
 
     def widened(lam, n):

@@ -171,18 +171,23 @@ def test_conjugation_duality_by_brute_force_on_both_sides():
         ).dual(), (lam, mu, nu)
 
 
-def test_decomposition_leaves_cached_bases_intact():
-    double_sym._BRANCH_CACHE.clear()
-    double_sym._PRODUCT_CACHE.clear()
+def _branch_snapshot():
+    """Private copies of every basis element the products below can read."""
+    return {
+        (lam, n): {k: dict(c.terms) for k, c in _schur_sym_branch(lam, n).items()}
+        for lam in partitions_up_to(6)
+        for n in range(1, 5)
+    }
+
+
+def test_decomposition_leaves_cached_bases_intact(clear_oracle_memos):
     for lam, mu in [((1,), (1,)), ((2, 1), (1,)), ((2,), (1, 1)), ((2, 1), (2, 1))]:
         product_decomposition(lam, mu, 3)
         product_decomposition(lam, mu, 4)
-    cached = dict(double_sym._BRANCH_CACHE)
-    assert cached
-    double_sym._BRANCH_CACHE.clear()
-    double_sym._PRODUCT_CACHE.clear()
-    for (lam, n), terms in cached.items():
-        assert double_sym._schur_sym_branch(lam, n) == terms, (lam, n)
+    warm = _branch_snapshot()
+    assert _schur_sym_branch.cache_info().hits
+    _schur_sym_branch.cache_clear()
+    assert _branch_snapshot() == warm
     # the elimination reads the cached branch basis, here also as its input;
     # running it twice would expose a first pass that wrote into those terms
     for lam in [(1,), (2, 1), (2, 2), (3, 1)]:
@@ -210,11 +215,9 @@ def test_classical_lr_symmetry():
                 assert classical_lr(lam, mu, nu) == classical_lr(mu, lam, nu)
 
 
-def test_decompose_rejects_basis_without_unit_leading_coefficient(monkeypatch):
+def test_decompose_rejects_basis_without_unit_leading_coefficient(monkeypatch, clear_oracle_memos):
     # a basis element whose leading coefficient is not 1 cannot clear its own
     # leading term; the elimination must fail instead of looping forever
-    monkeypatch.setattr(double_sym, "_BRANCH_CACHE", {})
-    monkeypatch.setattr(double_sym, "_PRODUCT_CACHE", {})
     original = double_sym._schur_sym_branch
 
     def doubled(lam, n):
@@ -223,6 +226,14 @@ def test_decompose_rejects_basis_without_unit_leading_coefficient(monkeypatch):
     monkeypatch.setattr(double_sym, "_schur_sym_branch", doubled)
     with pytest.raises(ArithmeticError, match="leading coefficient"):
         product_decomposition((1,), (1,), 2)
+
+
+def test_product_memo_is_shared_by_a_pair_and_its_mirror():
+    d = product_decomposition((2, 1), [1, 1, 0], 3)
+    assert d is product_decomposition((1, 1), (2, 1), 3)
+    assert d == _decompose_sym(
+        _Sym(3, _schur_sym_branch((2, 1), 3)) * _Sym(3, _schur_sym_branch((1, 1), 3))
+    )
 
 
 def test_decompose_reports_a_key_longer_than_n_as_internal():

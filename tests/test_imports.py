@@ -13,6 +13,11 @@ does a read from a test: a definition only the tests read belongs in
 ``self``, ``cls`` and names starting with ``_``, counts as used when the
 function's body loads it.
 
+Every memo of the package is a ``functools.lru_cache`` function, which
+answers ``cache_info()`` and ``cache_clear()``: no package module binds an
+empty ``{}``, ``[]``, ``dict()`` or ``set()`` at module level, the start
+of a hand-rolled memo.
+
 One more check keeps ``shapes.jacobi_trudi_fold`` the only Jacobi-Trudi
 expansion of the routes: no package module but ``formal_ring``, whose
 free-ring determinant stays a permutation sum, takes
@@ -182,6 +187,44 @@ def test_no_unused_parameters():
         for func, param, line in _unread_parameters(ast.parse(path.read_text(), str(path)))
     ]
     assert not unread, "parameters never read:\n" + "\n".join(unread)
+
+
+def _empty_containers(tree):
+    """(name, line) for every module-level name bound to an empty dict, list or set."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = (
+            isinstance(value, ast.Dict) and not value.keys
+            or isinstance(value, ast.List) and not value.elts
+            or isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "set")
+            and not value.args
+            and not value.keywords
+        )
+        if empty:
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def test_every_memo_is_an_lru_cache():
+    for source in ("_M = {}", "_M = []", "_M = dict()", "_M = set()", "_M: dict = {}"):
+        assert [name for name, _ in _empty_containers(ast.parse(source))] == ["_M"], source
+    for source in ("_M = {1: 2}", "_M = [0]", "_M = set(x)", "def f():\n    m = {}"):
+        assert not list(_empty_containers(ast.parse(source))), source
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in PACKAGE_SOURCES
+        for name, line in _empty_containers(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, "module-level empty containers (use functools.lru_cache):\n" + "\n".join(found)
 
 
 def _permutations_uses(tree):

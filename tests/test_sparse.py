@@ -9,7 +9,7 @@ from lrpoly.lr import kostka
 from lrpoly.schursum import SchurSum
 from lrpoly.shapes import partitions_up_to
 from lrpoly.sparse import accumulate
-from lrpoly.stable_ring import _PIERI_CACHE, _ROW_CACHE, multiply_by_h
+from lrpoly.stable_ring import _pieri, _reduce_row, multiply_by_h, pieri_stable
 from definitions import a
 
 
@@ -90,13 +90,22 @@ def test_apoly_ring_axioms_keep_canonical_form(p, q, r, k):
 
 
 def _cache_copy():
+    """Private copies of the expansions and rows at a fixed grid of keys.
+
+    The grid holds every key the sweep below reads: p <= 2, e <= 2 and mu
+    of at most 5 boxes for the Pieri rule, and every row those expand.
+    """
     pieri = {
-        key: {nu: dict(c.terms) for nu, c in s.terms.items()}
-        for key, s in _PIERI_CACHE.items()
+        (p, e, mu): {nu: dict(c.terms) for nu, c in pieri_stable(p, e, mu).terms.items()}
+        for p in range(3)
+        for e in range(3)
+        for mu in partitions_up_to(5)
     }
     rows = {
-        key: {g: dict(c.terms) for g, c in table.items()}
-        for key, table in _ROW_CACHE.items()
+        (g, d, l): {g2: dict(c.terms) for g2, c in _reduce_row(g, d, l).items()}
+        for g in range(-7, 6)
+        for d in range(-7, 2)
+        for l in range(1, 7)
     }
     return pieri, rows
 
@@ -115,12 +124,14 @@ def _pieri_sweep():
 
 
 def test_pieri_sweep_leaves_cached_expansions_intact():
-    _pieri_sweep()
-    before = _cache_copy()
-    assert before[0] and before[1]
-    _pieri_sweep()
-    after = _cache_copy()
-    for key, terms in before[0].items():
-        assert after[0][key] == terms, key
-    for key, table in before[1].items():
-        assert after[1][key] == table, key
+    _pieri.cache_clear()
+    _reduce_row.cache_clear()
+    # computed cold, and from here on every key of the grid is cached
+    cold = _cache_copy()
+    misses = _pieri.cache_info().misses, _reduce_row.cache_info().misses
+    _pieri_sweep()  # the sweep reads only cached values: it misses no key
+    assert (_pieri.cache_info().misses, _reduce_row.cache_info().misses) == misses
+    warm = _cache_copy()
+    for before, after in zip(cold, warm):
+        for key, terms in before.items():
+            assert after[key] == terms, key

@@ -81,6 +81,12 @@ def test_pieri_stable_boundary_cases():
     assert set(s.terms) == {(2,)}
 
 
+def test_pieri_memo_keys_on_the_trimmed_mu():
+    s = pieri_stable(1, 0, [1, 0])
+    assert s is pieri_stable(1, 0, (1,))
+    assert s == SchurSum({(2,): APoly.one(), (1, 1): APoly.one(), (1,): a(0) - a(1)})
+
+
 def test_pieri_stable_classical_specialization():
     # at a = 0 only the full-strip terms survive with coefficient 1
     s = pieri_stable(2, 0, (2, 1))

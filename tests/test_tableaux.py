@@ -9,10 +9,19 @@ from hypothesis import given, settings, strategies as st
 from lrpoly import tableaux
 from lrpoly.apoly import APoly, ONE_MONO, var_key
 from lrpoly.involutions import monomial_weight
-from lrpoly.lr import c_corollary, c_theorem
+from lrpoly.double_sym import c_oracle, classical_lr
+from lrpoly.lr import (
+    alternating_product,
+    c_alternating,
+    c_corollary,
+    c_theorem,
+    corollary_product,
+    theorem_product,
+)
 from lrpoly.shapes import (
     compositions_of,
     contains,
+    is_partition,
     lr_targets,
     partitions_of,
     partitions_up_to,
@@ -266,9 +275,12 @@ def test_memos_match_cold_results():
         assert thunk() == warm[label], label
 
 
-# non-partition mu or nu, including cells the tableau rules skip as zero
-# (mu not inside nu, nu too large) before any search runs
+# a non-partition lam, mu or nu, including cells the tableau rules skip as
+# zero (mu not inside nu, nu too large) before any search runs
 NON_PARTITION_CELLS = [
+    ((1, 2), (), (2, 1)),
+    ((1, 2), (1,), (2, 2)),
+    ((2, 0, 1), (1,), (5,)),
     ((1,), (1, 2), (2, 2)),
     ((1,), (1, 2), (1, 1)),
     ((1,), (1,), (1, 2)),
@@ -279,18 +291,35 @@ NON_PARTITION_CELLS = [
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_non_partition_mu_or_nu_raises(warm):
+    # every route, per cell and per product, refuses the cell in the same way
     _clear_memos()
-    if warm:  # the same shapes, searched on valid input first
-        for lam, _, _ in NON_PARTITION_CELLS:
-            for order in ("row", "column"):
-                lr_weight_sum(lam, (1,), (2, 1), order)
-    rules = [
+    cell_rules = [
         c_theorem,
         c_corollary,
         partial(lr_weight_sum, order="row"),
         partial(lr_weight_sum, order="column"),
+        c_alternating,
+        c_oracle,
+        classical_lr,
     ]
-    for cell in NON_PARTITION_CELLS:
-        for rule in rules:
+    product_rules = [
+        theorem_product,
+        corollary_product,
+        alternating_product,
+        partial(lr_weight_table, order="row"),
+        partial(lr_weight_table, order="column"),
+    ]
+    if warm:  # every route first runs on the cell with its shapes sorted
+        for cell in NON_PARTITION_CELLS:
+            lam, mu, nu = (tuple(sorted(shape, reverse=True)) for shape in cell)
+            for rule in cell_rules:
+                rule(lam, mu, nu)
+            for rule in product_rules:
+                rule(lam, mu)
+    for lam, mu, nu in NON_PARTITION_CELLS:
+        calls = [partial(rule, lam, mu, nu) for rule in cell_rules]
+        if not (is_partition(lam) and is_partition(mu)):
+            calls += [partial(rule, lam, mu) for rule in product_rules]
+        for call in calls:
             with pytest.raises(ValueError, match="must be partitions"):
-                rule(*cell)
+                call()
