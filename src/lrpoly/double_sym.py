@@ -22,6 +22,10 @@ from .shapes import (
 )
 from .sparse import Terms, accumulate
 
+# product_decomposition is for callers outside the package: c_oracle reads
+# the memo behind it directly, with the shapes it has already trimmed
+__all__ = ["XPoly", "double_schur_n", "product_decomposition", "c_oracle", "classical_lr"]
+
 
 class XPoly(Terms):
     """Polynomial in x_1..x_n over Z[a]; terms map exponent tuples to APoly."""
@@ -305,8 +309,9 @@ def c_oracle(lam, mu, nu):
     if flip:
         lam, mu, nu = conjugate(lam), conjugate(mu), conjugate(nu)
     n0 = max(len(nu), 1)
-    d1 = product_decomposition(lam, mu, n0)
-    d2 = product_decomposition(lam, mu, n0 + 1)
+    pair = sorted((lam, mu))
+    d1 = _product(*pair, n0)
+    d2 = _product(*pair, n0 + 1)
     if d1 != SchurSum({k: c for k, c in d2.terms.items() if len(k) <= n0}):
         raise ArithmeticError(f"unstable at chosen n: n0={n0} vs n0+1 disagree")
     c = d1.coeff(nu)

@@ -5,11 +5,14 @@ The coefficient of s_nu in s_lam * s_mu is computed three independent ways:
 * c_theorem / c_corollary: direct tableau sums over shape-lam fillings with a
   Yamanouchi column word, weighted with the row-order (theorem) or
   column-order (corollary) prefix partitions; the weights are summed during
-  the tableau search, and fillings with a zero binomial are cut off.
-  theorem_product / corollary_product expand the whole product s_lam * s_mu
-  by the same rules from one search with no nu bound (lr_weight_table),
-  which files every filling under the nu it ends on.  The table costs the
-  sum of its cells, so the single-cell rules keep their own search;
+  the tableau search, and fillings with a zero binomial are cut off.  At
+  every plain entry the two orders give the same rho_k, so both rules run
+  the same column-order search.  theorem_product / corollary_product
+  expand the whole product s_lam * s_mu by the same rules from one search
+  with no nu bound (lr_weight_table), which files every filling under the
+  nu it ends on.  That search costs less than its cells searched one by
+  one, but more than any single cell, so the single-cell rules keep their
+  own search;
 * c_alternating: the coefficient at nu of alternating_product, which
   expands the whole product s_lam * s_mu once as the signed sum of
   h_{lam^omega} * s_mu, folding the Jacobi-Trudi determinant in row by row
@@ -117,7 +120,7 @@ def c_alternating(lam, mu, nu):
 
 
 def _c_tableau(lam, mu, nu, order):
-    return APoly(lr_weight_sum(iv(lam), iv(mu), iv(nu), order))
+    return APoly(lr_weight_sum(lam, mu, nu, order))
 
 
 def c_theorem(lam, mu, nu):
@@ -131,7 +134,7 @@ def c_corollary(lam, mu, nu):
 
 
 def _tableau_product(lam, mu, order):
-    table = lr_weight_table(iv(lam), iv(mu), order)
+    table = lr_weight_table(lam, mu, order)
     return SchurSum({nu: APoly(terms) for nu, terms in table.items()})
 
 

@@ -9,7 +9,7 @@ functions here are pure and all values immutable.
 
 def iv(entries):
     """Canonical integer vector: tuple with trailing zeros trimmed."""
-    entries = tuple(int(e) for e in entries)
+    entries = tuple(map(int, entries))
     n = len(entries)
     while n > 0 and entries[n - 1] == 0:
         n -= 1

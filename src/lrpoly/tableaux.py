@@ -17,25 +17,30 @@ behind the tableau rules, builds none and sums the weights of the LR
 tableaux during the search instead, and lr_weight_table files the weights
 of one every-nu search under the nu each filling ends on, which expands a
 whole product s_lam * s_mu.
-A binomial is zero exactly when rho_k = c, so in column order (the search's
-own order) a zero binomial cuts off its branch with every completion below
-it, and in row order it drops its filling before any product is formed.
-What depends only on the shape (the traversal, each box's neighbours and
-content, the rows, the row reading and the rows left after each box) is
-built once per shape by _plan, which also serves reading its box order,
-and the entries and binomials the search places are shared memos too; all
-three are functools.lru_cache functions, so cache_info() and cache_clear()
-reach them.
+A binomial is zero exactly when rho_k = c, so a zero binomial cuts off its
+branch with every completion below it.  The LR search runs in column
+order for both orders: at every plain entry of an LR filling, rho_k read
+in row order equals rho_k read in column order (see _lr_search), so the
+row-order weight, too, is multiplied up as boxes are placed.  With strict
+columns a box in row i holds at most the largest value less i - 1, which
+caps each row before any value is tried.
+What depends only on the shape (the traversal, each box's neighbours,
+content and row, the rows' ceilings, the rows, and the rows left after
+each box) is built once per shape by _plan, which also serves reading its
+box order, and the entries and binomials the search places are shared
+memos too; all three are functools.lru_cache functions, so cache_info()
+and cache_clear() reach them.
 
 Text format: one line per row, top to bottom; entries space-separated with a
 trailing "~" for bars and a trailing "'" for primes, e.g. "2 2~ 1~".
 """
 
 from functools import lru_cache
+from operator import ge
 from typing import NamedTuple
 
 from .apoly import APoly, ONE_MONO, _mul_into, var_key
-from .shapes import iv, pad, is_partition, contains, require_partitions
+from .shapes import iv, is_partition, require_partitions
 from .sparse import accumulate
 
 
@@ -219,20 +224,27 @@ def tableau_weight(T, mu, order):
 class _Plan(NamedTuple):
     """The shape-only part of one search: every field a tuple, indexed by position.
 
-    boxes lists the boxes in traversal order; left and below give the
-    position of each box's left neighbour and, when columns are strict, of
-    the box below it (None where there is none); content holds j - i; rows
-    lists each row's positions from the top row down; reading pairs each
-    position with its content in row order; rows_from[t] counts the rows
-    with a box at position t or later (rows_from[len(boxes)] is 0).
+    The search keeps the values it places in one int list, in traversal
+    order, followed by one slot per row for that row's ceiling and a last
+    slot that holds 0.  boxes lists the boxes in traversal order; left
+    gives the slot that bounds each box from above: its left neighbour, or
+    the ceiling of its row for the first box of a row; below gives the slot
+    that bounds it from below: the box below it when columns are strict,
+    else the 0 slot; content holds j - i and row holds i - 1; drop[i - 1]
+    is how far row i's ceiling lies below the largest value: i - 1 when
+    columns are strict, since the i - 1 boxes above a box of row i hold
+    larger values, and 0 otherwise; rows lists each row's positions from
+    the top row down; rows_from[t] counts the rows with a box at position t
+    or later (rows_from[len(boxes)] is 0).
     """
 
     boxes: tuple
     left: tuple
     below: tuple
     content: tuple
+    row: tuple
+    drop: tuple
     rows: tuple
-    reading: tuple
     rows_from: tuple
 
 
@@ -242,20 +254,21 @@ def _plan(shape, order, column_strict):
     if column_strict:  # an LR search, whose lam is checked once per cached plan
         require_partitions(shape)
     boxes = tuple(_boxes_in(order, shape))
+    n, height = len(boxes), len(shape)
     pos = {box: t for t, box in enumerate(boxes)}
-    rows = tuple(
-        tuple(pos[(i, j)] for j in range(1, shape[i - 1] + 1))
-        for i in range(1, len(shape) + 1)
-    )
-    content = tuple(j - i for i, j in boxes)
+    zero = n + height
     return _Plan(
         boxes=boxes,
-        left=tuple(pos.get((i, j - 1)) for i, j in boxes),
-        below=tuple(pos.get((i + 1, j)) if column_strict else None for i, j in boxes),
-        content=content,
-        rows=rows,
-        reading=tuple((t, content[t]) for row in reversed(rows) for t in row),
-        rows_from=tuple(len({i for i, _ in boxes[t:]}) for t in range(len(boxes) + 1)),
+        left=tuple(pos.get((i, j - 1), n + i - 1) for i, j in boxes),
+        below=tuple(pos.get((i + 1, j), zero) if column_strict else zero for i, j in boxes),
+        content=tuple(j - i for i, j in boxes),
+        row=tuple(i - 1 for i, _ in boxes),
+        drop=tuple(range(height)) if column_strict else (0,) * height,
+        rows=tuple(
+            tuple(pos[(i, j)] for j in range(1, shape[i - 1] + 1))
+            for i in range(1, height + 1)
+        ),
+        rows_from=tuple(len({i for i, _ in boxes[t:]}) for t in range(n + 1)),
     )
 
 
@@ -266,14 +279,15 @@ def _entries(top):
     return (None, *(Entry(k, True) for k in values)), (None, *(Entry(k) for k in values))
 
 
-def _enumerate(plan, mu, nu, plain_cap, leaf, weight=None):
+def _enumerate(plan, mu, nu, caps, leaf, weight=None):
     """Backtracking core of _tableaux and the weighted LR sums.
 
     Fills the boxes of the plan in its traversal order; the word of barred
-    values in that order must be Yamanouchi from mu and reach nu.  plain_cap
-    maps a row number to the largest allowed plain value; a plan built with
-    column_strict additionally requires each value to be strictly larger
-    than the entry directly below.
+    values in that order must be Yamanouchi from mu and reach nu.  mu and nu
+    are tuples with trailing zeros trimmed.  caps[i - 1] is the largest
+    plain value allowed in row i; a plan built with column_strict
+    additionally requires each value to be strictly larger than the entry
+    directly below, so the largest value, less i - 1, caps row i.
 
     With nu None the search has no target and finds the fillings of every
     nu at once: any number of boxes may be barred, a barred k only has to
@@ -293,64 +307,64 @@ def _enumerate(plan, mu, nu, plain_cap, leaf, weight=None):
     (rho_k = c) is cut off together with every completion below it.
     Without a weight, w is None.
     """
-    mu = tuple(mu)
-    require_partitions(mu, () if nu is None else tuple(nu))
-    boxes, left, below, content = plan.boxes, plan.left, plan.below, plan.content
-    n = len(boxes)
-    caps = [plain_cap(i) for i, _ in boxes]
+    require_partitions(mu, () if nu is None else nu)
+    left, below, content, row = plan.left, plan.below, plan.content, plan.row
+    n = len(left)
     if nu is None:
-        # no target: rho never reaches the bound, and need stays below
-        # n - t, so neither count cuts a branch
+        # no target: rho never reaches the bound, and no count of plain
+        # boxes is ever used up
         top = max(caps, default=0)
-        ln, need, reach = top, -1, plan.rows_from
+        ln, slack, reach = top, n + 1, plan.rows_from
         nu = (sum(mu) + n + 1,) * top
     else:
-        nu = tuple(nu)
         ln = len(nu)
-        if not contains(nu, mu):
+        if len(mu) > ln or not all(map(ge, nu, mu)):
             return
-        need = sum(nu) - sum(mu)
-        if need < 0 or need > n:
+        # slack counts the plain boxes left: all but the |nu| - |mu| barred
+        slack = n - sum(nu) + sum(mu)
+        if slack < 0:
             return
-        top, reach = max([ln, *caps]), None
+        top, reach = max(ln, 0, *caps), None
     bars, plains = _entries(top)
-    rho = [*pad(mu, top), 0]  # the trailing 0 marks l(rho)
+    rho = [*mu, *[0] * (top - len(mu)), 0]  # the trailing 0 marks l(rho)
+    vals = [0] * n + [top - d for d in plan.drop] + [0]
     grid = [None] * n
 
-    def rec(t, need, w, high):
-        if need > n - t:
-            return
+    def rec(t, slack, w, high):
         if reach is not None and high > rho.index(0) + reach[t]:
             return  # the rows left cannot lengthen rho to the largest plain value
         if t == n:
             leaf(grid, w, rho)
             return
-        hi = top if left[t] is None else grid[left[t]].value
-        lo = 1 if below[t] is None else grid[below[t]].value + 1
+        hi = vals[left[t]]
+        lo = vals[below[t]] + 1
         # barred candidates: stay inside nu and keep every prefix a partition
-        for k in range(lo, min(hi, ln) + 1):
-            if rho[k - 1] >= nu[k - 1]:
+        for k in range(lo, (hi if hi < ln else ln) + 1):
+            rk = rho[k - 1]
+            if rk >= nu[k - 1] or k > 1 and rho[k - 2] <= rk:
                 continue
-            if k > 1 and rho[k - 2] <= rho[k - 1]:
-                continue
-            rho[k - 1] += 1
+            rho[k - 1] = rk + 1
+            vals[t] = k
             grid[t] = bars[k]
-            rec(t + 1, need - 1, w, high)
-            rho[k - 1] -= 1
-        if need == n - t:
+            rec(t + 1, slack, w, high)
+            rho[k - 1] = rk
+        if not slack:
             return  # every box left must be barred
-        cap = caps[t] if reach is None else min(caps[t], rho.index(0) + reach[t + 1])
-        for k in range(lo, min(cap, hi) + 1):
+        cap = caps[row[t]]
+        if reach is not None:
+            cap = min(cap, rho.index(0) + reach[t + 1])
+        for k in range(lo, (hi if hi < cap else cap) + 1):
+            vals[t] = k
             grid[t] = plains[k]
             h = k if k > high else high
             if w is None:
-                rec(t + 1, need, None, h)
+                rec(t + 1, slack - 1, None, h)
                 continue
             rk, c = rho[k - 1], content[t]
             if rk != c:
-                rec(t + 1, need, _mul_into({}, w, _binomial(k - rk, k - c)), h)
+                rec(t + 1, slack - 1, _mul_into({}, w, _binomial(k - rk, k - c)), h)
 
-    rec(0, need, weight, 0)
+    rec(0, slack, weight, 0)
 
 
 @lru_cache(maxsize=None)
@@ -359,7 +373,7 @@ def _binomial(p, q):
     return {var_key(p): 1, var_key(q): -1}
 
 
-def _tableaux(shape, order, mu, nu, plain_cap, column_strict):
+def _tableaux(shape, order, mu, nu, caps, column_strict):
     """Every filling the search finds, as a ReverseTableau of the given shape."""
     plan = _plan(shape, order, column_strict)
     out = []
@@ -367,55 +381,41 @@ def _tableaux(shape, order, mu, nu, plain_cap, column_strict):
     def leaf(grid, _, __):
         out.append(ReverseTableau([[grid[t] for t in row] for row in plan.rows]))
 
-    _enumerate(plan, mu, nu, plain_cap, leaf)
+    _enumerate(plan, mu, nu, caps, leaf)
     return out
 
 
-def _lr_search(lam, mu, nu, cap, order, out):
-    """Add the weight of every LR filling into the term dict out.
+def _lr_search(lam, mu, nu, order):
+    """The weight of every LR filling, summed into one term dict.
 
-    The fillings have shape lam, strict columns, plain values at most cap
+    The fillings have shape lam, strict columns, plain values at most l(nu)
     and a Yamanouchi column word from mu to nu; with nu None (the every-nu
-    search of _enumerate) each weight goes into out[nu] instead, for the
-    partition nu the filling ends on.  The weight is tableau_weight in the
-    given order.  In column order, the search's own order, it is multiplied
-    up as boxes are placed and zero binomials cut their branch off.  In row
-    order, each filling gets one integer pass that grows rho in row order; a
-    filling with a zero binomial is dropped, and the others multiply their
-    binomials.
+    search of _enumerate, capped at l(mu) + l(lam)) the result maps each
+    partition nu a filling ends on to the sum of those fillings' weights.
+    The weight is tableau_weight in the given order, and one search, in
+    column order, serves both orders: at a plain k in box (i, j), the boxes
+    that one order reads before (i, j) and the other does not lie either
+    below and right of it (read first in row order), where strict columns
+    and weakly decreasing rows make every value smaller than k, or above
+    and left of it (read first in column order), where every value is
+    larger than k.  Neither holds a barred k, so rho_k at the box is the
+    same in both orders; the weight is multiplied up as boxes are placed,
+    and a zero binomial cuts its branch off.
     """
     if order not in ("row", "column"):
         raise ValueError("order must be 'row' or 'column'")
-    plan = _plan(tuple(lam), "column", True)
-    table = nu is None
-    if order == "column":
-        if table:
-            leaf = lambda _grid, w, rho: accumulate(out.setdefault(iv(rho), {}), w.items())
-        else:
-            leaf = lambda _grid, w, _rho: accumulate(out, w.items())
-        _enumerate(plan, mu, nu, lambda i: cap, leaf, weight={ONE_MONO: 1})
-        return
-    reading = plan.reading
-    start = pad(mu, cap)
-
-    def leaf(grid, _, end):
-        rho = list(start)
-        binomials = []
-        for t, c in reading:
-            k, barred, _ = grid[t]
-            rk = rho[k - 1]
-            if barred:
-                rho[k - 1] = rk + 1
-            elif rk == c:
-                return
-            else:
-                binomials.append(_binomial(k - rk, k - c))
-        w = binomials[0] if binomials else {ONE_MONO: 1}
-        for b in binomials[1:]:
-            w = _mul_into({}, w, b)
-        accumulate(out.setdefault(iv(end), {}) if table else out, w.items())
-
-    _enumerate(plan, mu, nu, lambda i: cap, leaf)
+    lam, mu = iv(lam), iv(mu)
+    plan = _plan(lam, "column", True)
+    out = {}
+    if nu is None:
+        cap = len(mu) + len(lam)
+        leaf = lambda _grid, w, rho: accumulate(out.setdefault(iv(rho), {}), w.items())
+    else:
+        nu = iv(nu)
+        cap = len(nu)
+        leaf = lambda _grid, w, _rho: accumulate(out, w.items())
+    _enumerate(plan, mu, nu, (cap,) * len(lam), leaf, weight={ONE_MONO: 1})
+    return out
 
 
 def lr_weight_sum(lam, mu, nu, order):
@@ -426,9 +426,7 @@ def lr_weight_sum(lam, mu, nu, order):
     tableau is built.  Raises ValueError unless lam, mu and nu are partitions;
     the sum is empty unless nu contains mu and has at most |lam| more boxes.
     """
-    out = {}
-    _lr_search(lam, mu, nu, len(tuple(nu)), order, out)
-    return out
+    return _lr_search(lam, mu, nu, order)
 
 
 def lr_weight_table(lam, mu, order):
@@ -439,12 +437,11 @@ def lr_weight_table(lam, mu, order):
     only if its largest plain value is at most l(nu), the per-cell cap.
     Each row of lam adds at most one row to mu, so l(mu) + l(lam) bounds
     every l(nu) and caps the search.  Only nu containing mu appear, with
-    |nu| - |mu| at most |lam|.  The table costs the sum of its cells; use it
-    when every nu is wanted.
+    |nu| - |mu| at most |lam|.  The table costs less than its cells searched
+    one by one, but more than any one of them: use it when every nu is
+    wanted.
     """
-    out = {}
-    _lr_search(lam, mu, None, len(tuple(mu)) + len(tuple(lam)), order, out)
-    return {nu: terms for nu, terms in out.items() if terms}
+    return {nu: terms for nu, terms in _lr_search(lam, mu, None, order).items() if terms}
 
 
 def enumerate_k_tableaux(kappa, mu, nu, cap=None):
@@ -456,10 +453,10 @@ def enumerate_k_tableaux(kappa, mu, nu, cap=None):
     kappa = tuple(kappa)
     if any(k < 0 for k in kappa):
         return []
-    lm = len(tuple(mu))
     lk = len(kappa)
     if cap is None:
-        caps = lambda i: lm + lk - i + 1
+        lm = len(tuple(mu))
+        caps = tuple(range(lm + lk, lm, -1))
     else:
-        caps = lambda i: cap
-    return _tableaux(kappa, "row", mu, nu, caps, column_strict=False)
+        caps = (cap,) * lk
+    return _tableaux(kappa, "row", iv(mu), iv(nu), caps, column_strict=False)

@@ -11,6 +11,10 @@ the reference the tests compare with:
 - ``enumerate_lr_tableaux``, ``enumerate_pieri_tableaux``: the LR and
   single-row Pieri tableaux as objects, from the search behind
   ``lr_weight_sum`` and ``enumerate_k_tableaux``;
+- ``row_order_weight_table``: the row-order weights of the every-nu
+  search, each read off its finished filling in row order, where
+  ``lr_weight_table`` multiplies them up as it places boxes in column
+  order;
 - ``all_permutations``: the permutations omega of the Jacobi-Trudi sum,
   which ``jacobi_trudi_fold`` expands row by row instead;
 - ``straighten``: sorting the rows of s_{mu,beta}, which ``pieri_stable``
@@ -24,11 +28,19 @@ the reference the tests compare with:
 
 from itertools import permutations
 
-from lrpoly.apoly import APoly, _mul_into
+from lrpoly.apoly import APoly, ONE_MONO, _mul_into, var_key
 from lrpoly.double_sym import XPoly
 from lrpoly.shapes import iv, pad
 from lrpoly.sparse import accumulate
-from lrpoly.tableaux import Entry, ReverseTableau, _tableaux, apply_word, reading
+from lrpoly.tableaux import (
+    Entry,
+    ReverseTableau,
+    _enumerate,
+    _plan,
+    _tableaux,
+    apply_word,
+    reading,
+)
 
 
 def a(i):
@@ -95,13 +107,49 @@ def enumerate_lr_tableaux(lam, mu, nu, cap=None):
     bounded by the Yamanouchi condition automatically.
     """
     cap = len(tuple(nu)) if cap is None else cap
-    return _tableaux(tuple(lam), "column", mu, nu, lambda i: cap, column_strict=True)
+    return _tableaux(tuple(lam), "column", mu, nu, (cap,) * len(tuple(lam)), column_strict=True)
+
+
+def row_order_weight_table(lam, mu):
+    """lr_weight_table(lam, mu, "row"), each filling weighed once it is complete.
+
+    Runs the every-nu search without a weight, then walks each filling in
+    row order (rows bottom to top, each left to right), growing rho from mu:
+    a plain k in a box of content c with rho_k = c drops the filling, and
+    the other plain entries multiply their binomials a_{k - rho_k} - a_{k - c}.
+    The weight goes under the nu the filling ends on.
+    """
+    lam, mu = iv(lam), iv(mu)
+    cap = len(mu) + len(lam)
+    plan = _plan(lam, "column", True)
+    row_reading = [(t, plan.content[t]) for row in reversed(plan.rows) for t in row]
+    out = {}
+
+    def leaf(grid, _, end):
+        rho = list(pad(mu, cap))
+        binomials = []
+        for t, c in row_reading:
+            k, barred, _ = grid[t]
+            rk = rho[k - 1]
+            if barred:
+                rho[k - 1] = rk + 1
+            elif rk == c:
+                return
+            else:
+                binomials.append({var_key(k - rk): 1, var_key(k - c): -1})
+        w = {ONE_MONO: 1}
+        for b in binomials:
+            w = _mul_into({}, w, b)
+        accumulate(out.setdefault(iv(end), {}), w.items())
+
+    _enumerate(plan, mu, None, (cap,) * len(lam), leaf)
+    return {nu: terms for nu, terms in out.items() if terms}
 
 
 def enumerate_pieri_tableaux(p, e, mu, nu, cap=None):
     """Single-row tableaux of shape (0,...,0,p) (row e+1) with Yamanouchi row word."""
     cap = len(tuple(nu)) if cap is None else cap
-    return _tableaux((0,) * e + (p,), "row", mu, nu, lambda i: cap, column_strict=False)
+    return _tableaux((0,) * e + (p,), "row", mu, nu, (cap,) * (e + 1), column_strict=False)
 
 
 # --- Jacobi-Trudi ---------------------------------------------------------

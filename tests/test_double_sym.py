@@ -132,7 +132,7 @@ def test_product_decomposition_stable_in_n():
 def test_c_oracle_detects_instability(monkeypatch, cell, expanded):
     lam, mu, nu = expanded
     n0 = len(nu)
-    original = double_sym.product_decomposition
+    original = double_sym._product  # c_oracle trims its shapes once and reads the memo
     calls = []
 
     def tampered(lam_, mu_, n):
@@ -142,7 +142,7 @@ def test_c_oracle_detects_instability(monkeypatch, cell, expanded):
             d = d + SchurSum.single(nu)
         return d
 
-    monkeypatch.setattr(double_sym, "product_decomposition", tampered)
+    monkeypatch.setattr(double_sym, "_product", tampered)
     with pytest.raises(ArithmeticError):
         c_oracle(*cell)
     assert calls == [(lam, mu, n0), (lam, mu, n0 + 1)]

@@ -41,6 +41,7 @@ from lrpoly.tableaux import (
     enumerate_k_tableaux,
     lr_weight_sum,
     lr_weight_table,
+    reading,
 )
 from definitions import (
     column_word,
@@ -48,6 +49,7 @@ from definitions import (
     expand_monomials,
     enumerate_lr_tableaux,
     enumerate_pieri_tableaux,
+    row_order_weight_table,
 )
 
 # Worked tableau of shape (3, 6, 1), used as the golden fixture throughout:
@@ -195,6 +197,37 @@ def test_lr_weight_table_matches_lr_weight_sum_on_the_weight_5_grid():
         lr_weight_table((1,), (1, 2), "row")
 
 
+def test_row_order_weights_at_placement_match_the_leaf_pass():
+    # the search multiplies a row-order weight up as it places boxes in
+    # column order; the reference walks each finished filling in row order
+    pairs = [(lam, mu) for lam in partitions_up_to(4) for mu in partitions_up_to(4)]
+    pairs.append(((4, 3, 2, 1), (3, 2, 1)))  # 98% of its fillings have a zero binomial
+    for lam, mu in pairs:
+        assert lr_weight_table(lam, mu, "row") == row_order_weight_table(lam, mu), (lam, mu)
+    assert theorem_product((4, 3, 2, 1), (3, 2, 1)) == corollary_product((4, 3, 2, 1), (3, 2, 1))
+
+
+def test_plain_rho_is_order_free_and_never_below_content():
+    # at a plain k in box (i, j) the boxes only one order reads first hold
+    # values above k (up and left) or below k (down and right), so rho_k is
+    # the same in both orders; and in either reading the first plain entry
+    # with rho_k <= c has rho_k = c, so a nonzero weight never has rho_k < c
+    seen = 0
+    for lam in partitions_up_to(4):
+        for mu in partitions_up_to(4):
+            for nu in lr_targets(lam, mu):
+                for T in enumerate_lr_tableaux(lam, mu, nu):
+                    seen += 1
+                    plain_rho = {}
+                    for order in ("row", "column"):
+                        walk = [(i, j, rk) for i, j, e, rk in reading(T, mu, order) if not e.barred]
+                        first = next((rk - (j - i) for i, j, rk in walk if rk <= j - i), 0)
+                        assert first == 0, (T.to_text(), mu, order)
+                        plain_rho[order] = {(i, j): rk for i, j, rk in walk}
+                    assert plain_rho["row"] == plain_rho["column"], (T.to_text(), mu)
+    assert seen == 5704
+
+
 def test_every_nu_search_finds_exactly_the_fillings_of_each_cell():
     # with no nu bound the search must visit each cell's LR tableaux once,
     # and nothing else: a filling whose plain values exceed the length of
@@ -203,7 +236,7 @@ def test_every_nu_search_finds_exactly_the_fillings_of_each_cell():
         for mu in partitions_up_to(4):
             found = Counter()
             cap = len(mu) + len(lam)
-            for T in tableaux._tableaux(lam, "column", mu, None, lambda i: cap, True):
+            for T in tableaux._tableaux(lam, "column", mu, None, (cap,) * len(lam), True):
                 found[apply_word(mu, column_word(T))[0], T] += 1
             expected = Counter(
                 (nu, T)
