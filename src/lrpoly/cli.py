@@ -422,7 +422,16 @@ def build_parser():
     add_format(p)
     p.set_defaults(fn=cmd_lr)
 
-    p = sub.add_parser("pieri", help="expansion of h_{p,e} * s_mu")
+    p = sub.add_parser(
+        "pieri",
+        help="expansion of h_{p,e} * s_mu",
+        description=(
+            "Expansion of h_{p,e} * s_mu. The stable rule's cost grows exponentially "
+            "in p, about 6x for each 2 added to p: p = 14 takes seconds, p = 16 "
+            "more than 20 s. For 0 <= e < l(mu), --method tableau gives the same "
+            "expansion in time about linear in p."
+        ),
+    )
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--mu", type=_partition, required=True)

@@ -22,9 +22,19 @@ The coefficient of s_nu in s_lam * s_mu is computed three independent ways:
 All three agree, vanish unless nu contains both lam and mu, specialize at
 a = 0 to the classical Littlewood-Richardson numbers, and are homogeneous of
 degree |lam| + |mu| - |nu|.
+
+pieri_tableau, the tableau form of the Pieri rule, is checked against the
+stable rule and backs kostka's tableaux method.  It sums the single-row
+tableaux of h_{p,e} * s_mu as a forward fold over the boxes of the row:
+fillings that reach the same (last value, rho) are added before the next
+box, so the work grows with the number of those states and not with the
+number of fillings, about 4^p.  No primed entry can be l(mu) + 1, so the
+count of barred (l(mu) + 1)'s is final when a primed entry is placed and no
+row-end check is needed.  It reads nothing from tableaux or stable_ring, so
+it stays independent of the rule it is checked against.
 """
 
-from .apoly import APoly
+from .apoly import APoly, ONE_MONO, _mul_into, var_key
 from .schursum import SchurSum
 from .shapes import iv, jacobi_trudi_fold, require_partitions
 from .sparse import accumulate
@@ -35,16 +45,24 @@ from .tableaux import lr_weight_sum, lr_weight_table
 def pieri_tableau(p, e, mu):
     """Tableau form of the Pieri rule: expand h_{p,e} * s_mu over partitions nu.
 
-    One search over the boxes of the single row (0,...,0,p) files every good
-    monomial filling under the partition rho it ends on.  With L = l(mu), a
-    barred k keeps every prefix a partition, a plain unprimed k is at most L
-    with weight a_{k - rho_k}, and a primed k in a box of content c has
-    weight -a_{k - c} and k - c <= L - y, where y counts the barred (L+1)'s
-    in the row.  These are exactly the monomials that survive the
-    telescoping of the unbounded plain tail, so the sum is finite and
-    matches the stable rule.  Values weakly decrease along the row, and
-    L + p bounds the first.  Only the range e < l(mu) is supported (the
-    rule's hypothesis); use pieri_stable outside it.
+    The good monomial fillings of the single row (0,...,0,p) are summed as a
+    forward fold over its boxes j = 1..p, box j of content c = j - e - 1.
+    With L = l(mu), a box holds a barred k (rho grows at row k and stays a
+    partition), a plain unprimed k <= L with weight a_{k - rho_k}, or a
+    primed k with weight -a_{k - c} and k - c <= L - y, where y counts the
+    barred (L+1)'s.  Values weakly decrease along the row.  These are
+    exactly the monomials that survive the telescoping of the unbounded
+    plain tail, so the sum is finite and matches the stable rule.
+
+    The state after a box is (last value, rho), and y = rho_{L+1}, since
+    only a barred L+1 grows row L+1.  A primed L+1 at box j would need j - 1
+    barred (L+1)'s before it, so y = j - 1 and its bound L - y + c = L - e
+    is below L + 1: no primed entry is L + 1, so no barred L+1 follows a
+    primed entry and y is final when a primed entry is placed.  The two
+    plain entries of a value k thus lead to the same state and place one
+    factor, their binomial when both are allowed.  Fillings that reach the
+    same state are added before the next box.  Only the range e < l(mu) is
+    supported (the rule's hypothesis); use pieri_stable outside it.
     """
     mu = iv(mu)
     L = len(mu)
@@ -52,31 +70,25 @@ def pieri_tableau(p, e, mu):
         raise ValueError("unsupported hypothesis: require 0 <= e < l(mu)")
     if p < 0:
         return SchurSum.zero()
-    rho = list(mu) + [0]
-    out = {}
-
-    def fill(j, y, hi, pending, weight):
-        if j > p:
-            if all(k - c <= L - y for k, c in pending):
-                accumulate(out, ((iv(rho), weight),))
-            return
+    # (last value, rho) -> the summed prefix weights; no value exceeds L + 1
+    states = {(L + 1, mu + (0,)): {ONE_MONO: 1}}
+    for j in range(1, p + 1):
         c = j - e - 1
-        # barred: grow rho, keep every prefix a partition
-        for k in range(1, min(L + 1, hi) + 1):
-            if k > 1 and rho[k - 2] <= rho[k - 1]:
-                continue
-            rho[k - 1] += 1
-            fill(j + 1, y + (k == L + 1), k, pending, weight)
-            rho[k - 1] -= 1
-        # plain unprimed: value at most L, weight a_{k - rho_k}
-        for k in range(1, min(L, hi) + 1):
-            fill(j + 1, y, k, pending, weight * APoly.var(k - rho[k - 1]))
-        # plain primed: weight -a_{k - c}; exact bound checked at row end
-        for k in range(1, min(L - y + c, hi) + 1):
-            fill(j + 1, y, k, pending + [(k, c)], weight * APoly.var(k - c, coeff=-1))
-
-    fill(1, 0, L + p, [], APoly.one())
-    return SchurSum(out)
+        nxt = {}
+        for (hi, rho), terms in states.items():
+            for k in range(1, min(L + 1, hi) + 1):
+                if k == 1 or rho[k - 2] > rho[k - 1]:
+                    grown = rho[:k - 1] + (rho[k - 1] + 1,) + rho[k:]
+                    accumulate(nxt.setdefault((k, grown), {}), terms.items())
+            for k in range(1, min(L, hi) + 1):
+                plain = [(var_key(k - rho[k - 1]), 1)]
+                if k - c <= L - rho[L]:
+                    plain.append((var_key(k - c), -1))
+                _mul_into(nxt.setdefault((k, rho), {}), terms, accumulate({}, plain))
+        states = {state: terms for state, terms in nxt.items() if terms}
+    return SchurSum(accumulate({}, (
+        (iv(rho), APoly(terms)) for (_, rho), terms in states.items()
+    )))
 
 
 def kostka(kappa, mu, nu, method="recursion"):

@@ -15,6 +15,10 @@ the reference the tests compare with:
   search, each read off its finished filling in row order, where
   ``lr_weight_table`` multiplies them up as it places boxes in column
   order;
+- ``pieri_tableau_backtrack``: the tableau Pieri rule as a backtracking
+  search over every filling of the row, each primed entry's bound checked
+  again at the row end, where ``pieri_tableau`` folds the boxes and merges
+  equal states;
 - ``all_permutations``: the permutations omega of the Jacobi-Trudi sum,
   which ``jacobi_trudi_fold`` expands row by row instead;
 - ``straighten``: sorting the rows of s_{mu,beta}, which ``pieri_stable``
@@ -26,10 +30,12 @@ the reference the tests compare with:
   without.
 """
 
+from collections import Counter
 from itertools import permutations
 
 from lrpoly.apoly import APoly, ONE_MONO, _mul_into, var_key
 from lrpoly.double_sym import XPoly
+from lrpoly.schursum import SchurSum
 from lrpoly.shapes import iv, pad
 from lrpoly.sparse import accumulate
 from lrpoly.tableaux import (
@@ -150,6 +156,54 @@ def enumerate_pieri_tableaux(p, e, mu, nu, cap=None):
     """Single-row tableaux of shape (0,...,0,p) (row e+1) with Yamanouchi row word."""
     cap = len(tuple(nu)) if cap is None else cap
     return _tableaux((0,) * e + (p,), "row", mu, nu, (cap,) * (e + 1), column_strict=False)
+
+
+def pieri_tableau_backtrack(p, e, mu, stats=None):
+    """pieri_tableau(p, e, mu) as a search over every filling of the row.
+
+    Each box of content c takes a barred k that keeps rho a partition, a
+    plain unprimed k <= L = l(mu) with weight a_{k - rho_k}, or a primed k
+    with weight -a_{k - c} and k <= L - y + c, y the barred (L+1)'s so far;
+    values weakly decrease and L + p bounds the first.  A primed entry's
+    bound k - c <= L - y is checked again at the row end with the final y.
+    When stats is a Counter it counts the accepted fillings ("fillings"),
+    the fillings that row-end check rejects ("rejected") and the primed
+    entries of value L + 1 placed ("primed_top").
+    """
+    mu = iv(mu)
+    L = len(mu)
+    if not 0 <= e < L:
+        raise ValueError("unsupported hypothesis: require 0 <= e < l(mu)")
+    if p < 0:
+        return SchurSum.zero()
+    stats = Counter() if stats is None else stats
+    rho = list(mu) + [0]
+    out = {}
+
+    def fill(j, y, hi, pending, weight):
+        if j > p:
+            if all(k - c <= L - y for k, c in pending):
+                stats["fillings"] += 1
+                accumulate(out, ((iv(rho), weight),))
+            else:
+                stats["rejected"] += 1
+            return
+        c = j - e - 1
+        for k in range(1, min(L + 1, hi) + 1):
+            if k > 1 and rho[k - 2] <= rho[k - 1]:
+                continue
+            rho[k - 1] += 1
+            fill(j + 1, y + (k == L + 1), k, pending, weight)
+            rho[k - 1] -= 1
+        for k in range(1, min(L, hi) + 1):
+            fill(j + 1, y, k, pending, weight * APoly.var(k - rho[k - 1]))
+        for k in range(1, min(L - y + c, hi) + 1):
+            if k == L + 1:
+                stats["primed_top"] += 1
+            fill(j + 1, y, k, pending + [(k, c)], weight * APoly.var(k - c, coeff=-1))
+
+    fill(1, 0, L + p, [], APoly.one())
+    return SchurSum(out)
 
 
 # --- Jacobi-Trudi ---------------------------------------------------------

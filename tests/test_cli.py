@@ -107,6 +107,16 @@ def test_pieri_methods_agree(capsys):
     assert out_s == out_t
 
 
+def test_pieri_tableau_on_a_long_row(capsys):
+    pieri = ("pieri", "--e", "0", "--mu", "1", "--method")
+    _, out_s, _ = run(capsys, *pieri, "stable", "--p", "12")
+    _, out_t, _ = run(capsys, *pieri, "tableau", "--p", "12")
+    assert out_s == out_t
+    code, out, _ = run(capsys, *pieri, "tableau", "--p", "14", "--format", "json")
+    assert code == 0
+    assert [term["nu"] for term in json.loads(out)] == [[14], [15], [14, 1]]
+
+
 # s_(2,1) in three variables, pinned byte for byte
 _SCHUR_21_N3_JSON = (
     '{"n": 3, "terms": [{"coeff": [{"coeff": "1", "vars": []}], "x": [2, 1'

@@ -1,6 +1,7 @@
 """Structure coefficients: tableau rules, alternating sum, and Pieri forms."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from lrpoly.lr import (
 from lrpoly.stable_ring import pieri_stable
 from lrpoly.double_sym import classical_lr
 from lrpoly.schursum import SchurSum
-from definitions import a, all_permutations, enumerate_lr_tableaux
+from definitions import a, all_permutations, enumerate_lr_tableaux, pieri_tableau_backtrack
 
 
 def test_single_box_product():
@@ -157,6 +158,40 @@ _pieri_cells = [
 def test_pieri_tableau_equals_stable_on_random_cells(cell):
     p, e, mu = cell
     assert pieri_tableau(p, e, mu) == pieri_stable(p, e, mu), cell
+
+
+def test_pieri_tableau_fold_matches_the_backtracking_search():
+    """The fold equals the search over every filling on 220 cells.
+
+    The cells are |mu| <= 5, 0 <= p <= 5 (p <= 4 when |mu| >= 4) and
+    0 <= e < l(mu).  On them the search never places a primed L + 1 and its
+    row-end check never rejects a filling: the lemma the fold rests on.
+    """
+    stats = Counter()
+    cells = [
+        (p, e, mu)
+        for mu in partitions_up_to(5)
+        for p in range((5 if size(mu) < 4 else 4) + 1)
+        for e in range(len(mu))
+    ]
+    assert len(cells) == 220
+    for cell in cells:
+        assert pieri_tableau(*cell) == pieri_tableau_backtrack(*cell, stats=stats), cell
+    assert stats["fillings"] > 0
+    assert stats["primed_top"] == 0
+    assert stats["rejected"] == 0
+
+
+def test_pieri_tableau_equals_stable_on_the_weight_4_grid():
+    cells = [
+        (p, e, mu)
+        for mu in partitions_up_to(4)
+        for p in range(9)
+        for e in range(len(mu))
+    ]
+    assert len(cells) == 198
+    for cell in cells:
+        assert pieri_tableau(*cell) == pieri_stable(*cell), cell
 
 
 @settings(max_examples=100)
