@@ -140,6 +140,9 @@ class APoly(Terms):
         return isinstance(other, APoly) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int (zero as 0)
+        if self.terms.keys() <= {ONE_MONO}:
+            return hash(self.terms.get(ONE_MONO, 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):

@@ -1,25 +1,26 @@
-"""Structure coefficients via tableau rules and the alternating determinant sum.
+"""Structure coefficients via a tableau rule and the alternating determinant sum.
 
-The coefficient of s_nu in s_lam * s_mu is computed three independent ways:
+The coefficient of s_nu in s_lam * s_mu is computed two independent ways:
 
-* c_theorem / c_corollary: direct tableau sums over shape-lam fillings with a
-  Yamanouchi column word, weighted with the row-order (theorem) or
-  column-order (corollary) prefix partitions; the weights are summed during
-  the tableau search, and fillings with a zero binomial are cut off.  At
-  every plain entry the two orders give the same rho_k, so both rules run
-  the same column-order search.  theorem_product / corollary_product
-  expand the whole product s_lam * s_mu by the same rules from one search
-  with no nu bound (lr_weight_table), which files every filling under the
-  nu it ends on.  That search costs less than its cells searched one by
-  one, but more than any single cell, so the single-cell rules keep their
-  own search;
+* c_theorem / c_corollary: the tableau sum over shape-lam fillings with a
+  Yamanouchi column word.  The paper's Theorem weights each filling with
+  row-order prefix partitions and its Corollary with column-order ones;
+  at every plain entry the two orders give the same rho_k, so every
+  filling weighs the same either way and both names run one column-order
+  search (lr_weight_sum), which sums the weights as it places boxes and
+  cuts off fillings with a zero binomial.  theorem_product expands the
+  whole product s_lam * s_mu by the same rule from one search with no nu
+  bound (lr_weight_table), which files every filling under the nu it ends
+  on.  That search costs less than its cells searched one by one, but
+  more than any single cell, so the single-cell rules keep their own
+  search;
 * c_alternating: the coefficient at nu of alternating_product, which
   expands the whole product s_lam * s_mu once as the signed sum of
   h_{lam^omega} * s_mu, folding the Jacobi-Trudi determinant in row by row
   (jacobi_trudi_fold) with the stable Pieri rule; a sweep over nu reads
   every coefficient from one product.
 
-All three agree, vanish unless nu contains both lam and mu, specialize at
+Both agree, vanish unless nu contains both lam and mu, specialize at
 a = 0 to the classical Littlewood-Richardson numbers, and are homogeneous of
 degree |lam| + |mu| - |nu|.
 
@@ -131,30 +132,16 @@ def c_alternating(lam, mu, nu):
     return alternating_product(lam, mu).coeff(nu)
 
 
-def _c_tableau(lam, mu, nu, order):
-    return APoly(lr_weight_sum(lam, mu, nu, order))
-
-
 def c_theorem(lam, mu, nu):
-    """Tableau rule with row-order prefix weights."""
-    return _c_tableau(lam, mu, nu, "row")
+    """Tableau rule, the paper's Theorem: LR tableau weights in row order."""
+    return APoly(lr_weight_sum(lam, mu, nu))
 
 
 def c_corollary(lam, mu, nu):
-    """Tableau rule with column-order prefix weights."""
-    return _c_tableau(lam, mu, nu, "column")
-
-
-def _tableau_product(lam, mu, order):
-    table = lr_weight_table(lam, mu, order)
-    return SchurSum({nu: APoly(terms) for nu, terms in table.items()})
+    """Tableau rule, the paper's Corollary: the same weights read in column order."""
+    return APoly(lr_weight_sum(lam, mu, nu))
 
 
 def theorem_product(lam, mu):
     """s_lam * s_mu as a SchurSum: c_theorem at every nu, from one tableau search."""
-    return _tableau_product(lam, mu, "row")
-
-
-def corollary_product(lam, mu):
-    """s_lam * s_mu as a SchurSum: c_corollary at every nu, from one tableau search."""
-    return _tableau_product(lam, mu, "column")
+    return SchurSum({nu: APoly(terms) for nu, terms in lr_weight_table(lam, mu).items()})

@@ -13,17 +13,18 @@ One backtracking search (_enumerate) finds every filling, either for one
 target nu or, with no nu bound, for every nu at once.
 enumerate_k_tableaux, the stacked-Pieri enumeration behind the involution
 checks, collects its fillings as ReverseTableau objects; lr_weight_sum,
-behind the tableau rules, builds none and sums the weights of the LR
+behind the tableau rule, builds none and sums the weights of the LR
 tableaux during the search instead, and lr_weight_table files the weights
 of one every-nu search under the nu each filling ends on, which expands a
 whole product s_lam * s_mu.
 A binomial is zero exactly when rho_k = c, so a zero binomial cuts off its
-branch with every completion below it.  The LR search runs in column
-order for both orders: at every plain entry of an LR filling, rho_k read
-in row order equals rho_k read in column order (see _lr_search), so the
-row-order weight, too, is multiplied up as boxes are placed.  With strict
-columns a box in row i holds at most the largest value less i - 1, which
-caps each row before any value is tried.
+branch with every completion below it.  At every plain entry of an LR
+filling, rho_k read in row order equals rho_k read in column order (see
+_lr_search), so a filling weighs the same in both orders, and one search,
+in column order, gives the sums of the paper's Theorem (row order) and of
+its Corollary (column order) alike, multiplying the weight up as boxes are
+placed.  With strict columns a box in row i holds at most the largest
+value less i - 1, which caps each row before any value is tried.
 What depends only on the shape (the traversal, each box's neighbours,
 content and row, the rows' ceilings, the rows, and the rows left after
 each box) is built once per shape by _plan, which also serves reading its
@@ -385,25 +386,23 @@ def _tableaux(shape, order, mu, nu, caps, column_strict):
     return out
 
 
-def _lr_search(lam, mu, nu, order):
+def _lr_search(lam, mu, nu):
     """The weight of every LR filling, summed into one term dict.
 
     The fillings have shape lam, strict columns, plain values at most l(nu)
     and a Yamanouchi column word from mu to nu; with nu None (the every-nu
     search of _enumerate, capped at l(mu) + l(lam)) the result maps each
     partition nu a filling ends on to the sum of those fillings' weights.
-    The weight is tableau_weight in the given order, and one search, in
-    column order, serves both orders: at a plain k in box (i, j), the boxes
-    that one order reads before (i, j) and the other does not lie either
-    below and right of it (read first in row order), where strict columns
-    and weakly decreasing rows make every value smaller than k, or above
-    and left of it (read first in column order), where every value is
-    larger than k.  Neither holds a barred k, so rho_k at the box is the
-    same in both orders; the weight is multiplied up as boxes are placed,
+    The weight is tableau_weight in row order and in column order alike:
+    at a plain k in box (i, j), the boxes that one order reads before
+    (i, j) and the other does not lie either below and right of it (read
+    first in row order), where strict columns and weakly decreasing rows
+    make every value smaller than k, or above and left of it (read first in
+    column order), where every value is larger than k.  Neither holds a
+    barred k, so rho_k at the box is the same in both orders.  The search
+    runs in column order; the weight is multiplied up as boxes are placed,
     and a zero binomial cuts its branch off.
     """
-    if order not in ("row", "column"):
-        raise ValueError("order must be 'row' or 'column'")
     lam, mu = iv(lam), iv(mu)
     plan = _plan(lam, "column", True)
     out = {}
@@ -418,19 +417,22 @@ def _lr_search(lam, mu, nu, order):
     return out
 
 
-def lr_weight_sum(lam, mu, nu, order):
-    """The sum of tableau_weight(T, mu, order) over the LR tableaux T.
+def lr_weight_sum(lam, mu, nu):
+    """The sum of tableau_weight(T, mu, order) over the LR tableaux T, in either order.
 
     These have shape lam, strict columns, plain values at most l(nu) and a
-    Yamanouchi column word taking mu to nu.  Returned as a term dict.  No
-    tableau is built.  Raises ValueError unless lam, mu and nu are partitions;
-    the sum is empty unless nu contains mu and has at most |lam| more boxes.
+    Yamanouchi column word taking mu to nu.  Every such T weighs the same
+    read in row order (the paper's Theorem) or in column order (its
+    Corollary; see _lr_search), so one sum serves both.  Returned as a term
+    dict.  No tableau is built.  Raises ValueError unless lam, mu and nu are
+    partitions; the sum is empty unless nu contains mu and has at most
+    |lam| more boxes.
     """
-    return _lr_search(lam, mu, nu, order)
+    return _lr_search(lam, mu, nu)
 
 
-def lr_weight_table(lam, mu, order):
-    """lr_weight_sum(lam, mu, nu, order) at every nu, as {nu: nonzero term dict}.
+def lr_weight_table(lam, mu):
+    """lr_weight_sum(lam, mu, nu) at every nu, as {nu: nonzero term dict}.
 
     One search with no nu bound (see _enumerate): each filling adds its
     weight under the partition nu that its barred word ends on, and counts
@@ -441,7 +443,7 @@ def lr_weight_table(lam, mu, order):
     one by one, but more than any one of them: use it when every nu is
     wanted.
     """
-    return {nu: terms for nu, terms in _lr_search(lam, mu, None, order).items() if terms}
+    return {nu: terms for nu, terms in _lr_search(lam, mu, None).items() if terms}
 
 
 def enumerate_k_tableaux(kappa, mu, nu, cap=None):

@@ -117,7 +117,7 @@ def enumerate_lr_tableaux(lam, mu, nu, cap=None):
 
 
 def row_order_weight_table(lam, mu):
-    """lr_weight_table(lam, mu, "row"), each filling weighed once it is complete.
+    """lr_weight_table(lam, mu) in row order, each filling weighed once it is complete.
 
     Runs the every-nu search without a weight, then walks each filling in
     row order (rows bottom to top, each left to right), growing rho from mu:

@@ -167,5 +167,5 @@ def test_criterion_09_involution_suites():
 
 
 def test_criterion_10_homogeneity_and_vanishing():
-    # also theorem == corollary == alternating and the classical value
+    # also the tableau product == alternating and the classical value
     _assert_suite_passes("lr", 4, 132)

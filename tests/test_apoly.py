@@ -27,6 +27,17 @@ def test_canonical_form_and_equality():
     assert APoly.const(0).is_zero()
 
 
+def test_constants_hash_like_the_ints_they_equal():
+    # equal objects must hash equal, so a constant and its int are one key
+    for c in (0, 1, 2, -3, 2**70):
+        assert APoly.const(c) == c and hash(APoly.const(c)) == hash(c), c
+    assert hash(APoly.zero()) == 0
+    assert len({APoly.const(2), 2}) == 1
+    assert {1: "x"}.get(APoly.one()) == "x"
+    assert {APoly.zero(): "z"}.get(0) == "z"
+    assert len({a(1), a(1) * 1, a(2)}) == 2
+
+
 def test_degree_and_homogeneity():
     p = a(1) * a(2) - a(0) * a(0)
     assert p.degree() == 2

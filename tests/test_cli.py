@@ -266,7 +266,7 @@ def test_oracle_span_failure_is_internal(capsys, monkeypatch, clear_oracle_memos
     assert err == "internal error: not in span: leading exponent (2, 1) has more than n=1 parts\n"
 
 
-@pytest.mark.parametrize("product", ["theorem", "corollary", "alternating"])
+@pytest.mark.parametrize("product", ["theorem", "alternating"])
 @pytest.mark.parametrize("extra", [(), (9,)])
 def test_verify_lr_fails_a_product_term_outside_the_support(capsys, monkeypatch, extra, product):
     # a term at a nu that misses lam, or that is too large, fails its case
@@ -284,9 +284,9 @@ def test_verify_lr_fails_a_product_term_outside_the_support(capsys, monkeypatch,
     assert out.strip().endswith("total: 0/2 passed")
 
 
-def test_verify_lr_runs_one_every_nu_search_per_pair_and_order(capsys, monkeypatch):
-    # each case expands the theorem and corollary products from one tableau
-    # search apiece with no nu bound, and searches no single cell
+def test_verify_lr_runs_one_every_nu_search_per_pair(capsys, monkeypatch):
+    # each case expands the tableau product from one search with no nu
+    # bound, and searches no single cell
     searches, tables = [], Counter()
     real_enumerate, real_table = tableaux._enumerate, lr.lr_weight_table
 
@@ -294,17 +294,17 @@ def test_verify_lr_runs_one_every_nu_search_per_pair_and_order(capsys, monkeypat
         searches.append(nu)
         return real_enumerate(plan, mu, nu, *args, **kwargs)
 
-    def counted_table(lam, mu, order):
-        tables[lam, mu, order] += 1
-        return real_table(lam, mu, order)
+    def counted_table(lam, mu):
+        tables[lam, mu] += 1
+        return real_table(lam, mu)
 
     monkeypatch.setattr(tableaux, "_enumerate", counted_enumerate)
     monkeypatch.setattr(lr, "lr_weight_table", counted_table)
     code, out, _ = run(capsys, "verify", "--suite", "lr", "--max-weight", "3")
     assert code == 0, out
     pairs = [(lam, mu) for lam in partitions_up_to(3) if lam for mu in partitions_up_to(3)]
-    assert tables == Counter({(lam, mu, order): 1 for lam, mu in pairs for order in ("row", "column")})
-    assert searches == [None] * (2 * len(pairs))
+    assert tables == Counter(dict.fromkeys(pairs, 1))
+    assert searches == [None] * len(pairs)
 
 
 def test_verify_max_weight_below_one_exit_2(capsys):

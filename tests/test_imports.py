@@ -11,7 +11,10 @@ read of the same name from another module does not count, and neither
 does a read from a test: a definition only the tests read belongs in
 ``tests/definitions.py``.  A parameter of a package function, other than
 ``self``, ``cls`` and names starting with ``_``, counts as used when the
-function's body loads it.
+function's body loads it.  Every module-level definition of
+``tests/definitions.py`` must be imported from it, or read off it as an
+attribute, by some ``tests/test_*.py``, so no reference outlives the
+tests that compare with it.
 
 Every memo of the package is a ``functools.lru_cache`` function, which
 answers ``cache_info()`` and ``cache_clear()``: no package module binds an
@@ -178,6 +181,22 @@ def test_no_unused_definitions():
         if (_module_name(path), name) not in reads
     ]
     assert not unused, "unused definitions:\n" + "\n".join(unused)
+
+
+def test_every_test_definition_is_read_by_a_test():
+    definitions = ROOT / "tests" / "definitions.py"
+    reads = set().union(*(
+        _reads(path, ast.parse(path.read_text(), str(path)))
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+    ))
+    defined = list(_definitions(ast.parse(definitions.read_text(), str(definitions))))
+    assert defined
+    unread = [
+        f"{definitions.relative_to(ROOT)}:{line}: {name}"
+        for name, line in defined
+        if ("definitions", name) not in reads
+    ]
+    assert not unread, "definitions no test reads:\n" + "\n".join(unread)
 
 
 def test_no_unused_parameters():

@@ -109,18 +109,20 @@ def test_symmetry_in_lam_mu():
 
 
 def test_weighted_search_matches_tableau_sum():
-    # the reference: build every LR tableau, then weigh it on its own
+    # the reference: build every LR tableau, then weigh it on its own in row
+    # order (the theorem) and in column order (the corollary); the one
+    # search must equal both sums
     for lam in partitions_up_to(4):
         for mu in partitions_up_to(4):
             for nu in lr_targets(lam, mu):
                 if not contains(nu, mu):
                     continue
                 tableaux = enumerate_lr_tableaux(lam, mu, nu)
+                got = lr_weight_sum(lam, mu, nu)
                 for order in ("row", "column"):
                     expected = APoly.zero()
                     for T in tableaux:
                         expected = expected + tableau_weight(T, mu, order)
-                    got = lr_weight_sum(lam, mu, nu, order)
                     assert got == expected.terms, (lam, mu, nu, order)
     # three tableaux, each with a zero binomial in either order
     lam, mu, nu = (2,), (1,), (1, 1)
@@ -128,9 +130,7 @@ def test_weighted_search_matches_tableau_sum():
     assert len(tableaux) == 3
     for order in ("row", "column"):
         assert all(tableau_weight(T, mu, order).is_zero() for T in tableaux)
-        assert lr_weight_sum(lam, mu, nu, order) == {}
-    with pytest.raises(ValueError):
-        lr_weight_sum(lam, mu, nu, "diagonal")
+    assert lr_weight_sum(lam, mu, nu) == {}
 
 
 _partitions = st.sampled_from(partitions_up_to(5))

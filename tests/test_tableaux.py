@@ -15,7 +15,6 @@ from lrpoly.lr import (
     c_alternating,
     c_corollary,
     c_theorem,
-    corollary_product,
     theorem_product,
 )
 from lrpoly.shapes import (
@@ -106,8 +105,7 @@ def test_enumerate_lr_basic():
     # mu longer than nu is not inside it either
     assert enumerate_lr_tableaux((1,), (1, 1), (2,)) == []
     assert enumerate_k_tableaux((1,), (1, 1), (2,)) == []
-    assert lr_weight_sum((1,), (1, 1), (2,), "row") == {}
-    assert lr_weight_sum((1,), (1, 1), (2,), "column") == {}
+    assert lr_weight_sum((1,), (1, 1), (2,)) == {}
 
 
 def test_enumerate_lr_cap_insensitive():
@@ -171,30 +169,25 @@ def test_weights_agree_on_random_stacked_tableaux(kappa, mu, data):
 
 def test_lr_weight_table_matches_lr_weight_sum_on_the_weight_5_grid():
     # one search with no nu bound files every filling under the nu it ends
-    # on: each of the 342 pairs, in both orders, must give every cell's sum
+    # on: each of the 342 pairs must give every cell's sum
     cells = 0
     for lam in partitions_up_to(5):
         if not lam:
             continue
         for mu in partitions_up_to(5):
             targets = lr_targets(lam, mu)
-            for order in ("row", "column"):
-                table = lr_weight_table(lam, mu, order)
-                assert set(table) <= set(targets), (lam, mu, order)
-                assert all(table.values()), (lam, mu, order)
-                for nu in targets:
-                    if contains(nu, mu):
-                        cells += 1
-                        assert table.get(nu, {}) == lr_weight_sum(lam, mu, nu, order), (
-                            lam, mu, nu, order)
-    assert cells == 2 * 10700
+            table = lr_weight_table(lam, mu)
+            assert set(table) <= set(targets), (lam, mu)
+            assert all(table.values()), (lam, mu)
+            for nu in targets:
+                if contains(nu, mu):
+                    cells += 1
+                    assert table.get(nu, {}) == lr_weight_sum(lam, mu, nu), (lam, mu, nu)
+    assert cells == 10700
     for mu in partitions_up_to(3):
-        for order in ("row", "column"):
-            assert lr_weight_table((), mu, order) == {mu: {ONE_MONO: 1}}
-    with pytest.raises(ValueError):
-        lr_weight_table((1,), (), "diagonal")
+        assert lr_weight_table((), mu) == {mu: {ONE_MONO: 1}}
     with pytest.raises(ValueError, match="must be partitions"):
-        lr_weight_table((1,), (1, 2), "row")
+        lr_weight_table((1,), (1, 2))
 
 
 def test_row_order_weights_at_placement_match_the_leaf_pass():
@@ -203,8 +196,7 @@ def test_row_order_weights_at_placement_match_the_leaf_pass():
     pairs = [(lam, mu) for lam in partitions_up_to(4) for mu in partitions_up_to(4)]
     pairs.append(((4, 3, 2, 1), (3, 2, 1)))  # 98% of its fillings have a zero binomial
     for lam, mu in pairs:
-        assert lr_weight_table(lam, mu, "row") == row_order_weight_table(lam, mu), (lam, mu)
-    assert theorem_product((4, 3, 2, 1), (3, 2, 1)) == corollary_product((4, 3, 2, 1), (3, 2, 1))
+        assert lr_weight_table(lam, mu) == row_order_weight_table(lam, mu), (lam, mu)
 
 
 def test_plain_rho_is_order_free_and_never_below_content():
@@ -276,10 +268,8 @@ def _memo_probes():
                     for e in (0, 1):
                         args = (lam[0], e, mu, nu)
                         probes.append((("pieri",) + args, partial(enumerate_pieri_tableaux, *args)))
-                for order in ("row", "column"):
-                    probes.append(((order,) + cell, partial(lr_weight_sum, *cell, order)))
-            for order in ("row", "column"):
-                probes.append((("table", lam, mu, order), partial(lr_weight_table, lam, mu, order)))
+                probes.append((("sum",) + cell, partial(lr_weight_sum, *cell)))
+            probes.append((("table", lam, mu), partial(lr_weight_table, lam, mu)))
     return probes
 
 
@@ -329,19 +319,21 @@ def test_non_partition_mu_or_nu_raises(warm):
     cell_rules = [
         c_theorem,
         c_corollary,
-        partial(lr_weight_sum, order="row"),
-        partial(lr_weight_sum, order="column"),
+        lr_weight_sum,
         c_alternating,
         c_oracle,
         classical_lr,
     ]
     product_rules = [
         theorem_product,
-        corollary_product,
         alternating_product,
-        partial(lr_weight_table, order="row"),
-        partial(lr_weight_table, order="column"),
+        lr_weight_table,
     ]
+    # c_corollary is a def of its own, not c_theorem bound to a second name:
+    # perfbench's tracer replaces every binding of a wrapped function, so it
+    # would wrap one shared function object twice, and a traced
+    # tableau_sweep then reports correct: false
+    assert c_corollary is not c_theorem
     if warm:  # every route first runs on the cell with its shapes sorted
         for cell in NON_PARTITION_CELLS:
             lam, mu, nu = (tuple(sorted(shape, reverse=True)) for shape in cell)
