@@ -7,13 +7,13 @@ The coefficient of s_nu in s_lam * s_mu is computed two independent ways:
   row-order prefix partitions and its Corollary with column-order ones;
   at every plain entry the two orders give the same rho_k, so every
   filling weighs the same either way and both names run one column-order
-  search (lr_weight_sum), which sums the weights as it places boxes and
-  cuts off fillings with a zero binomial.  theorem_product expands the
-  whole product s_lam * s_mu by the same rule from one search with no nu
-  bound (lr_weight_table), which files every filling under the nu it ends
-  on.  That search costs less than its cells searched one by one, but
-  more than any single cell, so the single-cell rules keep their own
-  search;
+  search (lr_weight_sum), which reads each binomial as it places a box,
+  cuts off fillings with a zero binomial and sums the weights of the
+  rest.  theorem_product expands the whole product s_lam * s_mu by the
+  same rule from one search with no nu bound (lr_weight_table), which
+  files every filling under the nu it ends on.  That search costs less
+  than its cells searched one by one, but more than any single cell, so
+  the single-cell rules keep their own search;
 * c_alternating: the coefficient at nu of alternating_product, which
   expands the whole product s_lam * s_mu once as the signed sum of
   h_{lam^omega} * s_mu, folding the Jacobi-Trudi determinant in row by row

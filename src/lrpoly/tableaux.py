@@ -22,9 +22,13 @@ branch with every completion below it.  At every plain entry of an LR
 filling, rho_k read in row order equals rho_k read in column order (see
 _lr_search), so a filling weighs the same in both orders, and one search,
 in column order, gives the sums of the paper's Theorem (row order) and of
-its Corollary (column order) alike, multiplying the weight up as boxes are
-placed.  With strict columns a box in row i holds at most the largest
-value less i - 1, which caps each row before any value is tried.
+its Corollary (column order) alike.  Each plain entry only records its
+binomial; a filling's weight is multiplied out when the search reaches it,
+from the longest product of recorded binomials it shares with the fillings
+before it, so a branch that no filling completes multiplies nothing.  With
+strict columns a box in row i holds at most the largest value less i - 1,
+which caps each row before any value is tried, and a shape longer than nu
+has no filling at all.
 What depends only on the shape (the traversal, each box's neighbours,
 content and row, the rows' ceilings, the rows, and the rows left after
 each box) is built once per shape by _plan, which also serves reading its
@@ -307,6 +311,14 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
     prefix in traversal order; a plain entry whose binomial is zero
     (rho_k = c) is cut off together with every completion below it.
     Without a weight, w is None.
+
+    The d-th plain entry of a filling stores its binomial in factors[d - 1]
+    and multiplies nothing.  prefix[d] is weight times factors[:d], kept for
+    every d up to ready; storing factors[d] drops ready to d.  A leaf with d
+    plain entries expands prefix[ready + 1..d] and passes prefix[d], so a
+    branch that reaches no leaf runs no product, and fillings that share
+    their first plain entries share those products.  w is shared by later
+    leaves: read it during the call, never write or keep it.
     """
     require_partitions(mu, () if nu is None else nu)
     left, below, content, row = plan.left, plan.below, plan.content, plan.row
@@ -315,27 +327,35 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
         # no target: rho never reaches the bound, and no count of plain
         # boxes is ever used up
         top = max(caps, default=0)
-        ln, slack, reach = top, n + 1, plan.rows_from
+        ln, limit, reach = top, n + 1, plan.rows_from
         nu = (sum(mu) + n + 1,) * top
     else:
         ln = len(nu)
         if len(mu) > ln or not all(map(ge, nu, mu)):
             return
-        # slack counts the plain boxes left: all but the |nu| - |mu| barred
-        slack = n - sum(nu) + sum(mu)
-        if slack < 0:
+        # limit counts the plain boxes: all but the |nu| - |mu| barred
+        limit = n - sum(nu) + sum(mu)
+        if limit < 0:
             return
         top, reach = max(ln, 0, *caps), None
     bars, plains = _entries(top)
     rho = [*mu, *[0] * (top - len(mu)), 0]  # the trailing 0 marks l(rho)
     vals = [0] * n + [top - d for d in plan.drop] + [0]
     grid = [None] * n
+    factors = [None] * n
+    prefix = [weight] + [None] * n
+    ready = 0
 
-    def rec(t, slack, w, high):
+    def rec(t, d, high):
+        nonlocal ready
         if reach is not None and high > rho.index(0) + reach[t]:
             return  # the rows left cannot lengthen rho to the largest plain value
         if t == n:
-            leaf(grid, w, rho)
+            if weight is not None and ready < d:
+                for e in range(ready, d):
+                    prefix[e + 1] = _mul_into({}, prefix[e], factors[e])
+                ready = d
+            leaf(grid, prefix[d], rho)
             return
         hi = vals[left[t]]
         lo = vals[below[t]] + 1
@@ -347,9 +367,9 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
             rho[k - 1] = rk + 1
             vals[t] = k
             grid[t] = bars[k]
-            rec(t + 1, slack, w, high)
+            rec(t + 1, d, high)
             rho[k - 1] = rk
-        if not slack:
+        if d == limit:
             return  # every box left must be barred
         cap = caps[row[t]]
         if reach is not None:
@@ -358,14 +378,16 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
             vals[t] = k
             grid[t] = plains[k]
             h = k if k > high else high
-            if w is None:
-                rec(t + 1, slack - 1, None, h)
-                continue
-            rk, c = rho[k - 1], content[t]
-            if rk != c:
-                rec(t + 1, slack - 1, _mul_into({}, w, _binomial(k - rk, k - c)), h)
+            if weight is not None:
+                rk, c = rho[k - 1], content[t]
+                if rk == c:
+                    continue
+                factors[d] = _binomial(k - rk, k - c)
+                if ready > d:
+                    ready = d
+            rec(t + 1, d + 1, h)
 
-    rec(0, slack, weight, 0)
+    rec(0, 0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -400,8 +422,11 @@ def _lr_search(lam, mu, nu):
     make every value smaller than k, or above and left of it (read first in
     column order), where every value is larger than k.  Neither holds a
     barred k, so rho_k at the box is the same in both orders.  The search
-    runs in column order; the weight is multiplied up as boxes are placed,
-    and a zero binomial cuts its branch off.
+    runs in column order; a zero binomial cuts its branch off, and each
+    filling's weight is expanded only once the filling is complete (see
+    _enumerate).  With l(lam) > l(nu) row l(lam) is capped at
+    l(nu) - l(lam) + 1 < 1, so the cell has no filling and returns once
+    lam, mu and nu are checked, before any search is set up.
     """
     lam, mu = iv(lam), iv(mu)
     plan = _plan(lam, "column", True)
@@ -412,6 +437,10 @@ def _lr_search(lam, mu, nu):
     else:
         nu = iv(nu)
         cap = len(nu)
+        if len(lam) > cap:
+            # row l(lam) would be capped at l(nu) - l(lam) + 1 < 1: no filling
+            require_partitions(mu, nu)
+            return out
         leaf = lambda _grid, w, _rho: accumulate(out, w.items())
     _enumerate(plan, mu, nu, (cap,) * len(lam), leaf, weight={ONE_MONO: 1})
     return out

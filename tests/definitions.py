@@ -13,7 +13,7 @@ the reference the tests compare with:
   ``lr_weight_sum`` and ``enumerate_k_tableaux``;
 - ``row_order_weight_table``: the row-order weights of the every-nu
   search, each read off its finished filling in row order, where
-  ``lr_weight_table`` multiplies them up as it places boxes in column
+  ``lr_weight_table`` reads each binomial as it places a box in column
   order;
 - ``pieri_tableau_backtrack``: the tableau Pieri rule as a backtracking
   search over every filling of the row, each primed entry's bound checked

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from lrpoly.lr import (
     c_corollary,
     c_alternating,
     alternating_product,
+    theorem_product,
 )
 from lrpoly.stable_ring import pieri_stable
 from lrpoly.double_sym import classical_lr
@@ -285,6 +287,39 @@ def test_conjugation_duality_of_theorem_on_random_cells(lam, mu, data):
     assert c_theorem(conjugate(lam), conjugate(mu), conjugate(nu)) == (
         c_theorem(lam, mu, nu).dual()
     ), (lam, mu, nu)
+
+
+@lru_cache(maxsize=None)
+def _nonzero_weight_4_coefficients():
+    """(rule, lam, mu, nu, coefficient) for each nonzero coefficient of both whole products."""
+    coefficients = [
+        (product.__name__, lam, mu, nu, c)
+        for lam in partitions_up_to(4)
+        if lam
+        for mu in partitions_up_to(4)
+        for product in (theorem_product, alternating_product)
+        for nu, c in product(lam, mu).terms.items()
+    ]
+    assert len(coefficients) == 2 * 1008
+    return coefficients
+
+
+# every a_i that those coefficients hold: substitute raises on any other
+_INDICES = range(-6, 8)
+
+
+@settings(max_examples=10)
+@given(
+    st.lists(st.integers(-20, 20), min_size=len(_INDICES), max_size=len(_INDICES)),
+    st.integers(-20, 20).filter(bool),
+)
+def test_translation_invariance_of_whole_products(values, t):
+    # c^nu_{lam,mu}(a) depends only on the differences a_i - a_j: it takes
+    # the same value at a_i and at a_i + t
+    point = dict(zip(_INDICES, values))
+    shifted = {i: v + t for i, v in point.items()}
+    for *label, c in _nonzero_weight_4_coefficients():
+        assert c.substitute(point) == c.substitute(shifted), label
 
 
 def test_associativity_of_alternating_products():

@@ -191,12 +191,47 @@ def test_lr_weight_table_matches_lr_weight_sum_on_the_weight_5_grid():
 
 
 def test_row_order_weights_at_placement_match_the_leaf_pass():
-    # the search multiplies a row-order weight up as it places boxes in
+    # the search reads each plain entry's binomial as it places boxes in
     # column order; the reference walks each finished filling in row order
     pairs = [(lam, mu) for lam in partitions_up_to(4) for mu in partitions_up_to(4)]
     pairs.append(((4, 3, 2, 1), (3, 2, 1)))  # 98% of its fillings have a zero binomial
     for lam, mu in pairs:
         assert lr_weight_table(lam, mu) == row_order_weight_table(lam, mu), (lam, mu)
+
+
+def test_a_dead_branch_multiplies_nothing(monkeypatch):
+    # the search expands a weight only at a leaf, from the deepest prefix it
+    # still holds, so a cell runs at most one product per plain entry of its
+    # nonzero-weight LR tableaux, and none when it has no such tableau
+    products = [0]
+    real = tableaux._mul_into
+
+    def counted(out, t1, t2):
+        products[0] += 1
+        return real(out, t1, t2)
+
+    cells = [
+        (lam, mu, nu)
+        for lam in partitions_up_to(4)
+        if lam
+        for mu in partitions_up_to(4)
+        for nu in lr_targets(lam, mu)
+    ]
+    # all 175 of its LR tableaux have a zero binomial, found only after 94
+    # plain entries with a nonzero binomial were placed
+    cells.append(((2, 2, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)))
+    assert len(cells) == 3985
+    for lam, mu, nu in cells:
+        plain_entries = sum(
+            sum(not e.barred for row in T.rows for e in row)
+            for T in enumerate_lr_tableaux(lam, mu, nu)
+            if not tableau_weight(T, mu, "column").is_zero()
+        )
+        products[0] = 0
+        monkeypatch.setattr(tableaux, "_mul_into", counted)
+        lr_weight_sum(lam, mu, nu)
+        monkeypatch.setattr(tableaux, "_mul_into", real)
+        assert products[0] <= plain_entries, (lam, mu, nu, products[0], plain_entries)
 
 
 def test_plain_rho_is_order_free_and_never_below_content():
@@ -299,7 +334,8 @@ def test_memos_match_cold_results():
 
 
 # a non-partition lam, mu or nu, including cells the tableau rules skip as
-# zero (mu not inside nu, nu too large) before any search runs
+# zero (mu not inside nu, nu too large, lam longer than nu) before any
+# search runs
 NON_PARTITION_CELLS = [
     ((1, 2), (), (2, 1)),
     ((1, 2), (1,), (2, 2)),
@@ -309,6 +345,9 @@ NON_PARTITION_CELLS = [
     ((1,), (1,), (1, 2)),
     ((2,), (), (1, 2)),
     ((2, 1), (1, 0, 2), (2, 2, 2)),
+    # l(lam) > l(nu) leaves no filling: the tableau rules return before a search
+    ((1, 1, 1), (1,), (1, 2)),
+    ((1, 1, 1), (1, 2), (3,)),
 ]
 
 
