@@ -13,7 +13,7 @@ import json
 import sys
 from collections import defaultdict
 
-from .apoly import APoly
+from .apoly import APoly, _SPAN
 from .sparse import Terms
 from .shapes import (
     iv,
@@ -76,8 +76,8 @@ def _int_vector(text):
         raise argparse.ArgumentTypeError(f"not an integer vector: {text!r}")
 
 
-def _int_at_least(lo):
-    """Argument type: an integer no smaller than lo."""
+def _int_in_range(lo, hi=None):
+    """Argument type: an integer no smaller than lo and, if hi is given, no larger."""
 
     def parse(text):
         try:
@@ -86,6 +86,8 @@ def _int_at_least(lo):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}: {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}: {value}")
         return value
 
     return parse
@@ -437,9 +439,15 @@ def build_parser():
     add_format(p)
     p.set_defaults(fn=cmd_pieri)
 
+    # the branching rule shifts the a-indices once per variable, and APoly
+    # shifts only inside [-_SPAN, _SPAN]: n = _SPAN + 1 still fits every shape
+    max_n = _SPAN + 1
     p = sub.add_parser("schur", help="double Schur polynomial in n variables")
     p.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument(
+        "--n", type=_int_in_range(0, max_n), required=True,
+        help=f"number of variables, 0 to {max_n} (the a-index span of the coefficients)",
+    )
     add_format(p)
     p.set_defaults(fn=cmd_schur)
 
@@ -461,12 +469,12 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("ring", "pieri", "lr", "involutions", "all"),
                    default="all")
-    p.add_argument("--max-weight", type=_int_at_least(1), default=3)
+    p.add_argument("--max-weight", type=_int_in_range(1), default=3)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-involutions",
                        help="involution suite with per-shape aggregate sums")
-    p.add_argument("--max-weight", type=_int_at_least(1), default=3)
+    p.add_argument("--max-weight", type=_int_in_range(1), default=3)
     p.set_defaults(fn=cmd_verify_involutions)
 
     return parser

@@ -2,7 +2,10 @@
 
 Provides Schur elements via the branching rule over horizontal strips (the
 combinatorial reverse-tableau formula), decomposition in the Schur basis,
-and a brute-force oracle for the structure coefficients.  XPoly is the
+and a brute-force oracle for the structure coefficients.  The oracle works
+on the orbit form, a plain dict {partition nu: APoly} holding the
+coefficient of the single monomial x^nu; the other members of its orbit
+carry the same coefficient by symmetry and are never built.  XPoly is the
 dense form that the schur command prints.  Also contains an independent
 classical (all a_i = 0) Littlewood-Richardson implementation used as a
 cross-check.
@@ -18,13 +21,10 @@ from itertools import product
 from .apoly import APoly, _mul_into
 from .schursum import SchurSum
 from .shapes import (
-    conjugate, iv, pad, is_partition, jacobi_trudi_fold, partitions_of, require_partitions,
+    conjugate, interlacing, iv, pad, is_partition, jacobi_trudi_fold, partitions_of,
+    require_partitions, size,
 )
 from .sparse import Terms, accumulate
-
-# product_decomposition is for callers outside the package: c_oracle reads
-# the memo behind it directly, with the shapes it has already trimmed
-__all__ = ["XPoly", "double_schur_n", "product_decomposition", "c_oracle", "classical_lr"]
 
 
 class XPoly(Terms):
@@ -69,127 +69,49 @@ class XPoly(Terms):
         return f"XPoly(n={self.n}, {self})"
 
 
-class _Sym(Terms):
-    """Symmetric polynomial stored by one sorted exponent representative per orbit.
+def _sym_mul(t1, t2, n):
+    """Product of two orbit forms in n variables: convolve over candidate target partitions.
 
-    terms maps trimmed weakly decreasing exponent tuples (partitions) to APoly
-    coefficients.  The coefficient stored for key nu is the coefficient of the
-    single monomial x^nu; all other orbit members carry the same coefficient
-    by symmetry and are never materialized.
+    coeff(nu) of the product is the sum over componentwise splits
+    u + w = nu of t1[sort(u)] * t2[sort(w)]; candidate nu are all
+    partitions of a reachable degree with bounded length and first part.
     """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = terms if terms is not None else {}
-
-    def _like(self, terms):
-        return _Sym(self.n, terms)
-
-    def __eq__(self, other):
-        return Terms.__eq__(self, other) and self.n == other.n
-
-    def __mul__(self, other):
-        """Orbit-wise product: convolve over candidate target partitions.
-
-        coeff(nu) of the product is the sum over componentwise splits
-        u + w = nu of coeff(sort(u)) * coeff(sort(w)); candidate nu are all
-        partitions of a reachable degree with bounded length and first part.
-        """
-        if self.is_zero() or other.is_zero():
-            return _Sym(self.n, {})
-        # constant operands reduce to scaling
-        if len(self.terms) == 1 and () in self.terms:
-            c = self.terms[()]
-            return other if c == APoly.one() else other.scale(c)
-        if len(other.terms) == 1 and () in other.terms:
-            c = other.terms[()]
-            return self if c == APoly.one() else self.scale(c)
-        degs1 = {sum(e) for e in self.terms}
-        degs2 = {sum(e) for e in other.terms}
-        degs = {d1 + d2 for d1 in degs1 for d2 in degs2}
-        max1 = max((e[0] for e in self.terms if e), default=0)
-        max2 = max((e[0] for e in other.terms if e), default=0)
-        p1, p2 = self.terms, other.terms
-        out = {}
-        for d in degs:
-            for nu in partitions_of(d, max_len=self.n, max_part=max1 + max2):
-                acc = {}
-                for u in product(*(range(v + 1) for v in nu)):
-                    cu = p1.get(iv(sorted(u, reverse=True)))
-                    if cu is None:
-                        continue
-                    cw = p2.get(
-                        iv(sorted((v - x for v, x in zip(nu, u)), reverse=True))
-                    )
-                    if cw is not None:
-                        _mul_into(acc, cu.terms, cw.terms)
-                if acc:
-                    out[nu] = APoly(acc)
-        return _Sym(self.n, out)
-
-
-def _distinct_permutations(values):
-    """All distinct orderings of a multiset, without repetition."""
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    n = len(values)
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in sorted(counts):
-            if counts[v]:
-                counts[v] -= 1
-                prefix.append(v)
-                rec(prefix)
-                prefix.pop()
-                counts[v] += 1
-
-    rec([])
-    return out
-
-
-def _sym_expand(S):
-    """Dense polynomial with the full symmetric orbit of every stored term."""
+    degs1 = {sum(e) for e in t1}
+    degs2 = {sum(e) for e in t2}
+    degs = {d1 + d2 for d1 in degs1 for d2 in degs2}
+    max1 = max((e[0] for e in t1 if e), default=0)
+    max2 = max((e[0] for e in t2 if e), default=0)
     out = {}
-    for nu, c in S.terms.items():
-        for e in _distinct_permutations(pad(nu, S.n)):
-            out[e] = c
-    return XPoly(S.n, out)
-
-
-def _strip_removals(lam):
-    """All (mu, strip boxes) with lam/mu a horizontal strip (mu = lam included)."""
-    lam = iv(lam)
-    l = len(lam)
-    out = []
-
-    def rec(i, built):
-        if i == l:
-            mu = iv(built)
-            boxes = [
-                (r + 1, c + 1)
-                for r in range(l)
-                for c in range((built[r] if r < len(built) else 0), lam[r])
-            ]
-            out.append((mu, boxes))
-            return
-        lo = lam[i + 1] if i + 1 < l else 0
-        for v in range(lo, lam[i] + 1):
-            rec(i + 1, built + [v])
-
-    rec(0, [])
+    for d in degs:
+        for nu in partitions_of(d, max_len=n, max_part=max1 + max2):
+            acc = {}
+            for u in product(*(range(v + 1) for v in nu)):
+                cu = t1.get(iv(sorted(u, reverse=True)))
+                if cu is None:
+                    continue
+                cw = t2.get(iv(sorted((v - x for v, x in zip(nu, u)), reverse=True)))
+                if cw is not None:
+                    _mul_into(acc, cu.terms, cw.terms)
+            if acc:
+                out[nu] = APoly(acc)
     return out
+
+
+def _orbit(e):
+    """The distinct reorderings of the tuple e.
+
+    Each value is inserted at every place of every arrangement so far, the
+    most frequent values first, so the set stays small until the end.
+    """
+    orbit = {()}
+    for v in sorted(e, key=e.count, reverse=True):
+        orbit = {o[:i] + (v,) + o[i:] for o in orbit for i in range(len(o) + 1)}
+    return orbit
 
 
 @lru_cache(maxsize=None)
 def _schur_sym_branch(lam, n):
-    """Symmetric representative of the Schur element via variable splitting.
+    """Orbit form of the Schur element via variable splitting.
 
     Splitting off the boxes holding the minimal entry (a horizontal strip
     lam/mu whose boxes carry factors x_1 - a_{1-c}) expresses the element
@@ -205,18 +127,19 @@ def _schur_sym_branch(lam, n):
     if len(lam) > n:
         return {}
     result = {}
-    for mu, boxes in _strip_removals(lam):
-        inner = _schur_sym_branch(mu, n - 1)
+    for mu in interlacing(lam, lam[1:] + (0,)):
+        inner = _schur_sym_branch(iv(mu), n - 1)
         if not inner:
             continue
-        s = len(boxes)
         # elementary symmetric sums of the strip's -a_{1-c(box)} values
         elem = [APoly.one()]
-        for (r, c) in boxes:
-            val = APoly.var(1 - (c - r), coeff=-1)
-            elem.append(APoly.zero())
-            for t in range(len(elem) - 1, 0, -1):
-                elem[t] = elem[t] + elem[t - 1] * val
+        for r, (top, low) in enumerate(zip(lam, mu)):
+            for c in range(low, top):
+                val = APoly.var(1 - (c - r), coeff=-1)
+                elem.append(APoly.zero())
+                for t in range(len(elem) - 1, 0, -1):
+                    elem[t] = elem[t] + elem[t - 1] * val
+        s = len(elem) - 1
         for ktail, coeff in inner.items():
             shifted = coeff.shift_indices(1)
             lo = ktail[0] if ktail else 0
@@ -232,11 +155,13 @@ def double_schur_n(lam, n):
     lam = iv(lam)
     if not is_partition(lam):
         raise ValueError("shape must be a partition")
-    return _sym_expand(_Sym(n, _schur_sym_branch(lam, n)))
+    return XPoly(n, {
+        e: c for nu, c in _schur_sym_branch(lam, n).items() for e in _orbit(pad(nu, n))
+    })
 
 
-def _decompose_sym(S):
-    """Greedy Schur-basis elimination on a symmetric representative.
+def _decompose_sym(terms, n):
+    """Greedy Schur-basis elimination on an orbit form in n variables.
 
     Among the terms of maximal total degree, the lexicographically greatest
     partition is the leading monomial of a unique basis element, whose
@@ -244,10 +169,9 @@ def _decompose_sym(S):
     leading coefficient is not exactly 1 would leave that term behind; it is
     reported as an ArithmeticError instead of looping forever.
     """
-    n = S.n
     # private raw term dicts: the basis and input APolys may be cache-owned,
     # so the in-place subtraction below must never reach them
-    work = {e: dict(c.terms) for e, c in S.terms.items()}
+    work = {e: dict(c.terms) for e, c in terms.items()}
     result = {}
     while work:
         nu = max(work, key=lambda e: (sum(e), e))
@@ -269,14 +193,16 @@ def _decompose_sym(S):
     return SchurSum(result)
 
 
-def product_decomposition(lam, mu, n):
-    """Decomposition of s_lam * s_mu in n variables; (lam, mu) and (mu, lam) share one memo."""
-    return _product(*sorted((iv(lam), iv(mu))), n)
-
-
 @lru_cache(maxsize=None)
 def _product(lam, mu, n):
-    return _decompose_sym(_Sym(n, _schur_sym_branch(lam, n)) * _Sym(n, _schur_sym_branch(mu, n)))
+    """Decomposition of s_lam * s_mu in n variables, for a sorted pair lam <= mu.
+
+    The empty lam sorts first, and s_() = 1 leaves s_mu as it is.
+    """
+    terms = _schur_sym_branch(mu, n)
+    if lam:
+        terms = _sym_mul(_schur_sym_branch(lam, n), terms, n)
+    return _decompose_sym(terms, n)
 
 
 def c_oracle(lam, mu, nu):
@@ -318,26 +244,6 @@ def c_oracle(lam, mu, nu):
     return c.dual() if flip else c
 
 
-def _horizontal_strip_extensions(mu, p):
-    """All partitions obtained from mu by adding a horizontal strip of p boxes."""
-    mu = iv(mu)
-    l = len(mu)
-    out = []
-
-    def rec(i, prev_cap, remaining, built):
-        if i == l + 1:
-            if remaining == 0:
-                out.append(iv(built))
-            return
-        base = mu[i] if i < l else 0
-        hi = min(prev_cap, base + remaining)
-        for v in range(base, hi + 1):
-            rec(i + 1, base, remaining - (v - base), built + [v])
-
-    rec(0, mu[0] + p if l else p, p, [])
-    return out
-
-
 def classical_lr(lam, mu, nu):
     """Classical Littlewood-Richardson coefficient, all a_i = 0.
 
@@ -359,7 +265,10 @@ def _classical_table(lam, mu):
     def add_strips(counts, p, _i):
         out = {}
         for part, cnt in counts.terms.items():
-            accumulate(out, ((ext, cnt) for ext in _horizontal_strip_extensions(part, p)))
+            # nu/part a horizontal strip of p boxes: only row 1 may pass part_1
+            grown = interlacing(((part[0] if part else 0) + p,) + part, part + (0,))
+            d = size(part) + p
+            accumulate(out, ((iv(nu), cnt) for nu in grown if sum(nu) == d))
         return Terms(out)
 
     return jacobi_trudi_fold(lam, Terms({mu: 1}), add_strips).terms

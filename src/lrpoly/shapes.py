@@ -6,6 +6,8 @@ compositions are just integer vectors satisfying extra predicates.  All
 functions here are pure and all values immutable.
 """
 
+from itertools import product
+
 
 def iv(entries):
     """Canonical integer vector: tuple with trailing zeros trimmed."""
@@ -58,6 +60,17 @@ def is_horizontal_strip(nu, mu):
         return False
     mu = pad(mu, len(nu))
     return all(nu[i + 1] <= mu[i] for i in range(len(nu) - 1))
+
+
+def interlacing(tops, lows):
+    """Every tuple v with lows[i] <= v[i] <= tops[i], in lexicographic order, untrimmed.
+
+    With tops = lam and lows = (lam_2, ..., lam_l, 0) these are the mu with
+    lam/mu a horizontal strip; with tops = (mu_1 + p, mu_1, ..., mu_l) and
+    lows = (mu_1, ..., mu_l, 0), the nu with nu/mu a horizontal strip and
+    nu_1 <= mu_1 + p.
+    """
+    return product(*(range(lo, top + 1) for top, lo in zip(tops, lows)))
 
 
 def bad_compositions(mu, p):

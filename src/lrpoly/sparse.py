@@ -1,9 +1,9 @@
 """Sparse linear combinations stored as term dicts without zero coefficients.
 
 Every linear combination in the package (APoly, SignedHSum, SchurSum, XPoly
-and the orbit form in double_sym) maps keys to nonzero coefficients, so equal
-elements have equal dicts.  accumulate is the one loop that keeps that form
-while adding; Terms is the arithmetic the classes share on top of it.
+and double_sym's orbit form, a plain dict) maps keys to nonzero coefficients,
+so equal elements have equal dicts.  accumulate is the one loop that keeps
+that form while adding; Terms is the arithmetic the four classes share.
 Coefficients are ints or APolys.  Values are replaced, never mutated, so a
 dict may be accumulated into even when its values are shared with a cache;
 the dict itself must belong to the caller.

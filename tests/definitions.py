@@ -27,12 +27,16 @@ the reference the tests compare with:
   need (``x_const``, ``x_one``, ``x_var``, ``x_mul``, ``x_at_zero``): the
   deformed complete homogeneous polynomials h_p(x||a), their shifts and
   the evaluation x_n := a_n, which the branching Schur construction does
-  without.
+  without;
+- ``product_decomposition``: the oracle's Schur expansion of s_lam * s_mu
+  in n variables for any pair, read off the memo that ``c_oracle`` reads
+  with its pair already trimmed and sorted.
 """
 
 from collections import Counter
 from itertools import permutations
 
+from lrpoly import double_sym
 from lrpoly.apoly import APoly, ONE_MONO, _mul_into, var_key
 from lrpoly.double_sym import XPoly
 from lrpoly.schursum import SchurSum
@@ -337,3 +341,8 @@ def phi_n(P):
         (e[:-1], c * APoly.var(n, exp=e[-1]) if e[-1] else c)
         for e, c in P.terms.items()
     )))
+
+
+def product_decomposition(lam, mu, n):
+    """Decomposition of s_lam * s_mu in n variables; (lam, mu) and (mu, lam) share one memo."""
+    return double_sym._product(*sorted((iv(lam), iv(mu))), n)

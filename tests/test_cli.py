@@ -178,6 +178,21 @@ def test_schur_negative_n_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_schur_n_past_the_index_span_exit_2(capsys):
+    # every variable shifts the a-indices once, and APoly shifts them only
+    # within its span: n = 256 reaches a_256, a larger n is refused as input
+    code, out, _ = run(capsys, "schur", "--lambda", "1", "--n", "256")
+    assert code == 0
+    assert out.rstrip().endswith(" - a_255 - a_256)")
+    for n in ("257", "1200"):
+        with pytest.raises(SystemExit) as exc:
+            main(["schur", "--lambda", "1", "--n", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"must be at most 256: {n}" in err
+        assert "internal error" not in err
+
+
 def test_kostka_both_methods(capsys):
     code, out, _ = run(
         capsys,

@@ -1,5 +1,8 @@
 """Concrete double symmetric polynomials: the independent oracle layer."""
 
+from collections import Counter
+from math import factorial, prod
+
 import pytest
 
 from lrpoly import double_sym
@@ -9,6 +12,7 @@ from lrpoly.shapes import (
     conjugate,
     contains,
     lr_targets,
+    pad,
     partitions_up_to,
     perm_sign,
     size,
@@ -16,14 +20,17 @@ from lrpoly.shapes import (
 from lrpoly.double_sym import (
     XPoly,
     double_schur_n,
-    product_decomposition,
     c_oracle,
     classical_lr,
-    _Sym,
     _schur_sym_branch,
     _decompose_sym,
+    _orbit,
+    _sym_mul,
 )
-from definitions import a, all_permutations, x_const, x_one, x_var, x_mul, x_at_zero, h_n, h_n_shifted
+from definitions import (
+    a, all_permutations, x_const, x_one, x_var, x_mul, x_at_zero, h_n, h_n_shifted,
+    product_decomposition,
+)
 
 
 def test_h_n_small():
@@ -71,6 +78,15 @@ def test_branching_matches_jacobi_trudi_determinant():
             assert double_schur_n(lam, n) == _jacobi_trudi_dense(lam, n), (lam, n)
 
 
+def test_orbit_is_every_distinct_reordering_once():
+    for nu, n in [((), 3), ((1,), 4), ((2, 1), 4), ((1, 1), 6), ((2, 2, 1), 5), ((3, 1, 1), 7)]:
+        e = pad(nu, n)
+        orbit = _orbit(e)
+        multinomial = factorial(n) // prod(map(factorial, Counter(e).values()))
+        assert len(orbit) == multinomial, (nu, n)
+        assert all(sorted(o) == sorted(e) for o in orbit), (nu, n)
+
+
 def test_double_schur_rejects_non_partition():
     with pytest.raises(ValueError, match="shape must be a partition"):
         double_schur_n((1, 2), 3)
@@ -84,7 +100,7 @@ def test_single_box_explicit():
 
 def test_decompose_round_trip():
     for lam in [(1,), (2, 1), (2, 2)]:
-        d = _decompose_sym(_Sym(3, _schur_sym_branch(lam, 3)))
+        d = _decompose_sym(_schur_sym_branch(lam, 3), 3)
         assert d.partitions() == [lam]
         assert d.coeff(lam) == APoly.one()
 
@@ -192,7 +208,7 @@ def test_decomposition_leaves_cached_bases_intact(clear_oracle_memos):
     # running it twice would expose a first pass that wrote into those terms
     for lam in [(1,), (2, 1), (2, 2), (3, 1)]:
         for _ in range(2):
-            d = _decompose_sym(_Sym(3, _schur_sym_branch(lam, 3)))
+            d = _decompose_sym(_schur_sym_branch(lam, 3), 3)
             assert d.partitions() == [lam]
             assert d.coeff(lam) == APoly.one()
 
@@ -232,7 +248,7 @@ def test_product_memo_is_shared_by_a_pair_and_its_mirror():
     d = product_decomposition((2, 1), [1, 1, 0], 3)
     assert d is product_decomposition((1, 1), (2, 1), 3)
     assert d == _decompose_sym(
-        _Sym(3, _schur_sym_branch((2, 1), 3)) * _Sym(3, _schur_sym_branch((1, 1), 3))
+        _sym_mul(_schur_sym_branch((2, 1), 3), _schur_sym_branch((1, 1), 3), 3), 3
     )
 
 
@@ -240,4 +256,4 @@ def test_decompose_reports_a_key_longer_than_n_as_internal():
     # every input key has at most n parts, so a longer leading exponent is a
     # broken invariant, not bad input
     with pytest.raises(RuntimeError, match=r"\(1, 1\) has more than n=1 parts"):
-        _decompose_sym(_Sym(1, {(1, 1): APoly.one()}))
+        _decompose_sym({(1, 1): APoly.one()}, 1)

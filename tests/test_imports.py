@@ -5,11 +5,12 @@ rules, run over the package and the tests.  An import counts as used when
 the module reads the name, lists it in ``__all__``, or re-exports it to a
 test that imports it from that module.  A module-level function, class or
 assigned name of a package module counts as read when that module loads it
-as a name or lists it in ``__all__``, or some other package module imports
-it from that module or reads it as ``<alias of that module>.<name>``; a
-read of the same name from another module does not count, and neither
-does a read from a test: a definition only the tests read belongs in
-``tests/definitions.py``.  A parameter of a package function, other than
+as a name, or some other package module imports it from that module or
+reads it as ``<alias of that module>.<name>``; only ``lrpoly/__init__.py``
+also reads the names it lists in ``__all__``.  A read of the same name from
+another module does not count, and neither does a read from a test or a
+listing in some other module's ``__all__``: a definition only the tests
+read belongs in ``tests/definitions.py``.  A parameter of a package function, other than
 ``self``, ``cls`` and names starting with ``_``, counts as used when the
 function's body loads it.  Every module-level definition of
 ``tests/definitions.py`` must be imported from it, or read off it as an
@@ -81,12 +82,13 @@ def _dotted(node):
 def _reads(path, tree):
     """(module, name) for every module-level name the file reads, by module.
 
-    The file reads from itself the names it loads or lists in ``__all__``,
-    from another module the names it imports from it, and from any module
-    bound to a local name the attributes it reads off that name.
+    The file reads from itself the names it loads (and, for the package's
+    ``__init__``, the names it lists in ``__all__``), from another module
+    the names it imports from it, and from any module bound to a local name
+    the attributes it reads off that name.
     """
     here = _module_name(path)
-    reads = {(here, name) for name in _all_entries(tree)}
+    reads = {(here, name) for name in _all_entries(tree) if here == "lrpoly"}
     modules = {}  # local name -> dotted name of the module it is bound to
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -25,7 +25,9 @@ from lrpoly.stable_ring import pieri_stable
 KERNELS = {
     "tableau": [(tableaux, "_enumerate")],
     "stable": [(stable_ring, "_pieri"), (stable_ring, "_reduce_row")],
-    "oracle": [(double_sym, "_schur_sym_branch"), (double_sym, "_decompose_sym")],
+    "oracle": [
+        (double_sym, "_schur_sym_branch"), (double_sym, "_sym_mul"), (double_sym, "_decompose_sym"),
+    ],
     "classical": [(double_sym, "_classical_table")],
     "pieri_tableau": [(lr, "pieri_tableau")],
 }

@@ -8,6 +8,7 @@ from lrpoly.shapes import (
     is_partition,
     is_composition,
     is_horizontal_strip,
+    interlacing,
     bad_compositions,
     apply_raising,
     apply_rbar,
@@ -48,6 +49,27 @@ def test_horizontal_strip():
     # two added boxes in the same column
     assert not is_horizontal_strip((2, 2), (1,))
     assert not is_horizontal_strip((1,), (2,))
+
+
+def test_interlacing_removes_every_horizontal_strip_once():
+    # the branching rule's step: mu_i runs from lam_{i+1} to lam_i
+    for lam in partitions_up_to(6):
+        removals = [iv(mu) for mu in interlacing(lam, lam[1:] + (0,))]
+        expected = [mu for mu in partitions_up_to(size(lam)) if is_horizontal_strip(lam, mu)]
+        assert sorted(removals) == sorted(expected), lam
+
+
+def test_interlacing_adds_every_horizontal_strip_once():
+    # the classical Pieri step: row 1 may grow by p, row i + 1 up to mu_i
+    for mu in partitions_up_to(5):
+        for p in range(5):
+            top = (mu[0] if mu else 0) + p
+            extensions = [
+                iv(nu) for nu in interlacing((top,) + mu, mu + (0,))
+                if size(nu) == size(mu) + p
+            ]
+            expected = [nu for nu in partitions_of(size(mu) + p) if is_horizontal_strip(nu, mu)]
+            assert sorted(extensions) == sorted(expected), (mu, p)
 
 
 def test_bad_compositions():
