@@ -410,7 +410,18 @@ def build_parser():
     def add_format(p):
         p.add_argument("--format", choices=("pretty", "json"), default="pretty")
 
-    p = sub.add_parser("lr", help="structure coefficient of s_nu in s_lam * s_mu")
+    p = sub.add_parser(
+        "lr",
+        help="structure coefficient of s_nu in s_lam * s_mu",
+        description=(
+            "Structure coefficient of s_nu in s_lam * s_mu. --method oracle and all "
+            "brute-force the product in min(l(nu), nu_1) variables and in one more, "
+            "a cost that grows fast with the cell: (3,2) x (2,2) at nu = (4,3,2) "
+            "takes about 0.35 s, (3,2,1) x (3,2,1) at (5,4,3) about 2.4 s and "
+            "(3,3,1) x (3,2) at (4,4,3,2) about 13 s. For large cells use "
+            "--method theorem, which takes milliseconds on each of these."
+        ),
+    )
     p.add_argument("--lambda", dest="lam", type=_partition, required=True)
     p.add_argument("--mu", type=_partition, required=True)
     p.add_argument("--nu", type=_partition, required=True)

@@ -10,9 +10,18 @@ dense form that the schur command prints.  Also contains an independent
 classical (all a_i = 0) Littlewood-Richardson implementation used as a
 cross-check.
 
-Every memo is a functools.lru_cache function (_schur_sym_branch, _product,
-_classical_table), so cache_info() and cache_clear() reach it; the values
-are shared: read them, never write them.
+The oracle expands only the degrees its answer reads.  Each basis element
+s_kappa has x-degree |kappa| and leading monomial x^kappa with coefficient
+1, so the greedy elimination reaches a coefficient of degree d having read
+only terms of degree >= d; _sym_mul, _decompose_sym and _product take a
+degree floor low and skip every term below it.
+
+Every memo is a functools.lru_cache function, so cache_info() and
+cache_clear() reach it; the values are shared: read them, never write
+them.  _schur_sym_branch is per (lam, n), _splits per target partition
+(shared by every product and every n), _product per sorted pair, n and
+low, _stable_product per sorted pair, n0 and low (the checked product
+c_oracle reads), and _classical_table per (lam, mu).
 """
 
 from functools import lru_cache
@@ -42,26 +51,37 @@ class XPoly(Terms):
     def __eq__(self, other):
         return Terms.__eq__(self, other) and self.n == other.n
 
+    def _rendered(self, convert):
+        """(exponent, convert(coeff)) by descending degree, then exponent.
+
+        The members of an orbit share one coefficient object, so each
+        distinct object is converted once.
+        """
+        done = {}
+        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            c = self.terms[e]
+            out = done.get(id(c))
+            if out is None:
+                out = done[id(c)] = convert(c)
+            yield e, out
+
     def to_json(self):
+        """The terms by descending degree; the terms of one orbit share one coeff list."""
         return {
             "n": self.n,
-            "terms": [
-                {"x": list(e), "coeff": self.terms[e].to_json()}
-                for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-            ],
+            "terms": [{"x": list(e), "coeff": c} for e, c in self._rendered(APoly.to_json)],
         }
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+        for e, c in self._rendered(str):
             mono = "*".join(
                 f"x_{i+1}" if k == 1 else f"x_{i+1}^{k}"
                 for i, k in enumerate(e)
                 if k
             )
-            c = self.terms[e]
             parts.append(f"({c})*{mono}" if mono else f"({c})")
         return " + ".join(parts)
 
@@ -69,29 +89,54 @@ class XPoly(Terms):
         return f"XPoly(n={self.n}, {self})"
 
 
-def _sym_mul(t1, t2, n):
-    """Product of two orbit forms in n variables: convolve over candidate target partitions.
+@lru_cache(maxsize=None)
+def _splits(nu):
+    """{sort(u): ((sort(nu - u), count), ...)} over the u <= nu componentwise.
+
+    Each u splits nu into u + (nu - u); both parts are sorted and trimmed
+    to the orbit keys they read, and count is how many u give that pair of
+    keys.  It depends on nu alone, so every product and every n shares it.
+    """
+    table = {}
+    for u in product(*(range(v + 1) for v in nu)):
+        key = iv(sorted(u, reverse=True))
+        rest = iv(sorted((v - x for v, x in zip(nu, u)), reverse=True))
+        partners = table.setdefault(key, {})
+        partners[rest] = partners.get(rest, 0) + 1
+    return {key: tuple(partners.items()) for key, partners in table.items()}
+
+
+def _sym_mul(t1, t2, n, low):
+    """Product of two orbit forms in n variables, at the target degrees >= low only.
 
     coeff(nu) of the product is the sum over componentwise splits
     u + w = nu of t1[sort(u)] * t2[sort(w)]; candidate nu are all
-    partitions of a reachable degree with bounded length and first part.
+    partitions of a reachable degree >= low with bounded length and first
+    part.  Each t1[sort(u)] is multiplied once, by the count-weighted sum of
+    the t2 entries it pairs with (_splits).
     """
     degs1 = {sum(e) for e in t1}
     degs2 = {sum(e) for e in t2}
-    degs = {d1 + d2 for d1 in degs1 for d2 in degs2}
+    degs = {d1 + d2 for d1 in degs1 for d2 in degs2 if d1 + d2 >= low}
     max1 = max((e[0] for e in t1 if e), default=0)
     max2 = max((e[0] for e in t2 if e), default=0)
     out = {}
     for d in degs:
         for nu in partitions_of(d, max_len=n, max_part=max1 + max2):
             acc = {}
-            for u in product(*(range(v + 1) for v in nu)):
-                cu = t1.get(iv(sorted(u, reverse=True)))
+            for key, partners in _splits(nu).items():
+                cu = t1.get(key)
                 if cu is None:
                     continue
-                cw = t2.get(iv(sorted((v - x for v, x in zip(nu, u)), reverse=True)))
-                if cw is not None:
-                    _mul_into(acc, cu.terms, cw.terms)
+                found = [(t2[rest], count) for rest, count in partners if rest in t2]
+                if len(found) == 1 and found[0][1] == 1:
+                    cw = found[0][0].terms  # only read by _mul_into
+                else:
+                    cw = {}
+                    for c, count in found:
+                        accumulate(cw, ((m, count * k) for m, k in c.terms.items()))
+                if cw:
+                    _mul_into(acc, cu.terms, cw)
             if acc:
                 out[nu] = APoly(acc)
     return out
@@ -160,18 +205,24 @@ def double_schur_n(lam, n):
     })
 
 
-def _decompose_sym(terms, n):
-    """Greedy Schur-basis elimination on an orbit form in n variables.
+def _decompose_sym(terms, n, low):
+    """Greedy Schur-basis elimination on an orbit form in n variables, at degrees >= low.
 
     Among the terms of maximal total degree, the lexicographically greatest
     partition is the leading monomial of a unique basis element, whose
     coefficient is read off directly and subtracted.  A basis element whose
     leading coefficient is not exactly 1 would leave that term behind; it is
     reported as an ArithmeticError instead of looping forever.
+
+    The basis element s_kappa has degree |kappa|, so a subtraction never
+    raises a degree, and the terms of degree >= low evolve the same whether
+    or not the lower ones are kept.  They are dropped from the input and
+    from every subtraction, and the result holds exactly the coefficients
+    of degree >= low of the whole decomposition.
     """
     # private raw term dicts: the basis and input APolys may be cache-owned,
     # so the in-place subtraction below must never reach them
-    work = {e: dict(c.terms) for e, c in terms.items()}
+    work = {e: dict(c.terms) for e, c in terms.items() if sum(e) >= low}
     result = {}
     while work:
         nu = max(work, key=lambda e: (sum(e), e))
@@ -182,6 +233,8 @@ def _decompose_sym(terms, n):
         result[nu] = APoly(dict(work[nu]))
         neg = {m: -k for m, k in work[nu].items()}
         for e, p in _schur_sym_branch(nu, n).items():
+            if sum(e) < low:
+                continue
             d = work.get(e)
             if d is None:
                 d = work[e] = {}
@@ -194,15 +247,30 @@ def _decompose_sym(terms, n):
 
 
 @lru_cache(maxsize=None)
-def _product(lam, mu, n):
-    """Decomposition of s_lam * s_mu in n variables, for a sorted pair lam <= mu.
+def _product(lam, mu, n, low):
+    """Decomposition of s_lam * s_mu in n variables at degrees >= low, for a sorted pair lam <= mu.
 
-    The empty lam sorts first, and s_() = 1 leaves s_mu as it is.
+    The empty lam sorts first, and s_() = 1 leaves s_mu as it is.  With
+    low = 0 it is the whole decomposition.
     """
     terms = _schur_sym_branch(mu, n)
     if lam:
-        terms = _sym_mul(_schur_sym_branch(lam, n), terms, n)
-    return _decompose_sym(terms, n)
+        terms = _sym_mul(_schur_sym_branch(lam, n), terms, n, low)
+    return _decompose_sym(terms, n, low)
+
+
+@lru_cache(maxsize=None)
+def _stable_product(lam, mu, n0, low):
+    """_product at n0, checked once against _product at n0 + 1 restricted to length <= n0.
+
+    Raises ArithmeticError when they differ; lru_cache stores no exception,
+    so every later call checks again and raises again.
+    """
+    d1 = _product(lam, mu, n0, low)
+    d2 = _product(lam, mu, n0 + 1, low)
+    if d1 != SchurSum({k: c for k, c in d2.terms.items() if len(k) <= n0}):
+        raise ArithmeticError(f"unstable at chosen n: n0={n0} vs n0+1 disagree")
+    return d1
 
 
 def c_oracle(lam, mu, nu):
@@ -228,19 +296,20 @@ def c_oracle(lam, mu, nu):
     the one at n0, which checks that argument at run time.
     tests/test_acceptance.py checks phi_n on the Schur elements
     themselves (criterion 05).
+
+    Both expansions keep only the degrees >= low = min(|lam|, |mu|, |nu|)
+    (see _decompose_sym), which holds degree |nu|, so the coefficient is
+    exact, and the stability check covers every coefficient this call can
+    return.  low is symmetric in the pair and the same for every nu that
+    contains lam or mu, so the cells of a pair share one memo entry per n0.
     """
     lam, mu, nu = iv(lam), iv(mu), iv(nu)
     require_partitions(lam, mu, nu)
     flip = bool(nu) and nu[0] < len(nu)
     if flip:
         lam, mu, nu = conjugate(lam), conjugate(mu), conjugate(nu)
-    n0 = max(len(nu), 1)
-    pair = sorted((lam, mu))
-    d1 = _product(*pair, n0)
-    d2 = _product(*pair, n0 + 1)
-    if d1 != SchurSum({k: c for k, c in d2.terms.items() if len(k) <= n0}):
-        raise ArithmeticError(f"unstable at chosen n: n0={n0} vs n0+1 disagree")
-    c = d1.coeff(nu)
+    low = min(size(lam), size(mu), size(nu))
+    c = _stable_product(*sorted((lam, mu)), max(len(nu), 1), low).coeff(nu)
     return c.dual() if flip else c
 
 

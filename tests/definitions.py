@@ -345,4 +345,4 @@ def phi_n(P):
 
 def product_decomposition(lam, mu, n):
     """Decomposition of s_lam * s_mu in n variables; (lam, mu) and (mu, lam) share one memo."""
-    return double_sym._product(*sorted((iv(lam), iv(mu))), n)
+    return double_sym._product(*sorted((iv(lam), iv(mu))), n, 0)

@@ -92,6 +92,24 @@ def test_double_schur_rejects_non_partition():
         double_schur_n((1, 2), 3)
 
 
+def test_renderings_match_a_per_term_rendering():
+    # every member of an orbit shares one coefficient object, which each
+    # rendering converts once; the text must be what converting every term
+    # on its own gives
+    P = double_schur_n((2, 1), 9)
+    order = sorted(P.terms, key=lambda e: (sum(e), e), reverse=True)
+    assert len(order) > len({id(c) for c in P.terms.values()})
+    assert P.to_json() == {
+        "n": 9,
+        "terms": [{"x": list(e), "coeff": P.terms[e].to_json()} for e in order],
+    }
+    parts = []
+    for e in order:
+        mono = "*".join(f"x_{i+1}" if k == 1 else f"x_{i+1}^{k}" for i, k in enumerate(e) if k)
+        parts.append(f"({P.terms[e]})*{mono}" if mono else f"({P.terms[e]})")
+    assert str(P) == " + ".join(parts)
+
+
 def test_single_box_explicit():
     # s_(1)(x_1, x_2 || a) = x_1 + x_2 - a_1 - a_2
     P = double_schur_n((1,), 2)
@@ -100,7 +118,7 @@ def test_single_box_explicit():
 
 def test_decompose_round_trip():
     for lam in [(1,), (2, 1), (2, 2)]:
-        d = _decompose_sym(_schur_sym_branch(lam, 3), 3)
+        d = _decompose_sym(_schur_sym_branch(lam, 3), 3, 0)
         assert d.partitions() == [lam]
         assert d.coeff(lam) == APoly.one()
 
@@ -145,23 +163,48 @@ def test_product_decomposition_stable_in_n():
     ],
     ids=["flipped", "unflipped"],
 )
-def test_c_oracle_detects_instability(monkeypatch, cell, expanded):
+def test_c_oracle_detects_instability(monkeypatch, clear_oracle_memos, cell, expanded):
     lam, mu, nu = expanded
     n0 = len(nu)
+    low = min(size(lam), size(mu), size(nu))
     original = double_sym._product  # c_oracle trims its shapes once and reads the memo
     calls = []
 
-    def tampered(lam_, mu_, n):
-        calls.append((lam_, mu_, n))
-        d = original(lam_, mu_, n)
-        if (lam_, mu_, n) == (lam, mu, n0 + 1):
+    def tampered(lam_, mu_, n, low_):
+        calls.append((lam_, mu_, n, low_))
+        d = original(lam_, mu_, n, low_)
+        if (lam_, mu_, n, low_) == (lam, mu, n0 + 1, low):
             d = d + SchurSum.single(nu)
         return d
 
     monkeypatch.setattr(double_sym, "_product", tampered)
     with pytest.raises(ArithmeticError):
         c_oracle(*cell)
-    assert calls == [(lam, mu, n0), (lam, mu, n0 + 1)]
+    assert calls == [(lam, mu, n0, low), (lam, mu, n0 + 1, low)]
+    # the stability memo stores no failure: the same cell checks and raises again
+    with pytest.raises(ArithmeticError):
+        c_oracle(*cell)
+    assert calls == 2 * [(lam, mu, n0, low), (lam, mu, n0 + 1, low)]
+
+
+def test_degree_cut_keeps_every_coefficient_at_or_above_low():
+    # _product(lam, mu, n, low) drops the terms below degree low from the
+    # product and from each basis subtraction; the coefficients it keeps
+    # must be those of the whole decomposition, for every low
+    checks = 0
+    for lam in partitions_up_to(5):
+        for mu in partitions_up_to(5 - size(lam)):
+            if lam > mu:
+                continue
+            top = size(lam) + size(mu) + 1
+            for n in range(1, top + 1):
+                whole = double_sym._product(lam, mu, n, 0)
+                for low in range(1, top + 1):
+                    assert double_sym._product(lam, mu, n, low) == SchurSum({
+                        kappa: c for kappa, c in whole.terms.items() if size(kappa) >= low
+                    }), (lam, mu, n, low)
+                    checks += 1
+    assert checks == 1035
 
 
 def _expanded_coefficient(lam, mu, nu):
@@ -208,7 +251,7 @@ def test_decomposition_leaves_cached_bases_intact(clear_oracle_memos):
     # running it twice would expose a first pass that wrote into those terms
     for lam in [(1,), (2, 1), (2, 2), (3, 1)]:
         for _ in range(2):
-            d = _decompose_sym(_schur_sym_branch(lam, 3), 3)
+            d = _decompose_sym(_schur_sym_branch(lam, 3), 3, 0)
             assert d.partitions() == [lam]
             assert d.coeff(lam) == APoly.one()
 
@@ -248,7 +291,7 @@ def test_product_memo_is_shared_by_a_pair_and_its_mirror():
     d = product_decomposition((2, 1), [1, 1, 0], 3)
     assert d is product_decomposition((1, 1), (2, 1), 3)
     assert d == _decompose_sym(
-        _sym_mul(_schur_sym_branch((2, 1), 3), _schur_sym_branch((1, 1), 3), 3), 3
+        _sym_mul(_schur_sym_branch((2, 1), 3), _schur_sym_branch((1, 1), 3), 3, 0), 3, 0
     )
 
 
@@ -256,4 +299,4 @@ def test_decompose_reports_a_key_longer_than_n_as_internal():
     # every input key has at most n parts, so a longer leading exponent is a
     # broken invariant, not bad input
     with pytest.raises(RuntimeError, match=r"\(1, 1\) has more than n=1 parts"):
-        _decompose_sym({(1, 1): APoly.one()}, 1)
+        _decompose_sym({(1, 1): APoly.one()}, 1, 0)

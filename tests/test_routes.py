@@ -7,8 +7,13 @@ layers below them: shapes, apoly, sparse and schursum, with
 jacobi_trudi_fold for the alternating and classical routes.
 """
 
-import pytest
+import importlib
+import pkgutil
 
+import pytest
+from conftest import ROUTE_MEMOS
+
+import lrpoly
 from lrpoly import double_sym, lr, stable_ring, tableaux
 from lrpoly.double_sym import c_oracle, classical_lr
 from lrpoly.lr import (
@@ -31,18 +36,6 @@ KERNELS = {
     "classical": [(double_sym, "_classical_table")],
     "pieri_tableau": [(lr, "pieri_tableau")],
 }
-
-# every lru_cache memo of the routes, taken before any patch replaces one
-MEMOS = (
-    tableaux._plan,
-    tableaux._entries,
-    tableaux._binomial,
-    stable_ring._reduce_row,
-    stable_ring._pieri,
-    double_sym._schur_sym_branch,
-    double_sym._product,
-    double_sym._classical_table,
-)
 
 CELLS = [
     ((2, 1), (2, 1), (3, 2, 1)),
@@ -68,20 +61,8 @@ ROUTES = {
 
 
 def _clear_memos():
-    for memo in MEMOS:
+    for memo in ROUTE_MEMOS:
         memo.cache_clear()
-
-
-@pytest.fixture
-def cold_memos():
-    """Empty every route memo before and after the test.
-
-    A memo filled while a kernel was patched would keep what the patch
-    gave, and a warm memo would let a route skip the kernel it reaches.
-    """
-    _clear_memos()
-    yield
-    _clear_memos()
 
 
 def _refuse(name):
@@ -91,7 +72,7 @@ def _refuse(name):
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_each_route_runs_without_the_others(route, monkeypatch, cold_memos):
+def test_each_route_runs_without_the_others(route, monkeypatch, clear_oracle_memos):
     owner, calls = ROUTES[route]
     expected = [rule(*args) for rule, args in calls]
     _clear_memos()
@@ -102,3 +83,19 @@ def test_each_route_runs_without_the_others(route, monkeypatch, cold_memos):
         assert rule(*args) == want, (route, rule.__name__, args)
     assert any(expected), route
 
+
+def test_route_memos_name_every_lru_cache_function():
+    # clear_oracle_memos empties ROUTE_MEMOS; a memo missing from it would
+    # stay warm across a patch, so it must hold every function of the
+    # package that has cache_info
+    found = set()
+    for info in pkgutil.iter_modules(lrpoly.__path__):
+        module = importlib.import_module(f"lrpoly.{info.name}")
+        found |= {
+            (module.__name__, name)
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__
+        }
+    assert {"lrpoly.tableaux", "lrpoly.stable_ring", "lrpoly.double_sym"} <= {m for m, _ in found}
+    listed = [(memo.__module__, memo.__name__) for memo in ROUTE_MEMOS]
+    assert sorted(listed) == sorted(found)
