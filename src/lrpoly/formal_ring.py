@@ -1,17 +1,22 @@
 """The free commutative ring on indeterminates h_{r,s}.
 
 Conventions: h_{0,s} = 1 for every s, and h_{r,s} = 0 whenever r < 0.  A word
-is a sorted tuple of (r, s) pairs with r >= 1; a SignedHSum is an integer
-linear combination of words.  Schur-type elements s_{mu,beta} are represented
-by their expanded Jacobi-Trudi determinants, and formal_pieri_terms lists the
-index pairs of h_{p,e} * s_{mu,beta}.  Sorting those rows back into
-canonical order happens inside stable_ring.pieri_stable, row by row.
+is a sorted tuple of (r, s) pairs with r >= 1; an element of the ring is a
+plain term dict {word: int coefficient}, kept by sparse.accumulate.
+Schur-type elements s_{mu,beta} are represented by their expanded
+Jacobi-Trudi determinants, formal_pieri_terms lists the index pairs of
+h_{p,e} * s_{mu,beta}, and pieri_sides expands both sides of that Pieri
+rule.  Sorting those rows back into canonical order happens inside
+stable_ring.pieri_stable, row by row.
+
+jacobi_trudi keeps its walk over the l! permutations: each factor is a cheap
+word insert, so the merged states of shapes.jacobi_trudi_fold save nothing.
 """
 
 from itertools import permutations
 
 from .shapes import pad, perm_sign, compositions_of
-from .sparse import Terms, accumulate
+from .sparse import accumulate
 
 
 def make_word(pairs):
@@ -25,46 +30,13 @@ def make_word(pairs):
     return tuple(sorted(factors))
 
 
-class SignedHSum(Terms):
-    """Integer linear combination of words in the free ring."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def word(pairs, coeff=1):
-        w = make_word(pairs)
-        if w is None or coeff == 0:
-            return SignedHSum({})
-        return SignedHSum({w: coeff})
-
-    def __mul__(self, other):
-        return SignedHSum(accumulate({}, (
-            (tuple(sorted(w1 + w2)), c1 * c2)
-            for w1, c1 in self.terms.items()
-            for w2, c2 in other.terms.items()
-        )))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            body = "*".join(f"h[{r},{s}]" for r, s in w) or "1"
-            parts.append(f"{'+' if c >= 0 else '-'}{abs(c) if abs(c) != 1 or not w else ''}{body if abs(c) == 1 or not w else '*' + body}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"SignedHSum({dict(self.terms)})"
-
-
 def staircase(l):
     """The second-index vector (0, 1, ..., l-1)."""
     return tuple(range(l))
 
 
 def jacobi_trudi(mu, beta=None):
-    """Determinant expansion of s_{mu,beta} as a SignedHSum.
+    """Determinant expansion of s_{mu,beta} as a term dict {word: sign}.
 
     Expands the l(mu) x l(mu) determinant det(h_{mu_i + j - i, beta_i + j - i})
     over permutations, applying the unit/zero conventions factor by factor.
@@ -74,14 +46,14 @@ def jacobi_trudi(mu, beta=None):
     l = len(mu)
     beta = staircase(l) if beta is None else pad(tuple(beta), l)
     # perm_sign runs only for permutations whose word is nonzero
-    return SignedHSum(accumulate({}, (
+    return accumulate({}, (
         (w, perm_sign(omega))
         for omega in permutations(range(1, l + 1))
         if (w := make_word(
             (mu[i] + omega[i] - (i + 1), beta[i] + omega[i] - (i + 1))
             for i in range(l)
         )) is not None
-    )))
+    ))
 
 
 def formal_pieri_terms(p, e_val, mu, beta):
@@ -108,3 +80,19 @@ def formal_pieri_terms(p, e_val, mu, beta):
             )
         )
     return out
+
+
+def pieri_sides(p, e_val, mu, beta):
+    """Both sides of h_{p,e_val} * s_{mu,beta} = sum over formal_pieri_terms.
+
+    The left side inserts (p, e_val) into each word, so p must be at least 1,
+    which also keeps the words distinct.  The rule holds when the two term
+    dicts are equal.
+    """
+    lhs = {tuple(sorted(w + ((p, e_val),))): c for w, c in jacobi_trudi(mu, beta).items()}
+    rhs = accumulate({}, (
+        term
+        for m2, b2 in formal_pieri_terms(p, e_val, mu, beta)
+        for term in jacobi_trudi(m2, b2).items()
+    ))
+    return lhs, rhs

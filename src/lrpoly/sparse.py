@@ -1,9 +1,10 @@
 """Sparse linear combinations stored as term dicts without zero coefficients.
 
-Every linear combination in the package (APoly, SignedHSum, SchurSum, XPoly
-and double_sym's orbit form, a plain dict) maps keys to nonzero coefficients,
-so equal elements have equal dicts.  accumulate is the one loop that keeps
-that form while adding; Terms is the arithmetic the four classes share.
+Every linear combination in the package (APoly, SchurSum, XPoly, and the
+plain dicts of double_sym's orbit form and formal_ring's words) maps keys to
+nonzero coefficients, so equal elements have equal dicts.  accumulate is the
+one loop that keeps that form while adding; Terms is the arithmetic the
+three classes share.
 Coefficients are ints or APolys.  Values are replaced, never mutated, so a
 dict may be accumulated into even when its values are shared with a cache;
 the dict itself must belong to the caller.

@@ -271,6 +271,16 @@ def _permutations_uses(tree):
 
 
 def test_only_formal_ring_walks_permutations():
+    """The routes expand Jacobi-Trudi determinants by jacobi_trudi_fold only.
+
+    formal_ring.jacobi_trudi keeps its permutation walk on measured grounds:
+    its factors are cheap word inserts, so the fold's merged states save
+    nothing there, while the fold pays off for Pieri products.  Folding it
+    (with the source row passed to ``times`` and a sorted-threshold Hall
+    cut) raised the median ring case from 0.062 to 0.103 ms, and walking
+    the positions upward slowed alternating_product on the weight-5 grid
+    from about 0.59 to 0.79 s.
+    """
     for source in (
         "from itertools import product, permutations",
         "import itertools\nitertools.permutations(range(3))",

@@ -4,11 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from lrpoly.apoly import APoly, pack
 from lrpoly.double_sym import XPoly
-from lrpoly.formal_ring import SignedHSum
 from lrpoly.lr import kostka
 from lrpoly.schursum import SchurSum
 from lrpoly.shapes import partitions_up_to
-from lrpoly.sparse import accumulate
+from lrpoly.sparse import Terms, accumulate
 from lrpoly.stable_ring import _pieri, _reduce_row, multiply_by_h, pieri_stable
 from definitions import a
 
@@ -38,7 +37,9 @@ def test_accumulate_apoly_drops_cancelled_and_zero():
 def _samples():
     return [
         a(1) * a(-2) + 2,
-        SignedHSum.word([(1, 0), (2, 1)], 3) + SignedHSum.word([(1, 1)], -1),
+        # int coefficients, as in the folds of cli._psi_report and
+        # double_sym._classical_table
+        Terms({(1, 0): 3, (2, 1): -1}),
         SchurSum.single((2, 1), a(0)) + SchurSum.single((1,), 2),
         XPoly(2, {(1, 0): a(1), (0, 0): APoly.const(4)}),
     ]
