@@ -439,8 +439,8 @@ def build_parser():
         help="expansion of h_{p,e} * s_mu",
         description=(
             "Expansion of h_{p,e} * s_mu. The stable rule's cost grows exponentially "
-            "in p, about 6x for each 2 added to p: p = 14 takes seconds, p = 16 "
-            "more than 20 s. For 0 <= e < l(mu), --method tableau gives the same "
+            "in p, about 10x for each 2 added to p: p = 14 takes about 2 s, p = 16 "
+            "about 20 s. For 0 <= e < l(mu), --method tableau gives the same "
             "expansion in time about linear in p."
         ),
     )

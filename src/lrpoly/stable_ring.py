@@ -18,7 +18,7 @@ and _pieri (behind pieri_stable); their values are shared: read, never write.
 
 from functools import lru_cache
 
-from .apoly import APoly
+from .apoly import APoly, ONE_MONO, _mul_into
 from .schursum import SchurSum
 from .shapes import iv
 from .sparse import accumulate
@@ -79,28 +79,31 @@ def _pieri(p, e, mu):
         return SchurSum.zero()
     L = len(mu) + 1
     mu_ext = mu + (0,)
-    # (boxes left, strictly decreasing first labels of the rows so far) -> coeff
-    states = {(p, ()): APoly.one()}
+    # (boxes left, strictly decreasing first labels of the rows so far) -> term dict
+    states = {(p, ()): {ONE_MONO: 1}}
     for i in range(1, L + 1):
-        terms = []
-        for (left, gammas), coeff in states.items():
+        nxt = {}
+        for (left, gammas), terms in states.items():
+            negated = None
             for s in range(left if i == L else 0, left + 1):
                 d = s - 1 if i < L else e - p + s - L
                 for g, rc in _reduce_row(mu_ext[i - 1] + s - i, d, L).items():
                     if g in gammas:
                         continue  # two equal rows
                     k = sum(h > g for h in gammas)
-                    c = coeff * rc
-                    terms.append((
-                        (left - s, gammas[:k] + (g,) + gammas[k:]),
-                        -c if (len(gammas) - k) % 2 else c,
-                    ))
-        states = accumulate({}, terms)
-    out = SchurSum(accumulate({}, (
-        (iv(g + i for i, g in enumerate(gammas, 1)), c)
-        for (_, gammas), c in states.items()
-    )))
-    return out
+                    if (len(gammas) - k) % 2:
+                        if negated is None:
+                            negated = {m: -c for m, c in terms.items()}
+                        c = negated
+                    else:
+                        c = terms
+                    key = (left - s, gammas[:k] + (g,) + gammas[k:])
+                    _mul_into(nxt.setdefault(key, {}), c, rc.terms)
+        states = {state: terms for state, terms in nxt.items() if terms}
+    return SchurSum({
+        iv(g + i for i, g in enumerate(gammas, 1)): APoly(terms)
+        for (_, gammas), terms in states.items()
+    })
 
 
 def multiply_by_h(p, e, S, pieri=pieri_stable):
@@ -115,5 +118,6 @@ def multiply_by_h(p, e, S, pieri=pieri_stable):
     out = {}
     for mu, c in S.terms.items():
         # the expansion may be cached: it is read, never written
-        accumulate(out, ((nu, q * c) for nu, q in pieri(p, e, mu).terms.items()))
-    return SchurSum(out)
+        for nu, q in pieri(p, e, mu).terms.items():
+            _mul_into(out.setdefault(nu, {}), q.terms, c.terms)
+    return SchurSum({nu: APoly(terms) for nu, terms in out.items() if terms})

@@ -27,8 +27,9 @@ binomial; a filling's weight is multiplied out when the search reaches it,
 from the longest product of recorded binomials it shares with the fillings
 before it, so a branch that no filling completes multiplies nothing.  With
 strict columns a box in row i holds at most the largest value less i - 1,
-which caps each row before any value is tried, and a shape longer than nu
-has no filling at all.
+which caps each row before any value is tried.  The search's own rules
+leave no filling of nonzero weight unless nu contains lam, so a weighted
+cell where it does not returns before any search (proved at _lr_search).
 What depends only on the shape (the traversal, each box's neighbours,
 content and row, the rows' ceilings, the rows, and the rows left after
 each box) is built once per shape by _plan, which also serves reading its
@@ -45,7 +46,7 @@ from operator import ge
 from typing import NamedTuple
 
 from .apoly import APoly, ONE_MONO, _mul_into, var_key
-from .shapes import iv, is_partition, require_partitions
+from .shapes import contains, iv, is_partition, require_partitions
 from .sparse import accumulate
 
 
@@ -424,9 +425,24 @@ def _lr_search(lam, mu, nu):
     barred k, so rho_k at the box is the same in both orders.  The search
     runs in column order; a zero binomial cuts its branch off, and each
     filling's weight is expanded only once the filling is complete (see
-    _enumerate).  With l(lam) > l(nu) row l(lam) is capped at
-    l(nu) - l(lam) + 1 < 1, so the cell has no filling and returns once
-    lam, mu and nu are checked, before any search is set up.
+    _enumerate).
+
+    A cell whose nu does not contain lam has no filling of nonzero weight,
+    so it returns {} once lam, mu and nu are checked, before any search is
+    set up.  The proof uses only rules that the search enforces:
+    1. rho only grows along a path.  It stays a partition, since a barred k
+       needs rho_{k-1} > rho_k, and inside nu, since it needs rho_k < nu_k.
+    2. Row 1 is read left to right, its values weakly decrease, and box
+       (1, j) has content j - 1; a plain k there is cut when rho_k = j - 1.
+       By induction on j, after box (1, j) with value k, rho_k >= j.  At
+       the box rho_k >= j - 1 already: trivially for j = 1, and otherwise
+       the value k' of box (1, j - 1) is at least k, so by 1 rho_k >=
+       rho_k' >= j - 1.  A barred k adds a box to row k, and a plain k is
+       cut unless rho_k > j - 1.  As rho lies inside nu, k <= nu'_j.
+    3. Columns are strict, so box (i, j) holds at most nu'_j - i + 1.  The
+       bottom box of column j holds at least 1, so lam'_j <= nu'_j for
+       every j, which means nu contains lam.
+    l(lam) > l(nu) is the case j = 1.  The every-nu search has no such cut.
     """
     lam, mu = iv(lam), iv(mu)
     plan = _plan(lam, "column", True)
@@ -437,8 +453,8 @@ def _lr_search(lam, mu, nu):
     else:
         nu = iv(nu)
         cap = len(nu)
-        if len(lam) > cap:
-            # row l(lam) would be capped at l(nu) - l(lam) + 1 < 1: no filling
+        if not contains(nu, lam):
+            # no filling of nonzero weight (see above)
             require_partitions(mu, nu)
             return out
         leaf = lambda _grid, w, _rho: accumulate(out, w.items())

@@ -19,9 +19,11 @@ from lrpoly.lr import (
 )
 from lrpoly.shapes import (
     compositions_of,
+    conjugate,
     contains,
     is_partition,
     lr_targets,
+    pad,
     partitions_of,
     partitions_up_to,
     size,
@@ -255,6 +257,65 @@ def test_plain_rho_is_order_free_and_never_below_content():
     assert seen == 5704
 
 
+def _uncontained_cells():
+    """The weight-5 cells where nu contains mu but not lam, and l(lam) <= l(nu).
+
+    The per-cell search returns before it starts on every one of them; with
+    l(lam) > l(nu) it always has.
+    """
+    return [
+        (lam, mu, nu)
+        for lam in partitions_up_to(5)
+        for mu in partitions_up_to(5)
+        for nu in lr_targets(lam, mu)
+        if contains(nu, mu) and not contains(nu, lam) and len(lam) <= len(nu)
+    ]
+
+
+def test_a_cell_whose_nu_does_not_contain_lam_has_only_zero_weights():
+    # the uncut search finds fillings on these cells, but each one has a
+    # zero binomial, so the per-cell search may return before it starts
+    cells = _uncontained_cells()
+    assert len(cells) == 2749
+    fillings = 0
+    for lam, mu, nu in cells:
+        for T in enumerate_lr_tableaux(lam, mu, nu):
+            fillings += 1
+            assert tableau_weight(T, mu, "column").is_zero(), (T.to_text(), mu, nu)
+    assert fillings == 31530
+
+
+def test_nonzero_weight_fillings_obey_the_containment_proof():
+    # the steps of _lr_search's proof, on every nonzero-weight LR tableau:
+    # after box (1, j) with value k, rho_k >= j (step 2), and box (i, j)
+    # holds at most nu'_j - i + 1 (step 3)
+    seen = 0
+    for lam in partitions_up_to(4):
+        for mu in partitions_up_to(4):
+            for nu in lr_targets(lam, mu):
+                nu_c = conjugate(nu)
+                for T in enumerate_lr_tableaux(lam, mu, nu):
+                    if tableau_weight(T, mu, "column").is_zero():
+                        continue
+                    seen += 1
+                    for i, j, e, rk in reading(T, mu, "column"):
+                        if i == 1:
+                            assert rk + e.barred >= j, (T.to_text(), mu, nu, j)
+                        assert e.value <= pad(nu_c, j)[j - 1] - i + 1, (T.to_text(), nu, i, j)
+    assert seen == 1986
+
+
+def test_a_cell_whose_nu_does_not_contain_lam_returns_before_any_search(monkeypatch):
+    def no_search(*_):
+        raise AssertionError("the cell was searched")
+
+    monkeypatch.setattr(tableaux, "_enumerate", no_search)
+    for cell in _uncontained_cells():
+        assert lr_weight_sum(*cell) == {}, cell
+        assert c_theorem(*cell).is_zero(), cell
+        assert c_corollary(*cell).is_zero(), cell
+
+
 def test_every_nu_search_finds_exactly_the_fillings_of_each_cell():
     # with no nu bound the search must visit each cell's LR tableaux once,
     # and nothing else: a filling whose plain values exceed the length of
@@ -334,7 +395,7 @@ def test_memos_match_cold_results():
 
 
 # a non-partition lam, mu or nu, including cells the tableau rules skip as
-# zero (mu not inside nu, nu too large, lam longer than nu) before any
+# zero (mu not inside nu, nu too large, lam not inside nu) before any
 # search runs
 NON_PARTITION_CELLS = [
     ((1, 2), (), (2, 1)),
@@ -348,6 +409,10 @@ NON_PARTITION_CELLS = [
     # l(lam) > l(nu) leaves no filling: the tableau rules return before a search
     ((1, 1, 1), (1,), (1, 2)),
     ((1, 1, 1), (1, 2), (3,)),
+    # nu does not contain lam, though l(lam) <= l(nu): no filling of nonzero
+    # weight, and the tableau rules return before a search
+    ((3,), (1, 2), (2, 2)),
+    ((2, 2), (1,), (1, 3)),
 ]
 
 
