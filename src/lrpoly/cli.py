@@ -44,6 +44,8 @@ from .double_sym import double_schur_n, c_oracle, classical_lr
 from .involutions import (
     classify_bad,
     psi,
+    psi1,
+    psi2,
     monomial_involution,
     monomial_weight,
     pieri_bad_pair,
@@ -259,28 +261,38 @@ def _suite_lr(w):
     return cases
 
 
-def _psi_report(lam, mu, nu, cap):
-    """Check psi on all bad stacked tableaux for one (lam, mu, nu) cell.
+def _psi_shapes(lam):
+    """The shapes kappa of the stacked tableaux: the lam^omega with no negative entry.
 
-    The shapes kappa, the lam^omega with no negative entry, are the keys
-    jacobi_trudi_fold builds by prepending each row's p, trimmed and sorted.
-    Returns (failure-or-None, {(kappa, row): aggregate bad weight}).
+    They are the keys jacobi_trudi_fold builds by prepending each row's p,
+    trimmed and sorted.
     """
-    groups = defaultdict(APoly.zero)
     signed = jacobi_trudi_fold(
         lam, Terms({(): 1}), lambda t, p, _i: Terms({(p,) + k: c for k, c in t.terms.items()})
     )
-    for kappa in sorted(iv(k) for k in signed.terms):
+    return sorted(iv(k) for k in signed.terms)
+
+
+def _psi_report(shapes, mu, nu, cap):
+    """Check psi on all bad stacked tableaux for one (lam, mu, nu) cell.
+
+    shapes is _psi_shapes(lam), which depends on lam alone.  Each bad
+    tableau is classified once, and psi's two stages act on that cell.
+    Returns (failure-or-None, {(kappa, row): aggregate bad weight}).
+    """
+    groups = defaultdict(APoly.zero)
+    target = iv(nu)
+    for kappa in shapes:
         for T in enumerate_k_tableaux(kappa, mu, nu, cap=cap):
             cell = classify_bad(T, mu)
             if cell is None:
                 continue
-            Tt = psi(T, mu)
+            Tt = psi2(psi1(T, cell), cell, mu)
             expected_shape = tuple(apply_rbar(cell.row, cell.row + 1, kappa))
             if Tt.shape != expected_shape or not Tt.is_valid():
                 return f"psi broke shape on:\n{T.to_text()}", groups
             word, yam = apply_word(mu, row_word(Tt))
-            if not yam or tuple(word) != tuple(iv(nu)):
+            if not yam or word != target:
                 return f"psi broke the row word on:\n{T.to_text()}", groups
             if psi(Tt, mu) != T:
                 return f"psi not an involution on:\n{T.to_text()}", groups
@@ -301,6 +313,7 @@ def _suite_involutions(w, collect=None):
         for mu in mus:
 
             def check(lam=lam, mu=mu):
+                shapes = _psi_shapes(lam)
                 for nu in lr_targets(lam, mu):
                     if not contains(nu, mu):
                         continue
@@ -308,7 +321,7 @@ def _suite_involutions(w, collect=None):
                     # default row cap l(mu) + l(kappa) - i + 1 is at most 5:
                     # cap=5 cuts no tableau the default admits (it admits more
                     # in lower rows).  It would cut some once l(mu) + l(lam) > 5.
-                    fail, groups = _psi_report(lam, mu, nu, cap=5)
+                    fail, groups = _psi_report(shapes, mu, nu, cap=5)
                     if collect is not None:
                         collect.append((lam, mu, nu, groups))
                     if fail:

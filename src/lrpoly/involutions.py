@@ -23,7 +23,7 @@ Three constructions live here, each one move:
 
 from typing import NamedTuple, Optional
 
-from .apoly import APoly
+from .apoly import APoly, pack
 from .shapes import iv, pad, is_horizontal_strip
 from .tableaux import (
     Entry,
@@ -52,27 +52,35 @@ def monomial_weight(U, mu):
 
     Plain unprimed entries contribute a_{k - rho_k} with rho the partition
     grown by the barred prefix in row order; primed entries contribute
-    -a_{k - c}.  Barred entries only advance rho.
+    -a_{k - c}.  Barred entries only advance rho.  The weight is one
+    monomial, so its key is the sum of the factors' keys (pack raises
+    ArithmeticError past the packed degree range).
     """
-    total = APoly.one()
+    sign, pairs = 1, []
     for i, j, e, rk in reading(U, mu, "row"):
         if e.primed:
-            total = total * APoly.var(e.value - (j - i), coeff=-1)
+            sign = -sign
+            pairs.append((e.value - (j - i), 1))
         elif not e.barred:
-            total = total * APoly.var(e.value - rk)
-    return total
+            pairs.append((e.value - rk, 1))
+    return APoly({pack(pairs): sign})
 
 
-def _p1_break_column(T, mu, i):
-    """Leftmost column where the column word of rows >= i stops being Yamanouchi.
+def _p1_break_column(boxes, rows, mu, i, end):
+    """Leftmost column before end where the column word of rows >= i stops being Yamanouchi.
 
-    Returns None if the whole column word stays Yamanouchi when applied to mu.
+    boxes is the tableau's column order (columns left to right, each read
+    bottom to top).  Returns None if the word of columns 1..end-1 stays
+    Yamanouchi when applied to mu.
     """
     rho = list(mu)
-    for r, c in _plan(T.shape, "column", False).boxes:
-        e = T.rows[r - 1][c - 1]
-        if r >= i and e.barred and not add_box(rho, e.value):
-            return c
+    for r, c in boxes:
+        if c >= end:
+            return None
+        if r >= i:
+            e = rows[r - 1][c - 1]
+            if e.barred and not add_box(rho, e.value):
+                return c
     return None
 
 
@@ -88,15 +96,21 @@ def classify_bad(T, mu) -> Optional[BadCell]:
     kappa_i + 1, and both maps treat it as C2b there.
     """
     rows = T.rows
+    boxes = _plan(T.shape, "column", False).boxes
     for i in range(len(rows), 0, -1):
         ri = rows[i - 1]
         ri1 = rows[i] if i < len(rows) else ()
-        bc = _p1_break_column(T, mu, i)
-        for j, e in enumerate(ri, 1):
-            if j <= len(ri1) and e.value <= ri1[j - 1].value:
-                return BadCell(i, j, "C2b")
-            if bc is not None and j >= bc:
-                return BadCell(i, j, "C2a")
+        # the first C2b column, else one past row i; only a P1 break left of it wins
+        jb = len(ri) + 1
+        for j, (e, f) in enumerate(zip(ri, ri1), 1):
+            if e.value <= f.value:
+                jb = j
+                break
+        bc = _p1_break_column(boxes, rows, mu, i, jb)
+        if bc is not None:
+            return BadCell(i, bc, "C2a")
+        if jb <= len(ri):
+            return BadCell(i, jb, "C2b")
         if len(ri) < len(ri1):
             return BadCell(i, len(ri) + 1, "C2c")
     return None
@@ -230,9 +244,10 @@ def psi2(T1, cell, mu):
     ri1 = rows[i]
     c = ri1[cell.col - 1].value
     mup = pad(mu, c)
-    # barred counts from row i down, and from row i+2 down
-    from_i = row_word(ReverseTableau(rows[i - 1 :]))
-    below_i1 = row_word(ReverseTableau(rows[i + 1 :]))
+    # the barred values from row i down and from row i+2 down; only their
+    # counts are read, so the order they are listed in does not matter
+    from_i = [e.value for row in rows[i - 1 :] for e in row if e.barred]
+    below_i1 = [e.value for row in rows[i + 1 :] for e in row if e.barred]
     replacements = []
     for k in range(2, c + 1):
         n_k = max(mup[k - 1] + from_i.count(k) - mup[k - 2] - below_i1.count(k - 1), 0)

@@ -96,16 +96,17 @@ def parse_entry(text):
 
 
 class ReverseTableau:
-    """Rows of entries over a composition shape (zero-length rows allowed)."""
+    """Rows of entries over a composition shape (zero-length rows allowed).
 
-    __slots__ = ("rows",)
+    The shape, the tuple of row lengths, is stored at construction: the
+    rows never change afterwards.
+    """
+
+    __slots__ = ("rows", "shape")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-
-    @property
-    def shape(self):
-        return tuple(len(r) for r in self.rows)
+        self.rows = tuple(map(tuple, rows))
+        self.shape = tuple(map(len, self.rows))
 
     def entry(self, i, j):
         """The entry in row i, column j (both 1-based)."""
@@ -217,14 +218,20 @@ def apply_word(mu, word):
 
 
 def tableau_weight(T, mu, order):
-    """Product of the weights of all plain entries (empty product is 1)."""
-    total = APoly.one()
+    """Product of the weights of all plain entries (empty product is 1).
+
+    The first zero binomial (rho_k = c) makes the product zero.  Each
+    binomial is a term dict of its own, not the search's _binomial memo,
+    so the tests can hold the search against this as a reference.
+    """
+    total = {ONE_MONO: 1}
     for i, j, e, rk in reading(T, mu, order):
         if not e.barred:
-            total = total * (APoly.var(e.value - rk) - APoly.var(e.value - (j - i)))
-            if total.is_zero():
-                return total
-    return total
+            p, q = e.value - rk, e.value - (j - i)
+            if p == q:
+                return APoly.zero()
+            total = _mul_into({}, total, {var_key(p): 1, var_key(q): -1})
+    return APoly(total)
 
 
 class _Plan(NamedTuple):

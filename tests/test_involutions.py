@@ -28,7 +28,7 @@ from lrpoly.tableaux import (
     tableau_weight,
     enumerate_k_tableaux,
 )
-from lrpoly import involutions
+from lrpoly import cli, involutions
 from lrpoly.involutions import (
     BadCell,
     psi1,
@@ -248,6 +248,66 @@ def test_psi_aggregate_weight_cancellation():
 
 
 # ---------------------------------------------------------------------------
+# The report behind the verify involutions suite (cli._psi_report).
+
+# a weight-3 cell with bad tableaux on both of its shapes, (0, 3) and (2, 1)
+REPORT_CELL = ((2, 1), (2, 1), (3, 2, 1))
+
+
+def test_psi_report_on_every_three_row_cell_at_weight_4():
+    # l(lam) = 3 with |lam|, |mu| <= 4: l(mu) + l(lam) reaches 7, past the
+    # suite's cap=5 (see _suite_involutions), so the default row caps apply
+    cells = 0
+    for lam in partitions_up_to(4):
+        if len(lam) != 3:
+            continue
+        shapes = cli._psi_shapes(lam)
+        for mu in partitions_up_to(4):
+            for nu in lr_targets(lam, mu):
+                if contains(nu, mu):
+                    fail, _ = cli._psi_report(shapes, mu, nu, cap=None)
+                    assert fail is None, (lam, mu, nu, fail)
+                    cells += 1
+    assert cells == 485
+
+
+def test_psi_report_catches_a_broken_psi_and_a_broken_weight(monkeypatch):
+    lam, mu, nu = REPORT_CELL
+    shapes = cli._psi_shapes(lam)
+    fail, groups = cli._psi_report(shapes, mu, nu, cap=None)
+    assert fail is None and groups
+    with monkeypatch.context() as m:
+        # psi's stages hand back T itself
+        m.setattr(cli, "psi1", lambda T, cell: T)
+        m.setattr(cli, "psi2", lambda T1, cell, mu: T1)
+        fail, _ = cli._psi_report(shapes, mu, nu, cap=None)
+        assert fail.startswith("psi broke "), fail
+    # the paired groups hold equally many tableaux, weighed apart by shape
+    monkeypatch.setattr(cli, "tableau_weight", lambda T, mu, order: APoly.const(1 + T.shape[0]))
+    fail, _ = cli._psi_report(shapes, mu, nu, cap=None)
+    assert fail.startswith("aggregate mismatch"), fail
+
+
+def test_psi_report_classifies_each_tableau_and_each_image_once(monkeypatch):
+    # N enumerated tableaux, B of them bad: the report classifies each
+    # tableau once, and psi classifies each image once on the way back
+    lam, mu, nu = REPORT_CELL
+    found = [classify_bad(T, mu) for kappa in _psi_shapes(lam)
+             for T in enumerate_k_tableaux(kappa, mu, nu)]
+    n, b = len(found), sum(cell is not None for cell in found)
+    calls = []
+
+    def counted(T, mu):
+        calls.append(T)
+        return classify_bad(T, mu)
+
+    monkeypatch.setattr(cli, "classify_bad", counted)
+    monkeypatch.setattr(involutions, "classify_bad", counted)
+    assert cli._psi_report(cli._psi_shapes(lam), mu, nu, cap=None)[0] is None
+    assert b > 0 and len(calls) == n + b
+
+
+# ---------------------------------------------------------------------------
 # Monomial involution on a single Pieri row.
 
 MONO_U = ReverseTableau.from_text("\n\n3~ 3~ 3 3~ 2")
@@ -260,6 +320,15 @@ def test_monomial_golden():
     assert monomial_involution(MONO_U, MONO_MU) == MONO_UT
     assert monomial_weight(MONO_UT, MONO_MU) == -(a(1) * a(1))
     assert monomial_involution(MONO_UT, MONO_MU) == MONO_U
+
+
+def test_monomial_weight_keeps_the_degree_guard():
+    # one monomial of degree 127 packs; one more factor sets the guard bit
+    row = [plain(1)] * 67 + [plain(1, primed=True)] * 60
+    w = monomial_weight(ReverseTableau([row]), (200,))
+    assert w.degree() == 127 and list(w.terms.values()) == [1]
+    with pytest.raises(ArithmeticError):
+        monomial_weight(ReverseTableau([row + [plain(1)]]), (200,))
 
 
 def test_monomial_rejects_good():

@@ -88,6 +88,16 @@ def test_tableau_weight_empty_product():
     assert tableau_weight(T, (), "row") == APoly.one()
 
 
+def test_tableau_weight_builds_its_own_binomials():
+    # the search is tested against tableau_weight, so it must not read the
+    # search's binomial memo
+    T = ReverseTableau.from_text("2 2~ 1~\n2 1~ 1\n1")
+    tableaux._binomial.cache_clear()
+    for order in ("row", "column"):
+        assert tableau_weight(T, (2, 1), order).degree() == 4
+    assert tableaux._binomial.cache_info().currsize == 0
+
+
 def test_expand_monomials_sums_to_weight():
     for order in ("row", "column"):
         total = APoly.zero()
