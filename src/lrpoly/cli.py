@@ -11,10 +11,9 @@ for fixed flags; verification cases run one after another in a fixed order.
 import argparse
 import json
 import sys
-from collections import defaultdict
 
 from .apoly import APoly, _SPAN
-from .sparse import Terms
+from .sparse import Terms, accumulate
 from .shapes import (
     iv,
     size,
@@ -280,7 +279,23 @@ def _psi_report(shapes, mu, nu, cap):
     tableau is classified once, and psi's two stages act on that cell.
     Returns (failure-or-None, {(kappa, row): aggregate bad weight}).
     """
-    groups = defaultdict(APoly.zero)
+    fail, terms = _psi_walk(shapes, mu, nu, cap)
+    groups = {key: APoly(t) for key, t in terms.items()}
+    if fail is None:
+        for (kappa, i), w in groups.items():
+            partner = tuple(apply_rbar(i, i + 1, kappa))
+            if w - groups.get((partner, i), APoly.zero()):
+                return f"aggregate mismatch kappa={kappa} row={i}", groups
+    return fail, groups
+
+
+def _psi_walk(shapes, mu, nu, cap):
+    """_psi_report's pass over the tableaux: (first failure or None, terms).
+
+    terms maps each (kappa, row) to the term dict of the bad tableaux'
+    summed weight, so a group is copied into an APoly once, not per tableau.
+    """
+    terms = {}
     target = iv(nu)
     for kappa in shapes:
         for T in enumerate_k_tableaux(kappa, mu, nu, cap=cap):
@@ -290,18 +305,15 @@ def _psi_report(shapes, mu, nu, cap):
             Tt = psi2(psi1(T, cell), cell, mu)
             expected_shape = tuple(apply_rbar(cell.row, cell.row + 1, kappa))
             if Tt.shape != expected_shape or not Tt.is_valid():
-                return f"psi broke shape on:\n{T.to_text()}", groups
+                return f"psi broke shape on:\n{T.to_text()}", terms
             word, yam = apply_word(mu, row_word(Tt))
             if not yam or word != target:
-                return f"psi broke the row word on:\n{T.to_text()}", groups
+                return f"psi broke the row word on:\n{T.to_text()}", terms
             if psi(Tt, mu) != T:
-                return f"psi not an involution on:\n{T.to_text()}", groups
-            groups[(kappa, cell.row)] += tableau_weight(T, mu, "row")
-    for (kappa, i), w in groups.items():
-        partner = tuple(apply_rbar(i, i + 1, kappa))
-        if w - groups.get((partner, i), APoly.zero()):
-            return f"aggregate mismatch kappa={kappa} row={i}", groups
-    return None, groups
+                return f"psi not an involution on:\n{T.to_text()}", terms
+            group = terms.setdefault((kappa, cell.row), {})
+            accumulate(group, tableau_weight(T, mu, "row").terms.items())
+    return None, terms
 
 
 def _suite_involutions(w, collect=None):

@@ -4,9 +4,20 @@ Integer vectors are plain tuples of ints with trailing zeros trimmed; two
 vectors are equal iff their trimmed tuples are equal.  Partitions and
 compositions are just integer vectors satisfying extra predicates.  All
 functions here are pure and all values immutable.
+
+partitions_of lists partitions in reverse-lexicographic order: largest
+first part first, and among equal first parts by the rest in the same
+order.  Case order, verify output and the benchmark digests depend on this
+order.  The finished table of each request is memoized once, as a tuple in
+the lru_cache function _partitions keyed by (n, max_len, max_part) with
+both bounds cut to n; every call returns a fresh list.  The predicates
+contains, is_partition and is_horizontal_strip compare entries in one pass
+of operator.ge without padded copies.
 """
 
-from itertools import product
+from functools import lru_cache
+from itertools import chain, islice, product, repeat, starmap, zip_longest
+from operator import ge
 
 
 def iv(entries):
@@ -33,7 +44,8 @@ def is_composition(alpha):
 
 
 def is_partition(alpha):
-    return list(alpha) == sorted(alpha, reverse=True) and (not alpha or alpha[-1] >= 0)
+    """True iff alpha is non-increasing with nonnegative entries."""
+    return not alpha or (alpha[-1] >= 0 and all(map(ge, alpha, islice(alpha, 1, None))))
 
 
 def require_partitions(*shapes):
@@ -44,9 +56,7 @@ def require_partitions(*shapes):
 
 def contains(alpha, beta):
     """True iff alpha_i >= beta_i for every i (missing entries read as 0)."""
-    l = max(len(alpha), len(beta))
-    a, b = pad(alpha, l), pad(beta, l)
-    return all(a[i] >= b[i] for i in range(l))
+    return all(starmap(ge, zip_longest(alpha, beta, fillvalue=0)))
 
 
 def conjugate(lam):
@@ -56,10 +66,7 @@ def conjugate(lam):
 
 def is_horizontal_strip(nu, mu):
     """True iff mu is contained in nu and nu/mu has at most one box per column."""
-    if not contains(nu, mu):
-        return False
-    mu = pad(mu, len(nu))
-    return all(nu[i + 1] <= mu[i] for i in range(len(nu) - 1))
+    return contains(nu, mu) and all(map(ge, chain(mu, repeat(0)), islice(nu, 1, None)))
 
 
 def interlacing(tops, lows):
@@ -193,20 +200,59 @@ def compositions_of(p, max_len):
 
 
 def partitions_of(n, max_len=None, max_part=None):
-    """All partitions of n, optionally bounded in length and largest part."""
-    if max_len is None:
-        max_len = n
-    if max_part is None:
-        max_part = n
+    """All partitions of n, optionally bounded in length and largest part.
+
+    The list runs in reverse-lexicographic order and is a fresh copy of the
+    memoized table.
+    """
+    max_len = n if max_len is None else min(max_len, n)
+    max_part = n if max_part is None else min(max_part, n)
+    return list(_partitions(n, max_len, max_part))
+
+
+@lru_cache(maxsize=None)
+def _partitions(n, max_len, max_part):
+    """The partitions_of table, walked from each partition to its successor.
+
+    The walk starts at the greedy partition (max_part, ..., max_part, rest).
+    Each step lowers the last part x[h] that can drop by one and refills
+    everything after it greedily with parts of the lowered value r: that
+    refill is the next partition in reverse-lexicographic order, and the
+    shortest one with this prefix.  If it needs more than max_len parts, no
+    partition with this prefix fits, so x[h] is freed whole and the step
+    moves to the part before it.  Only parts above 1 can drop, and they all
+    come before the trailing ones.
+    """
     if n == 0:
-        return [()]
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        if max_len < 1:
-            break
-        for rest in partitions_of(n - first, max_len - 1, first):
-            out.append((first,) + rest)
-    return out
+        return ((),)
+    if n < 0 or max_part < 1:
+        return ()
+    q, rest = divmod(n, max_part)
+    x = [max_part] * q + ([rest] if rest else [])
+    if len(x) > max_len:
+        return ()
+    out = [tuple(x)]
+    h = len(x) - 1  # the last part above 1, or -1 once all parts are 1
+    while h >= 0 and x[h] == 1:
+        h -= 1
+    while h >= 0:
+        r = x[h] - 1
+        t = len(x) - h  # the refill: the ones after x[h], and one from x[h]
+        while h + 1 + -(-t // r) > max_len:
+            h -= 1
+            if h < 0:
+                return tuple(out)
+            t += r + 1
+            r = x[h] - 1
+        q, rest = divmod(t, r)
+        del x[h:]
+        x += [r] * (q + 1)
+        if rest:
+            x.append(rest)
+        out.append(tuple(x))
+        # the last part above 1 is now rest, the last r, or the one before x[h]
+        h = len(x) - 1 if rest > 1 else h + q if r > 1 else h - 1
+    return tuple(out)
 
 
 def partitions_up_to(n, **kwargs):

@@ -7,14 +7,16 @@ from this profile, loaded for the whole session.
 import pytest
 from hypothesis import settings
 
-from lrpoly import double_sym, stable_ring, tableaux
+from lrpoly import double_sym, shapes, stable_ring, tableaux
 
 settings.register_profile("lrpoly", derandomize=True, database=None, deadline=2000)
 settings.load_profile("lrpoly")
 
 
-# every lru_cache memo of the routes, taken before any patch replaces one
+# every lru_cache memo of the routes and of the shapes they share, taken
+# before any patch replaces one
 ROUTE_MEMOS = (
+    shapes._partitions,
     tableaux._plan,
     tableaux._entries,
     tableaux._binomial,

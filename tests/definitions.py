@@ -19,6 +19,13 @@ the reference the tests compare with:
   search over every filling of the row, each primed entry's bound checked
   again at the row end, where ``pieri_tableau`` folds the boxes and merges
   equal states;
+- ``partitions_by_sorting``, ``partition_counts``: the partitions of n as
+  the non-increasing compositions sorted in reverse-lexicographic order,
+  and their count p(n) from Euler's pentagonal-number recurrence, where
+  ``partitions_of`` walks from each partition to the next;
+- ``contains_padded``, ``is_partition_sorted``, ``is_horizontal_strip_padded``:
+  the shape predicates on zero-padded copies and a sort, where ``shapes``
+  compares entries in one pass;
 - ``all_permutations``: the permutations omega of the Jacobi-Trudi sum,
   which ``jacobi_trudi_fold`` expands row by row instead;
 - ``straighten``: sorting the rows of s_{mu,beta}, which ``pieri_stable``
@@ -34,7 +41,7 @@ the reference the tests compare with:
 """
 
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 from lrpoly import double_sym
 from lrpoly.apoly import APoly, ONE_MONO, _mul_into, var_key
@@ -208,6 +215,63 @@ def pieri_tableau_backtrack(p, e, mu, stats=None):
 
     fill(1, 0, L + p, [], APoly.one())
     return SchurSum(out)
+
+
+# --- shapes ---------------------------------------------------------------
+
+
+def partitions_by_sorting(n):
+    """The partitions of n in reverse-lexicographic order.
+
+    Every composition of n is one set of cut points in 1..n-1; the
+    non-increasing ones are the partitions.
+    """
+    found = [()] if n == 0 else []
+    for k in range(n):
+        for cuts in combinations(range(1, n), k):
+            bounds = (0,) + cuts + (n,)
+            parts = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+            if list(parts) == sorted(parts, reverse=True):
+                found.append(parts)
+    return sorted(found, reverse=True)
+
+
+def partition_counts(top):
+    """[p(0), ..., p(top)] by Euler's pentagonal-number recurrence.
+
+    p(n) = sum over k != 0 of (-1)^(k+1) p(n - k(3k - 1)/2).
+    """
+    counts = [1]
+    for n in range(1, top + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= n:
+                    total += sign * counts[n - g]
+            k += 1
+        counts.append(total)
+    return counts
+
+
+def contains_padded(alpha, beta):
+    """alpha_i >= beta_i for every i, on copies padded with zeros to one length."""
+    l = max(len(alpha), len(beta))
+    a, b = pad(alpha, l), pad(beta, l)
+    return all(a[i] >= b[i] for i in range(l))
+
+
+def is_partition_sorted(alpha):
+    """alpha equals its own decreasing sort, and its last entry is nonnegative."""
+    return list(alpha) == sorted(alpha, reverse=True) and (not alpha or alpha[-1] >= 0)
+
+
+def is_horizontal_strip_padded(nu, mu):
+    """mu is contained in nu and nu_{i+1} <= mu_i, with mu padded to l(nu)."""
+    if not contains_padded(nu, mu):
+        return False
+    mu = pad(mu, len(nu))
+    return all(nu[i + 1] <= mu[i] for i in range(len(nu) - 1))
 
 
 # --- Jacobi-Trudi ---------------------------------------------------------

@@ -1,5 +1,10 @@
 """Partition/composition utilities and raising operators."""
 
+from itertools import product, starmap
+
+import pytest
+
+from lrpoly import shapes
 from lrpoly.shapes import (
     iv,
     pad,
@@ -18,9 +23,20 @@ from lrpoly.shapes import (
     compositions_of,
     partitions_of,
     partitions_up_to,
+    require_partitions,
 )
 from lrpoly.sparse import Terms
-from definitions import all_permutations
+from definitions import (
+    all_permutations,
+    contains_padded,
+    is_horizontal_strip_padded,
+    is_partition_sorted,
+    partition_counts,
+    partitions_by_sorting,
+)
+
+# every integer vector with entries in [-1, 3] and at most 4 entries
+VECTORS = [v for l in range(5) for v in product(range(-1, 4), repeat=l)]
 
 
 def test_iv_trims_trailing_zeros():
@@ -143,3 +159,67 @@ def test_compositions_and_partitions():
     assert sorted(partitions_of(4, max_len=2)) == [(2, 2), (3, 1), (4,)]
     assert partitions_of(0) == [()]
     assert () in partitions_up_to(3) and (3,) in partitions_up_to(3)
+
+
+def test_partitions_of_matches_the_sorted_non_increasing_compositions():
+    # content and reverse-lexicographic order, under every bound
+    for n in range(13):
+        every = partitions_by_sorting(n)
+        for max_len in [None, *range(n + 2)]:
+            for max_part in [None, *range(n + 2)]:
+                expected = [
+                    lam
+                    for lam in every
+                    if (max_len is None or len(lam) <= max_len)
+                    and (max_part is None or not lam or lam[0] <= max_part)
+                ]
+                assert partitions_of(n, max_len, max_part) == expected, (n, max_len, max_part)
+
+
+def test_partitions_of_counts_follow_the_pentagonal_recurrence():
+    counts = partition_counts(40)
+    assert counts[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and counts[40] == 37338
+    assert [len(partitions_of(n)) for n in range(41)] == counts
+
+
+def test_partitions_of_returns_a_fresh_list():
+    got = partitions_of(6, max_len=3)
+    expected = list(got)
+    got.append((7,))
+    got[0] = None
+    assert partitions_of(6, max_len=3) == expected
+
+
+def test_partitions_of_memoizes_only_finished_tables(clear_oracle_memos):
+    partitions_of(30)
+    partitions_of(30, 3)
+    assert shapes._partitions.cache_info().currsize == 2
+    # bounds past n name the same table
+    partitions_of(30, max_len=31, max_part=99)
+    assert shapes._partitions.cache_info().currsize == 2
+
+
+def test_containment_and_strip_truth_tables():
+    pairs = list(product(VECTORS, repeat=2))
+    for fast, reference in [
+        (contains, contains_padded),
+        (is_horizontal_strip, is_horizontal_strip_padded),
+    ]:
+        differ = [
+            pair
+            for pair, got, expected in zip(pairs, starmap(fast, pairs), starmap(reference, pairs))
+            if got != expected
+        ]
+        assert differ == [], fast.__name__
+
+
+def test_partition_predicates_truth_tables():
+    for alpha in VECTORS:
+        expected = is_partition_sorted(alpha)
+        assert is_partition(alpha) == expected == is_partition(list(alpha)), alpha
+        for shapes_given in [(alpha,), ((2, 1), alpha), (alpha, ())]:
+            if expected:
+                require_partitions(*shapes_given)
+            else:
+                with pytest.raises(ValueError):
+                    require_partitions(*shapes_given)
