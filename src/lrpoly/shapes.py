@@ -264,13 +264,14 @@ def partitions_up_to(n, **kwargs):
 
 
 def lr_targets(lam, mu):
-    """Every partition nu with |mu| <= |nu| <= |lam| + |mu|.
+    """Every partition nu containing mu with |mu| <= |nu| <= |lam| + |mu|.
 
-    The list runs by size, then in partitions_of order; it is the target
-    grid of the coefficient checks, which filter it by containment of mu.
+    The list runs by size, then in partitions_of order.  It is the target grid
+    of the coefficient checks: c^nu_{lam,mu}(a) vanishes unless nu contains mu.
     """
     return [
         nu
         for extra in range(size(lam) + 1)
         for nu in partitions_of(size(mu) + extra)
+        if contains(nu, mu)
     ]

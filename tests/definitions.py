@@ -26,6 +26,9 @@ the reference the tests compare with:
 - ``contains_padded``, ``is_partition_sorted``, ``is_horizontal_strip_padded``:
   the shape predicates on zero-padded copies and a sort, where ``shapes``
   compares entries in one pass;
+- ``every_target``: every partition nu with |mu| <= |nu| <= |lam| + |mu|,
+  the nu that contain mu and the ones that do not, where ``lr_targets``
+  keeps only the nu that contain mu;
 - ``all_permutations``: the permutations omega of the Jacobi-Trudi sum,
   which ``jacobi_trudi_fold`` expands row by row instead;
 - ``straighten``: sorting the rows of s_{mu,beta}, which ``pieri_stable``
@@ -47,7 +50,7 @@ from lrpoly import double_sym
 from lrpoly.apoly import APoly, ONE_MONO, _mul_into, var_key
 from lrpoly.double_sym import XPoly
 from lrpoly.schursum import SchurSum
-from lrpoly.shapes import iv, pad
+from lrpoly.shapes import iv, pad, partitions_of
 from lrpoly.sparse import accumulate
 from lrpoly.tableaux import (
     Entry,
@@ -272,6 +275,11 @@ def is_horizontal_strip_padded(nu, mu):
         return False
     mu = pad(mu, len(nu))
     return all(nu[i + 1] <= mu[i] for i in range(len(nu) - 1))
+
+
+def every_target(lam, mu):
+    """Every partition nu with |mu| <= |nu| <= |lam| + |mu|, by size, then partitions_of order."""
+    return [nu for extra in range(sum(lam) + 1) for nu in partitions_of(sum(mu) + extra)]
 
 
 # --- Jacobi-Trudi ---------------------------------------------------------

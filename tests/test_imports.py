@@ -26,6 +26,11 @@ One more check keeps ``shapes.jacobi_trudi_fold`` the only Jacobi-Trudi
 expansion of the routes: no package module but ``formal_ring``, whose
 free-ring determinant stays a permutation sum, takes
 ``itertools.permutations``, by name or as an attribute.
+
+Another keeps ``shapes.lr_targets`` the one place that drops the targets
+nu that do not contain mu: no ``for`` loop or comprehension over an
+``lr_targets(lam, mu)`` call, in the package or the tests, tests
+``contains(nu, mu)`` in an ``if`` directly inside it.
 """
 
 import ast
@@ -294,3 +299,65 @@ def test_only_formal_ring_walks_permutations():
         for line in _permutations_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert not uses, "itertools.permutations outside formal_ring:\n" + "\n".join(uses)
+
+
+def _calls(node, name):
+    """True iff node calls name, bare or as an attribute."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def _target_filters(tree):
+    """Lines where a loop over lr_targets(lam, mu) tests contains(nu, mu) in a direct if.
+
+    The loop is a for statement, whose if statements in its body count, or
+    a comprehension, whose ifs count; nu is its target and mu the call's
+    second argument.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            tests = [stmt.test for stmt in node.body if isinstance(stmt, ast.If)]
+        elif isinstance(node, ast.comprehension):
+            tests = node.ifs
+        else:
+            continue
+        if not (_calls(node.iter, "lr_targets") and isinstance(node.target, ast.Name)):
+            continue
+        nu, mu = node.target.id, ast.dump(node.iter.args[1])
+        for test in tests:
+            for call in ast.walk(test):
+                if (
+                    _calls(call, "contains")
+                    and getattr(call.args[0], "id", None) == nu
+                    and ast.dump(call.args[1]) == mu
+                ):
+                    yield call.lineno
+
+
+def test_no_caller_filters_lr_targets_by_containment():
+    """shapes.lr_targets alone decides that a target nu contains mu.
+
+    c^nu_{lam,mu}(a) vanishes unless nu contains mu, so every coefficient
+    grid reads only those nu; a caller that filters again keeps a second
+    copy of the rule.  Grids that read every nu on purpose take
+    definitions.every_target.
+    """
+    for source in (
+        "[nu for nu in lr_targets(lam, mu) if contains(nu, mu)]",
+        "[nu for nu in shapes.lr_targets(k, m) if nu and contains(nu, m)]",
+        "for nu in lr_targets(lam, mu):\n    if not contains(nu, mu):\n        continue",
+    ):
+        assert list(_target_filters(ast.parse(source))), source
+    for source in (
+        "[nu for nu in lr_targets(lam, mu) if not contains(nu, lam)]",
+        "[nu for nu in every_target(lam, mu) if contains(nu, mu)]",
+        "for nu in lr_targets(lam, mu):\n    x = contains(nu, mu)",
+    ):
+        assert not list(_target_filters(ast.parse(source))), source
+    filters = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in SOURCES
+        for line in _target_filters(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not filters, "lr_targets filtered by containment again:\n" + "\n".join(filters)

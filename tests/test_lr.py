@@ -30,7 +30,13 @@ from lrpoly.lr import (
 from lrpoly.stable_ring import pieri_stable
 from lrpoly.double_sym import classical_lr
 from lrpoly.schursum import SchurSum
-from definitions import a, all_permutations, enumerate_lr_tableaux, pieri_tableau_backtrack
+from definitions import (
+    a,
+    all_permutations,
+    enumerate_lr_tableaux,
+    every_target,
+    pieri_tableau_backtrack,
+)
 
 
 def test_single_box_product():
@@ -60,10 +66,8 @@ def _kostka_grid():
         kappas += list(itertools.product(range(3), repeat=k))
     for kappa in kappas:
         for mu in partitions_up_to(3 if len(kappa) <= 2 else 2):
-            for add in range(sum(kappa) + 1):
-                for nu in partitions_of(size(mu) + add):
-                    if contains(nu, mu):
-                        yield kappa, mu, nu
+            for nu in lr_targets(kappa, mu):
+                yield kappa, mu, nu
 
 
 def test_kostka_methods_agree_in_hypothesis():
@@ -117,8 +121,6 @@ def test_weighted_search_matches_tableau_sum():
     for lam in partitions_up_to(4):
         for mu in partitions_up_to(4):
             for nu in lr_targets(lam, mu):
-                if not contains(nu, mu):
-                    continue
                 tableaux = enumerate_lr_tableaux(lam, mu, nu)
                 got = lr_weight_sum(lam, mu, nu)
                 for order in ("row", "column"):
@@ -141,7 +143,7 @@ _partitions = st.sampled_from(partitions_up_to(5))
 @settings(max_examples=200)
 @given(_partitions, _partitions, st.data())
 def test_tableau_rules_agree_on_random_cells(lam, mu, data):
-    nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))
+    nu = data.draw(st.sampled_from(lr_targets(lam, mu)))
     ct = c_theorem(lam, mu, nu)
     assert ct == c_corollary(lam, mu, nu), (lam, mu, nu)
     assert ct.at_zero() == classical_lr(lam, mu, nu), (lam, mu, nu)
@@ -199,7 +201,7 @@ def test_pieri_tableau_equals_stable_on_the_weight_4_grid():
 @settings(max_examples=100)
 @given(_partitions, _partitions, st.data())
 def test_alternating_equals_theorem_on_random_cells(lam, mu, data):
-    nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))
+    nu = data.draw(st.sampled_from(lr_targets(lam, mu)))
     assert c_alternating(lam, mu, nu) == c_theorem(lam, mu, nu), (lam, mu, nu)
 
 
@@ -210,7 +212,7 @@ def test_alternating_product_matches_the_per_nu_kostka_sum():
         for mu in partitions_up_to(4):
             product = alternating_product(lam, mu)
             shapes = [lambda_omega(lam, omega) for omega in all_permutations(len(lam))]
-            for nu in lr_targets(lam, mu):
+            for nu in every_target(lam, mu):
                 expected = APoly.zero()
                 for kappa, sign in shapes:
                     expected = expected + kostka(kappa, mu, nu) * sign
@@ -232,18 +234,31 @@ def test_alternating_product_support_on_the_weight_5_grid():
             assert contains(nu, lam) and contains(nu, mu), (lam, mu, nu)
             assert size(nu) <= size(lam) + size(mu), (lam, mu, nu)
             assert c.is_homogeneous(size(lam) + size(mu) - size(nu)), (lam, mu, nu)
-        for nu in set(product.terms) | set(lr_targets(lam, mu)):
+        for nu in set(product.terms) | set(every_target(lam, mu)):
             assert product.coeff(nu) == c_theorem(lam, mu, nu), (lam, mu, nu)
         support += len(product.terms)
     assert support == 4295
+
+
+def test_theorem_product_equals_alternating_product_on_the_weight_6_grid():
+    # the tableau search and the Pieri fold, two independent routes, give
+    # the same whole product, support included, one weight past the
+    # weight-5 support grid above
+    pairs = [(lam, mu) for lam in partitions_up_to(6) if lam for mu in partitions_up_to(6) if mu]
+    assert len(pairs) == 841
+    coefficients = 0
+    for lam, mu in pairs:
+        product = theorem_product(lam, mu)
+        assert product == alternating_product(lam, mu), (lam, mu)
+        coefficients += len(product.terms)
+    assert coefficients == 17422
 
 
 def test_alternating_product_on_long_lam():
     # long lam, where the permutation sum ran 8! and 6! Pieri folds
     for lam, mu in [((1,) * 8, (1,)), ((3, 3, 2, 2, 1, 1), (1,))]:
         product = alternating_product(lam, mu)
-        targets = [nu for nu in lr_targets(lam, mu) if contains(nu, mu)]
-        for nu in set(product.terms) | set(targets):
+        for nu in set(product.terms) | set(lr_targets(lam, mu)):
             c = product.coeff(nu)
             assert c == c_theorem(lam, mu, nu), (lam, mu, nu)
             assert c.at_zero() == classical_lr(lam, mu, nu), (lam, mu, nu)
@@ -271,7 +286,6 @@ def test_conjugation_duality_of_theorem_on_the_criterion_06_grid():
         if lam
         for mu in partitions_up_to(4)
         for nu in lr_targets(lam, mu)
-        if contains(nu, mu)
     ]
     assert len(cells) == 2293
     for lam, mu, nu in cells:
@@ -283,7 +297,7 @@ def test_conjugation_duality_of_theorem_on_the_criterion_06_grid():
 @settings(max_examples=200)
 @given(st.sampled_from(partitions_up_to(6)), st.sampled_from(partitions_up_to(6)), st.data())
 def test_conjugation_duality_of_theorem_on_random_cells(lam, mu, data):
-    nu = data.draw(st.sampled_from([nu for nu in lr_targets(lam, mu) if contains(nu, mu)]))
+    nu = data.draw(st.sampled_from(lr_targets(lam, mu)))
     assert c_theorem(conjugate(lam), conjugate(mu), conjugate(nu)) == (
         c_theorem(lam, mu, nu).dual()
     ), (lam, mu, nu)

@@ -21,6 +21,7 @@ from lrpoly.shapes import (
     lambda_omega,
     jacobi_trudi_fold,
     compositions_of,
+    lr_targets,
     partitions_of,
     partitions_up_to,
     require_partitions,
@@ -29,6 +30,7 @@ from lrpoly.sparse import Terms
 from definitions import (
     all_permutations,
     contains_padded,
+    every_target,
     is_horizontal_strip_padded,
     is_partition_sorted,
     partition_counts,
@@ -197,6 +199,15 @@ def test_partitions_of_memoizes_only_finished_tables(clear_oracle_memos):
     # bounds past n name the same table
     partitions_of(30, max_len=31, max_part=99)
     assert shapes._partitions.cache_info().currsize == 2
+
+
+def test_lr_targets_are_the_targets_that_contain_mu_in_order():
+    # content and order: by size, then in partitions_of order, with every nu
+    # that does not contain mu left out
+    for lam in partitions_up_to(6):
+        for mu in partitions_up_to(6):
+            expected = [nu for nu in every_target(lam, mu) if contains(nu, mu)]
+            assert lr_targets(lam, mu) == expected, (lam, mu)
 
 
 def test_containment_and_strip_truth_tables():
