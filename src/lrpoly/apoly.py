@@ -12,16 +12,15 @@ one field into the next while the degree stays below 2^(B-1) = 128.
 _mul_into checks that guard bit on every product and raises ArithmeticError
 when it is set; nothing carries silently.  Because adding a key never
 carries, integer comparison of keys is a monomial order; ONE_MONO = 0, the
-constant monomial, is its minimum.  shift_indices moves fields with masks
-that span the indices -255..255 and raises ArithmeticError past them.
+constant monomial, is its minimum.  shift_indices and dual move fields
+with masks (_shift_up, _shift_down, _reflect) that span the indices
+-255..255, and raise ArithmeticError past them.
 
 unpack(m) gives back the (index, exponent) pairs by increasing index;
 printing and JSON convert there, sorting graded, then lexicographically on
 those pairs.  An APoly stores a dict mapping keys to nonzero integer
 coefficients, so equal polynomials always have equal term dicts.
 """
-
-from fractions import Fraction
 
 from .sparse import Terms, accumulate
 
@@ -56,6 +55,17 @@ def _shift_down(m):
         (m & _FIELD) | (m & _EVEN) << 2 * B
         | (m & (_ODD ^ _SLOT1)) >> 2 * B | (m & _SLOT1) << B
     )
+
+
+def _reflect(m):
+    """a_i -> a_{-i}: odd fields past a_0 move down one, even fields up one."""
+    return (m & (_FIELD | _SLOT1)) | (m & (_ODD ^ _SLOT1)) >> B | (m & _EVEN) << B
+
+
+def _require_span(terms):
+    """Raise ArithmeticError if a key of terms holds an index past the masks."""
+    if terms and max(terms) >> _SPAN_BITS:
+        raise ArithmeticError(f"index outside the shift span [-{_SPAN}, {_SPAN}]")
 
 
 def var_key(i, e=1):
@@ -187,8 +197,7 @@ class APoly(Terms):
         terms = self.terms
         step = _shift_up if k > 0 else _shift_down
         for _ in range(abs(k)):
-            if terms and max(terms) >> _SPAN_BITS:
-                raise ArithmeticError(f"index outside the shift span [-{_SPAN}, {_SPAN}]")
+            _require_span(terms)
             terms = {step(m): c for m, c in terms.items()}
         return self if terms is self.terms else APoly(terms)
 
@@ -196,15 +205,18 @@ class APoly(Terms):
         """The involution a_i -> -a_{1-i}: a monomial of degree k gains the sign (-1)^k.
 
         It is the coefficient map of conjugation duality: c^{nu'}_{lam',mu'}
-        is the dual of c^nu_{lam,mu}, with ' the conjugate partition.
+        is the dual of c^nu_{lam,mu}, with ' the conjugate partition.  A key
+        maps as a_i -> a_{-i} -> a_{1-i}; its lowest bit is the degree's parity.
         """
-        out = {}
-        for m, c in self.terms.items():
-            out[pack((1 - i, e) for i, e in unpack(m))] = -c if (m & _FIELD) % 2 else c
-        return APoly(out)
+        _require_span(self.terms)
+        return APoly({
+            _shift_up(_reflect(m)): -c if m & 1 else c for m, c in self.terms.items()
+        })
 
     def substitute(self, assignment):
         """Exact rational evaluation; assignment maps variable index to a number."""
+        from fractions import Fraction  # here, so `import lrpoly` loads neither it nor decimal
+
         total = Fraction(0)
         for m, c in self.terms.items():
             val = Fraction(c)

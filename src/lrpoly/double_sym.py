@@ -303,13 +303,14 @@ def c_oracle(lam, mu, nu):
     return.  low is symmetric in the pair and the same for every nu that
     contains lam or mu, so the cells of a pair share one memo entry per n0.
     """
-    lam, mu, nu = iv(lam), iv(mu), iv(nu)
-    require_partitions(lam, mu, nu)
+    lam, mu, nu = require_partitions(lam, mu, nu)
     flip = bool(nu) and nu[0] < len(nu)
     if flip:
         lam, mu, nu = conjugate(lam), conjugate(mu), conjugate(nu)
     low = min(size(lam), size(mu), size(nu))
-    c = _stable_product(*sorted((lam, mu)), max(len(nu), 1), low).coeff(nu)
+    c = _stable_product(*sorted((lam, mu)), max(len(nu), 1), low).terms.get(nu)
+    if c is None:
+        return APoly.zero()
     return c.dual() if flip else c
 
 
@@ -322,14 +323,13 @@ def classical_lr(lam, mu, nu):
     counts, with no call to the stable Pieri rule.  The sum is taken once
     per (lam, mu) for every nu at once, by the cached _classical_table.
     """
-    require_partitions(nu)
-    return _classical_table(iv(lam), iv(mu)).get(iv(nu), 0)
+    lam, mu, nu = require_partitions(lam, mu, nu)
+    return _classical_table(lam, mu).get(nu, 0)
 
 
 @lru_cache(maxsize=None)
 def _classical_table(lam, mu):
-    """{nu: classical coefficient} of s_lam * s_mu; shared, never written."""
-    require_partitions(lam, mu)
+    """{nu: classical coefficient} of s_lam * s_mu (lam, mu checked by classical_lr); read only."""
 
     def add_strips(counts, p, _i):
         out = {}

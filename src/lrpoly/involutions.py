@@ -175,12 +175,13 @@ def psi1(T, cell):
     segment of c's from column j+1 through the matching barred c (column r)
     trade block structures on the way across ("fixing the column ordering"):
     row i gets b's in the block sizes of the c's, row i+1 c's in those of the b's.
+    Only rows i and i+1 are rebuilt; the other rows keep their tuples.
     """
     i, j, cond = cell
-    rows = [list(r) for r in T.rows]
+    rows = list(T.rows)
     ri = rows[i - 1]
     ri1 = rows[i]
-    after = before = []
+    after = before = ()
     if cond != "C2a":
         q, r = j - 1, j
     else:
@@ -195,8 +196,8 @@ def psi1(T, cell):
         x = _parse_blocks_after_barred(ri[j - 1 : q])
         # r: column of the len(x)-th barred c at or right of column j+1 in row i+1
         r = _nth_barred(ri1, c, len(x), j, len(ri1), from_end=False)
-        after = _blocks_after(b, _parse_blocks_before_barred(ri1[j:r]))
-        before = _blocks_before(c, x)
+        after = tuple(_blocks_after(b, _parse_blocks_before_barred(ri1[j:r])))
+        before = tuple(_blocks_before(c, x))
     rows[i - 1] = ri[: j - 1] + after + ri1[r:]
     rows[i] = ri1[:j] + before + ri[q:]
     return ReverseTableau(rows)
@@ -236,12 +237,13 @@ def psi2(T1, cell, mu):
 
     For each k up to the column partner value c, exchanges n_k barred k's at
     the end of row i+1 against n_k barred (k-1)'s at the start of the (k-1)
-    run in row i, carrying the plain block sizes across unchanged.
+    run in row i, carrying the plain block sizes across unchanged.  Only
+    rows i and i+1 are copied, and only when some n_k is nonzero; with none,
+    T1 itself is returned.
     """
     i = cell.row
-    rows = [list(r) for r in T1.rows]
-    ri = rows[i - 1]
-    ri1 = rows[i]
+    rows = T1.rows
+    ri, ri1 = rows[i - 1], rows[i]
     c = ri1[cell.col - 1].value
     mup = pad(mu, c)
     # the barred values from row i down and from row i+2 down; only their
@@ -262,6 +264,11 @@ def psi2(T1, cell, mu):
         start = _nth_barred(ri1, k, n_k, lo1, hi1, from_end=True)
         w = _parse_blocks_after_barred(ri1[start:hi1])
         replacements.append((lo, end, _blocks_after(k, v), start, hi1, _blocks_before(k - 1, w)))
+    if not replacements:
+        return T1
+    rows = list(rows)
+    ri = rows[i - 1] = list(ri)
+    ri1 = rows[i] = list(ri1)
     for lo, end, seg_i, start, hi1, seg_i1 in replacements:
         ri[lo:end] = seg_i
         ri1[start:hi1] = seg_i1

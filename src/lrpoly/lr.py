@@ -122,7 +122,7 @@ def alternating_product(lam, mu):
     rows are added before the next factor; the result holds every
     coefficient c^nu_{lam,mu}(a) at once.
     """
-    require_partitions(lam, mu)
+    lam, mu = require_partitions(lam, mu)
     return jacobi_trudi_fold(lam, SchurSum.single(mu), lambda s, p, i: multiply_by_h(p, i - 1, s))
 
 

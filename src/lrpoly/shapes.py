@@ -23,6 +23,8 @@ from operator import ge
 def iv(entries):
     """Canonical integer vector: tuple with trailing zeros trimmed."""
     entries = tuple(map(int, entries))
+    if entries and entries[-1]:
+        return entries
     n = len(entries)
     while n > 0 and entries[n - 1] == 0:
         n -= 1
@@ -45,13 +47,15 @@ def is_composition(alpha):
 
 def is_partition(alpha):
     """True iff alpha is non-increasing with nonnegative entries."""
-    return not alpha or (alpha[-1] >= 0 and all(map(ge, alpha, islice(alpha, 1, None))))
+    return not alpha or (alpha[-1] >= 0 and all(map(ge, alpha, alpha[1:])))
 
 
 def require_partitions(*shapes):
-    """Raise ValueError unless every given tuple is a partition (lam, mu, nu of a cell)."""
+    """The vectors trimmed by iv (lam, mu, nu of a cell); ValueError unless all are partitions."""
+    shapes = tuple(map(iv, shapes))
     if not all(map(is_partition, shapes)):
         raise ValueError("lam, mu and nu must be partitions")
+    return shapes
 
 
 def contains(alpha, beta):
@@ -60,8 +64,14 @@ def contains(alpha, beta):
 
 
 def conjugate(lam):
-    """The conjugate partition: its j-th part counts the parts of lam above j - 1."""
-    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+    """The conjugate partition, by one walk down the parts: part j counts the parts above j - 1."""
+    out = []
+    i = len(lam)
+    for j in range(lam[0] if lam else 0):
+        while lam[i - 1] <= j:
+            i -= 1
+        out.append(i)
+    return tuple(out)
 
 
 def is_horizontal_strip(nu, mu):

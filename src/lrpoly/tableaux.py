@@ -264,7 +264,7 @@ class _Plan(NamedTuple):
 @lru_cache(maxsize=None)
 def _plan(shape, order, column_strict):
     """The search plan of a shape, traversed in the given order; built once per key."""
-    if column_strict:  # an LR search, whose lam is checked once per cached plan
+    if column_strict:  # a column-strict search needs a partition shape
         require_partitions(shape)
     boxes = tuple(_boxes_in(order, shape))
     n, height = len(boxes), len(shape)
@@ -297,7 +297,8 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
 
     Fills the boxes of the plan in its traversal order; the word of barred
     values in that order must be Yamanouchi from mu and reach nu.  mu and nu
-    are tuples with trailing zeros trimmed.  caps[i - 1] is the largest
+    are partitions with trailing zeros trimmed, checked by the callers
+    (_tableaux, _lr_search) and not here.  caps[i - 1] is the largest
     plain value allowed in row i; a plan built with column_strict
     additionally requires each value to be strictly larger than the entry
     directly below, so the largest value, less i - 1, caps row i.
@@ -311,24 +312,25 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
     so each row adds at most one row to rho; a branch whose rows left
     cannot lengthen rho to its largest plain value is cut.
 
-    Calls leaf(grid, w, rho) for every filling, grid listing its entries in
-    traversal order and rho the live list of mu grown by the whole word,
-    padded with zeros (read it, never keep it).  With a term dict weight, w
-    is weight times the binomial a_{k - rho_k} - a_{k - c} of every plain
-    entry k in a box of content c, where rho is mu grown by the barred
-    prefix in traversal order; a plain entry whose binomial is zero
-    (rho_k = c) is cut off together with every completion below it.
-    Without a weight, w is None.
+    Calls leaf(grid, rho) for every filling, rho being the live list of mu
+    grown by the whole word, padded with zeros (read it, never keep it).
+    Without a weight, grid lists the filling's entries in traversal order.
+    With a term dict weight, grid is None, no entry is stored, and leaf
+    returns the term dict that the filling's weight is added into: weight
+    times the binomial a_{k - rho_k} - a_{k - c} of every plain entry k in a
+    box of content c, where rho is mu grown by the barred prefix in
+    traversal order.  A plain entry whose binomial is zero (rho_k = c) is
+    cut off together with every completion below it.
 
     The d-th plain entry of a filling stores its binomial in factors[d - 1]
     and multiplies nothing.  prefix[d] is weight times factors[:d], kept for
-    every d up to ready; storing factors[d] drops ready to d.  A leaf with d
-    plain entries expands prefix[ready + 1..d] and passes prefix[d], so a
-    branch that reaches no leaf runs no product, and fillings that share
-    their first plain entries share those products.  w is shared by later
-    leaves: read it during the call, never write or keep it.
+    every d up to ready; storing factors[d] drops ready to d.  A leaf with
+    d > 0 plain entries expands prefix[ready + 1..d - 1] and multiplies
+    prefix[d - 1] by factors[d - 1] straight into the dict leaf returned; a
+    leaf with none adds weight there.  So a branch that reaches no leaf runs
+    no product, fillings that share their first plain entries share those
+    products, and no leaf builds a dict of its own.
     """
-    require_partitions(mu, () if nu is None else nu)
     left, below, content, row = plan.left, plan.below, plan.content, plan.row
     n = len(left)
     if nu is None:
@@ -346,24 +348,33 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
         if limit < 0:
             return
         top, reach = max(ln, 0, *caps), None
-    bars, plains = _entries(top)
     rho = [*mu, *[0] * (top - len(mu)), 0]  # the trailing 0 marks l(rho)
     vals = [0] * n + [top - d for d in plan.drop] + [0]
-    grid = [None] * n
-    factors = [None] * n
-    prefix = [weight] + [None] * n
-    ready = 0
+    if weight is None:
+        bars, plains = _entries(top)
+        grid = [None] * n
+    else:
+        grid = None
+        factors = [None] * n
+        prefix = [weight] + [None] * n
+        ready = 0
 
     def rec(t, d, high):
         nonlocal ready
         if reach is not None and high > rho.index(0) + reach[t]:
             return  # the rows left cannot lengthen rho to the largest plain value
         if t == n:
-            if weight is not None and ready < d:
-                for e in range(ready, d):
+            if weight is None:
+                leaf(grid, rho)
+                return
+            if not d:
+                accumulate(leaf(grid, rho), weight.items())
+                return
+            if ready < d - 1:
+                for e in range(ready, d - 1):
                     prefix[e + 1] = _mul_into({}, prefix[e], factors[e])
-                ready = d
-            leaf(grid, prefix[d], rho)
+                ready = d - 1
+            _mul_into(leaf(grid, rho), prefix[d - 1], factors[d - 1])
             return
         hi = vals[left[t]]
         lo = vals[below[t]] + 1
@@ -374,7 +385,8 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
                 continue
             rho[k - 1] = rk + 1
             vals[t] = k
-            grid[t] = bars[k]
+            if grid is not None:
+                grid[t] = bars[k]
             rec(t + 1, d, high)
             rho[k - 1] = rk
         if d == limit:
@@ -384,9 +396,10 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
             cap = min(cap, rho.index(0) + reach[t + 1])
         for k in range(lo, (hi if hi < cap else cap) + 1):
             vals[t] = k
-            grid[t] = plains[k]
             h = k if k > high else high
-            if weight is not None:
+            if grid is not None:
+                grid[t] = plains[k]
+            else:
                 rk, c = rho[k - 1], content[t]
                 if rk == c:
                     continue
@@ -405,11 +418,15 @@ def _binomial(p, q):
 
 
 def _tableaux(shape, order, mu, nu, caps, column_strict):
-    """Every filling the search finds, as a ReverseTableau of the given shape."""
+    """Every filling found, as a ReverseTableau of the shape; checks mu and nu (None: any nu)."""
+    if nu is None:
+        (mu,) = require_partitions(mu)
+    else:
+        mu, nu = require_partitions(mu, nu)
     plan = _plan(shape, order, column_strict)
     out = []
 
-    def leaf(grid, _, __):
+    def leaf(grid, _rho):
         out.append(ReverseTableau([[grid[t] for t in row] for row in plan.rows]))
 
     _enumerate(plan, mu, nu, caps, leaf)
@@ -434,6 +451,10 @@ def _lr_search(lam, mu, nu):
     filling's weight is expanded only once the filling is complete (see
     _enumerate).
 
+    lam, mu and nu are trimmed and checked here, not by _enumerate.  Each
+    leaf returns the dict its weight goes into: the result for one nu, else
+    the result's entry for the nu the filling ends on.
+
     A cell whose nu does not contain lam has no filling of nonzero weight,
     so it returns {} once lam, mu and nu are checked, before any search is
     set up.  The proof uses only rules that the search enforces:
@@ -451,21 +472,18 @@ def _lr_search(lam, mu, nu):
        every j, which means nu contains lam.
     l(lam) > l(nu) is the case j = 1.  The every-nu search has no such cut.
     """
-    lam, mu = iv(lam), iv(mu)
-    plan = _plan(lam, "column", True)
     out = {}
     if nu is None:
+        lam, mu = require_partitions(lam, mu)
         cap = len(mu) + len(lam)
-        leaf = lambda _grid, w, rho: accumulate(out.setdefault(iv(rho), {}), w.items())
+        leaf = lambda _grid, rho: out.setdefault(iv(rho), {})
     else:
-        nu = iv(nu)
-        cap = len(nu)
+        lam, mu, nu = require_partitions(lam, mu, nu)
         if not contains(nu, lam):
-            # no filling of nonzero weight (see above)
-            require_partitions(mu, nu)
-            return out
-        leaf = lambda _grid, w, _rho: accumulate(out, w.items())
-    _enumerate(plan, mu, nu, (cap,) * len(lam), leaf, weight={ONE_MONO: 1})
+            return out  # no filling of nonzero weight (see above)
+        cap = len(nu)
+        leaf = lambda _grid, _rho: out
+    _enumerate(_plan(lam, "column", True), mu, nu, (cap,) * len(lam), leaf, weight={ONE_MONO: 1})
     return out
 
 
@@ -509,8 +527,8 @@ def enumerate_k_tableaux(kappa, mu, nu, cap=None):
         return []
     lk = len(kappa)
     if cap is None:
-        lm = len(tuple(mu))
+        lm = len(iv(mu))
         caps = tuple(range(lm + lk, lm, -1))
     else:
         caps = (cap,) * lk
-    return _tableaux(kappa, "row", iv(mu), iv(nu), caps, column_strict=False)
+    return _tableaux(kappa, "row", mu, nu, caps, column_strict=False)

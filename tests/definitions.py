@@ -145,7 +145,7 @@ def row_order_weight_table(lam, mu):
     row_reading = [(t, plan.content[t]) for row in reversed(plan.rows) for t in row]
     out = {}
 
-    def leaf(grid, _, end):
+    def leaf(grid, end):
         rho = list(pad(mu, cap))
         binomials = []
         for t, c in row_reading:

@@ -123,6 +123,47 @@ def test_shift_indices_matches_shifting_the_pairs(monomials, k):
     )
 
 
+# monomials with indices anywhere in the span of the field masks
+_span_pairs = st.dictionaries(
+    st.integers(-255, 255), st.integers(1, 10), max_size=4
+).map(lambda d: tuple(sorted(d.items())))
+
+
+def _with_edges(monomials, edges):
+    """a_i for every edge index i, their product, then the drawn monomials."""
+    return [((i, 1),) for i in edges] + [tuple((i, 1) for i in edges)] + monomials
+
+
+@_packed
+@given(st.lists(_span_pairs, max_size=4))
+def test_dual_matches_reflecting_the_pairs(monomials):
+    # the field masks send a_i to -a_{1-i} on every index of the span
+    monomials = _with_edges(monomials, (-255, -1, 0, 1, 255))
+    p = APoly({pack(x): c for c, x in enumerate(monomials, 1)})
+    assert p.dual() == APoly({
+        pack((1 - i, e) for i, e in x): -c if sum(e for _, e in x) % 2 else c
+        for c, x in enumerate(monomials, 1)
+    })
+
+
+@_packed
+@given(st.lists(_span_pairs.filter(lambda x: all(i > -255 for i, _ in x)), max_size=4))
+def test_dual_is_an_involution(monomials):
+    # a_i -> -a_{1-i} keeps the indices -254..255 inside the span
+    p = APoly({pack(x): c for c, x in enumerate(_with_edges(monomials, (-254, 0, 1, 255)), 1)})
+    assert p.dual().dual() == p
+
+
+def test_dual_past_the_span_raises_like_shift_indices():
+    assert a(-255).dual() == -a(256)
+    for i in (256, -256, 300):
+        with pytest.raises(ArithmeticError, match="outside the shift span"):
+            a(i).dual()
+        with pytest.raises(ArithmeticError, match="outside the shift span"):
+            a(i).shift_indices(1)
+    assert APoly.zero().dual() == APoly.zero()
+
+
 @_packed
 @given(st.lists(st.tuples(_pairs, st.integers(-5, 5).filter(bool)), max_size=6))
 def test_json_round_trip_on_random_polynomials(terms):

@@ -5,7 +5,7 @@ from math import factorial, prod
 
 import pytest
 
-from lrpoly import double_sym
+from lrpoly import apoly, double_sym
 from lrpoly.apoly import APoly
 from lrpoly.schursum import SchurSum
 from lrpoly.shapes import (
@@ -226,6 +226,21 @@ def test_conjugation_duality_by_brute_force_on_both_sides():
         assert _expanded_coefficient(lam, mu, nu) == _expanded_coefficient(
             conjugate(lam), conjugate(mu), conjugate(nu)
         ).dual(), (lam, mu, nu)
+
+
+def test_a_warm_flipped_cell_packs_and_unpacks_nothing(monkeypatch):
+    # dual maps each key by field masks, so a memoized cell with
+    # nu_1 < l(nu) is answered without unpacking a monomial
+    cell = ((2, 1), (1,), (2, 1, 1))
+    expected = c_oracle(*cell)
+    assert expected and _expanded_coefficient(*cell) == expected
+
+    def refuse(*_args):
+        raise AssertionError("a warm cell reached pack or unpack")
+
+    monkeypatch.setattr(apoly, "pack", refuse)
+    monkeypatch.setattr(apoly, "unpack", refuse)
+    assert c_oracle(*cell) == expected
 
 
 def _branch_snapshot():

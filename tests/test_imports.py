@@ -27,6 +27,10 @@ expansion of the routes: no package module but ``formal_ring``, whose
 free-ring determinant stays a permutation sum, takes
 ``itertools.permutations``, by name or as an attribute.
 
+Importing the package and its CLI leaves ``fractions`` unloaded: it and
+the ``decimal`` module it pulls in are most of the import time, and only
+``APoly.substitute`` needs them, so it imports ``Fraction`` itself.
+
 Another keeps ``shapes.lr_targets`` the one place that drops the targets
 nu that do not contain mu: no ``for`` loop or comprehension over an
 ``lr_targets(lam, mu)`` call, in the package or the tests, tests
@@ -34,6 +38,8 @@ nu that do not contain mu: no ``for`` loop or comprehension over an
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -361,3 +367,14 @@ def test_no_caller_filters_lr_targets_by_containment():
         for line in _target_filters(ast.parse(path.read_text(), str(path)))
     ]
     assert not filters, "lr_targets filtered by containment again:\n" + "\n".join(filters)
+
+
+def test_importing_the_package_leaves_fractions_unloaded():
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "import lrpoly, lrpoly.cli; print('fractions' in sys.modules)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "False\n", run.stderr

@@ -32,6 +32,7 @@ from lrpoly import cli, involutions
 from lrpoly.involutions import (
     BadCell,
     psi1,
+    psi2,
     classify_bad,
     monomial_weight,
     psi,
@@ -211,6 +212,28 @@ def test_psi1_golden_per_condition(text, cell, image):
     T = ReverseTableau.from_text(text)
     assert classify_bad(T, ()) == cell
     assert psi1(T, cell).to_text() == image
+
+
+def test_psi_stages_rebuild_only_rows_i_and_i_plus_1():
+    # the rows neither stage edits keep their tuples, and psi2 hands back
+    # its input itself when it moves no barred entry (cap 5, as in the suite)
+    shared = returned = edited = 0
+    for lam, mu in [((1, 1, 1), (1,)), ((2, 2), ())]:
+        for nu in lr_targets(lam, mu):
+            for kappa in cli._psi_shapes(lam):
+                for T in enumerate_k_tableaux(kappa, mu, nu, cap=5):
+                    cell = classify_bad(T, mu)
+                    if cell is None:
+                        continue
+                    T1 = psi1(T, cell)
+                    T2 = psi2(T1, cell, mu)
+                    for r, row in enumerate(T.rows):
+                        if r not in (cell.row - 1, cell.row):
+                            assert T1.rows[r] is row and T2.rows[r] is row, T.to_text()
+                            shared += 1
+                    returned += T2 is T1
+                    edited += T2 != T1
+    assert (shared, returned, edited) == (816, 1598, 44)
 
 
 def test_psi_aggregate_weight_cancellation():

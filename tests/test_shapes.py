@@ -15,6 +15,7 @@ from lrpoly.shapes import (
     is_horizontal_strip,
     interlacing,
     bad_compositions,
+    conjugate,
     apply_raising,
     apply_rbar,
     perm_sign,
@@ -45,6 +46,28 @@ def test_iv_trims_trailing_zeros():
     assert iv((3, 1, 0, 0)) == (3, 1)
     assert iv(()) == ()
     assert iv((0,)) == ()
+
+
+def test_iv_keeps_a_vector_that_ends_nonzero():
+    assert iv([3, 0, 1]) == (3, 0, 1)
+    assert iv((True, 2)) == (1, 2) and type(iv((True, 2))[0]) is int
+    assert iv([-1]) == (-1,)
+
+
+def test_conjugate_transposes_the_cells():
+    for lam in partitions_up_to(10):
+        conj = conjugate(lam)
+        cells = {(i, j) for i, part in enumerate(lam) for j in range(part)}
+        assert {(j, i) for i, part in enumerate(conj) for j in range(part)} == cells, lam
+        assert is_partition(conj) and conjugate(conj) == lam, lam
+
+
+def test_require_partitions_returns_the_trimmed_tuples():
+    assert require_partitions() == ()
+    assert require_partitions([2, 1, 0], (0, 0), [3]) == ((2, 1), (), (3,))
+    assert require_partitions((1, 1, 0, 0)) == ((1, 1),)
+    got = require_partitions([2, 2], (2, 1))
+    assert all(type(shape) is tuple for shape in got)
 
 
 def test_predicates():

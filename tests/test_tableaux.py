@@ -143,6 +143,10 @@ def test_enumerate_k_tableaux_shapes_and_words():
         assert T.shape == (1, 2)
         nu, yam = apply_word((1,), row_word(T))
         assert nu == (2, 1) and yam
+    # the default row caps read l(mu) of the trimmed mu: 3 fillings, not 10
+    expected = enumerate_k_tableaux((2,), (1,), (1,))
+    assert len(expected) == 3
+    assert enumerate_k_tableaux((2,), [1, 0, 0], (1, 0)) == expected
 
 
 # stacked shapes of at most three rows and 1..4 boxes, over small mu
@@ -394,6 +398,45 @@ def test_memos_match_cold_results():
     for label, thunk in probes:
         _clear_memos()
         assert thunk() == warm[label], label
+
+
+CELL_RULES = [c_oracle, c_theorem, c_corollary, classical_lr, c_alternating, lr_weight_sum]
+
+
+def test_cell_rules_trim_lists_and_trailing_zeros(clear_oracle_memos):
+    # every cell entry point reads a list, or a tuple with trailing zeros,
+    # as the trimmed tuple
+    cells = [
+        ((2, 1), (1,), (2, 1, 1)),  # nu_1 < l(nu): c_oracle flips the cell
+        ((2, 1), (2, 1), (3, 2, 1)),
+        ((1,), (2,), (3,)),
+        ((2,), (), (1, 1)),  # nu does not contain lam: the tableau rules cut
+    ]
+    for rule in CELL_RULES:
+        for cell in cells:
+            expected = rule(*cell)
+            assert rule(*(list(shape) for shape in cell)) == expected, (rule, cell)
+            assert rule(*(shape + (0, 0) for shape in cell)) == expected, (rule, cell)
+            assert rule(*(list(shape) + [0] for shape in cell)) == expected, (rule, cell)
+
+
+def test_cell_rules_refuse_a_non_partition_in_each_place():
+    # (lam, mu, nu) with one shape out of order; lr_weight_sum sees each
+    # bad shape both at a cell it cuts (lam not inside nu) and at one it
+    # would search
+    cells = [
+        ((1, 2), (1,), (3, 2)),  # lam, searched
+        ((1, 2), (1,), (1, 1)),  # lam, cut
+        ((2,), [1, 2], (3, 2, 1)),  # mu, searched
+        ((3,), [1, 2], (2, 2, 1)),  # mu, cut
+        ((1,), (1,), [1, 2]),  # nu, searched
+        ((3,), (1,), (1, 2, 0)),  # nu, cut
+        ((1,), (1,), (2, -1)),  # a negative part
+    ]
+    for rule in CELL_RULES:
+        for cell in cells:
+            with pytest.raises(ValueError, match="must be partitions"):
+                rule(*cell)
 
 
 # a non-partition lam, mu or nu, including cells the tableau rules skip as
