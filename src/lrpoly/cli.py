@@ -310,7 +310,7 @@ def _psi_walk(shapes, mu, nu, cap):
             if psi(Tt, mu) != T:
                 return f"psi not an involution on:\n{T.to_text()}", terms
             group = terms.setdefault((kappa, cell.row), {})
-            accumulate(group, tableau_weight(T, mu, "row").terms.items())
+            accumulate(group, tableau_weight(T, mu).terms.items())
     return None, terms
 
 
@@ -436,7 +436,9 @@ def build_parser():
         "lr",
         help="structure coefficient of s_nu in s_lam * s_mu",
         description=(
-            "Structure coefficient of s_nu in s_lam * s_mu. --method oracle and all "
+            "Structure coefficient of s_nu in s_lam * s_mu. --method theorem and "
+            "corollary run one tableau search, so they agree by construction; "
+            "alternating and oracle are the independent checks. --method oracle and all "
             "brute-force the product in min(l(nu), nu_1) variables and in one more, "
             "a cost that grows fast with the cell: (3,2) x (2,2) at nu = (4,3,2) "
             "takes about 0.35 s, (3,2,1) x (3,2,1) at (5,4,3) about 2.4 s and "

@@ -35,7 +35,6 @@ from .tableaux import (
     apply_word,
     reading,
     add_box,
-    _plan,
 )
 
 
@@ -57,7 +56,7 @@ def monomial_weight(U, mu):
     ArithmeticError past the packed degree range).
     """
     sign, pairs = 1, []
-    for i, j, e, rk in reading(U, mu, "row"):
+    for i, j, e, rk in reading(U, mu):
         if e.primed:
             sign = -sign
             pairs.append((e.value - (j - i), 1))
@@ -66,21 +65,20 @@ def monomial_weight(U, mu):
     return APoly({pack(pairs): sign})
 
 
-def _p1_break_column(boxes, rows, mu, i, end):
+def _p1_break_column(rows, mu, i, end):
     """Leftmost column before end where the column word of rows >= i stops being Yamanouchi.
 
-    boxes is the tableau's column order (columns left to right, each read
-    bottom to top).  Returns None if the word of columns 1..end-1 stays
-    Yamanouchi when applied to mu.
+    The word reads columns 1..end-1 left to right, each from the bottom row
+    up to row i.  Returns None if it stays Yamanouchi when applied to mu.
     """
     rho = list(mu)
-    for r, c in boxes:
-        if c >= end:
-            return None
-        if r >= i:
-            e = rows[r - 1][c - 1]
-            if e.barred and not add_box(rho, e.value):
-                return c
+    bottom_up = rows[i - 1 :][::-1]
+    for j in range(1, end):
+        for row in bottom_up:
+            if j <= len(row):
+                e = row[j - 1]
+                if e.barred and not add_box(rho, e.value):
+                    return j
     return None
 
 
@@ -96,7 +94,6 @@ def classify_bad(T, mu) -> Optional[BadCell]:
     kappa_i + 1, and both maps treat it as C2b there.
     """
     rows = T.rows
-    boxes = _plan(T.shape, "column", False).boxes
     for i in range(len(rows), 0, -1):
         ri = rows[i - 1]
         ri1 = rows[i] if i < len(rows) else ()
@@ -106,7 +103,7 @@ def classify_bad(T, mu) -> Optional[BadCell]:
             if e.value <= f.value:
                 jb = j
                 break
-        bc = _p1_break_column(boxes, rows, mu, i, jb)
+        bc = _p1_break_column(rows, mu, i, jb)
         if bc is not None:
             return BadCell(i, bc, "C2a")
         if jb <= len(ri):
@@ -290,7 +287,7 @@ def _subscripts(U, mu):
     """
     return [
         None if e.barred else e.value - (j - i if e.primed else rk)
-        for i, j, e, rk in reading(U, mu, "row")
+        for i, j, e, rk in reading(U, mu)
     ]
 
 

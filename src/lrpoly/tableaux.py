@@ -2,12 +2,13 @@
 
 A reverse tableau fills the boxes of a composition shape with entries whose
 absolute values weakly decrease along each row.  Barred entries drive the
-word, read in row or column order; plain entries carry binomial weights
+word, read in row order; plain entries carry binomial weights
 a_{k - rho_k} - a_{k - c}, where rho is the partition grown so far by the
-word prefix and c is the box content.  Priming a plain entry selects the second (negated)
-monomial of its weight, which is how tableau weights expand into monomials.
-Outside the search, every word, rho and weight comes from one walk,
-reading, which yields each box with rho_k and grows rho with add_box.
+word prefix and c is the box content.  Priming a plain entry selects the
+second (negated) monomial of its weight, which is how tableau weights
+expand into monomials.  Outside the search, every word, rho and weight
+comes from one row-order walk, reading, which yields each box with rho_k
+and grows rho with add_box.
 
 One backtracking search (_enumerate) finds every filling, either for one
 target nu or, with no nu bound, for every nu at once.
@@ -32,10 +33,11 @@ leave no filling of nonzero weight unless nu contains lam, so a weighted
 cell where it does not returns before any search (proved at _lr_search).
 What depends only on the shape (the traversal, each box's neighbours,
 content and row, the rows' ceilings, the rows, and the rows left after
-each box) is built once per shape by _plan, which also serves reading its
-box order, and the entries and binomials the search places are shared
-memos too; all three are functools.lru_cache functions, so cache_info()
-and cache_clear() reach them.
+each box) is built once per shape and column_strict by _plan: the
+column-strict plan runs in column order and the other in row order, and
+also serves reading its box order.  The entries and binomials the search
+places are shared memos too; all three are functools.lru_cache functions,
+so cache_info() and cache_clear() reach them.
 
 Text format: one line per row, top to bottom; entries space-separated with a
 trailing "~" for bars and a trailing "'" for primes, e.g. "2 2~ 1~".
@@ -164,23 +166,15 @@ def column_order(shape):
     return out
 
 
-def _boxes_in(order, shape):
-    if order == "row":
-        return row_order(shape)
-    if order == "column":
-        return column_order(shape)
-    raise ValueError("order must be 'row' or 'column'")
-
-
-def reading(T, mu, order):
-    """Read T box by box in the given order, growing rho from mu.
+def reading(T, mu):
+    """Read T box by box in row order, growing rho from mu.
 
     Yields (i, j, entry, rho_k) for every box, where rho_k is part k of rho
     for the entry's value k, read before a barred entry adds its box to row k.
-    The boxes come from the shape's cached search plan.
+    The boxes come from the shape's cached row-order search plan.
     """
     rho = list(mu)
-    for i, j in _plan(T.shape, order, False).boxes:
+    for i, j in _plan(T.shape, False).boxes:
         e = T.rows[i - 1][j - 1]
         k = e.value
         yield i, j, e, rho[k - 1] if k <= len(rho) else 0
@@ -201,7 +195,7 @@ def add_box(rho, s):
 
 def row_word(T):
     """Values of the barred entries, read in row order."""
-    return tuple(e.value for _, _, e, _ in reading(T, (), "row") if e.barred)
+    return tuple(e.value for _, _, e, _ in reading(T, ()) if e.barred)
 
 
 def apply_word(mu, word):
@@ -217,15 +211,15 @@ def apply_word(mu, word):
     return iv(rho), good
 
 
-def tableau_weight(T, mu, order):
-    """Product of the weights of all plain entries (empty product is 1).
+def tableau_weight(T, mu):
+    """Product of the weights of all plain entries, read in row order (empty product is 1).
 
     The first zero binomial (rho_k = c) makes the product zero.  Each
     binomial is a term dict of its own, not the search's _binomial memo,
     so the tests can hold the search against this as a reference.
     """
     total = {ONE_MONO: 1}
-    for i, j, e, rk in reading(T, mu, order):
+    for i, j, e, rk in reading(T, mu):
         if not e.barred:
             p, q = e.value - rk, e.value - (j - i)
             if p == q:
@@ -262,11 +256,11 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _plan(shape, order, column_strict):
-    """The search plan of a shape, traversed in the given order; built once per key."""
+def _plan(shape, column_strict):
+    """A shape's search plan, in column order if column_strict, else in row order."""
     if column_strict:  # a column-strict search needs a partition shape
         require_partitions(shape)
-    boxes = tuple(_boxes_in(order, shape))
+    boxes = tuple(column_order(shape) if column_strict else row_order(shape))
     n, height = len(boxes), len(shape)
     pos = {box: t for t, box in enumerate(boxes)}
     zero = n + height
@@ -417,13 +411,13 @@ def _binomial(p, q):
     return {var_key(p): 1, var_key(q): -1}
 
 
-def _tableaux(shape, order, mu, nu, caps, column_strict):
+def _tableaux(shape, mu, nu, caps, column_strict):
     """Every filling found, as a ReverseTableau of the shape; checks mu and nu (None: any nu)."""
     if nu is None:
         (mu,) = require_partitions(mu)
     else:
         mu, nu = require_partitions(mu, nu)
-    plan = _plan(shape, order, column_strict)
+    plan = _plan(shape, column_strict)
     out = []
 
     def leaf(grid, _rho):
@@ -440,12 +434,13 @@ def _lr_search(lam, mu, nu):
     and a Yamanouchi column word from mu to nu; with nu None (the every-nu
     search of _enumerate, capped at l(mu) + l(lam)) the result maps each
     partition nu a filling ends on to the sum of those fillings' weights.
-    The weight is tableau_weight in row order and in column order alike:
-    at a plain k in box (i, j), the boxes that one order reads before
-    (i, j) and the other does not lie either below and right of it (read
-    first in row order), where strict columns and weakly decreasing rows
-    make every value smaller than k, or above and left of it (read first in
-    column order), where every value is larger than k.  Neither holds a
+    The weight is tableau_weight, read in row order, and equally the weight
+    read in column order (weight_in in tests/definitions.py): at a plain k
+    in box (i, j), the boxes that one order reads before (i, j) and the
+    other does not lie either below and right of it (read first in row
+    order), where strict columns and weakly decreasing rows make every
+    value smaller than k, or above and left of it (read first in column
+    order), where every value is larger than k.  Neither holds a
     barred k, so rho_k at the box is the same in both orders.  The search
     runs in column order; a zero binomial cuts its branch off, and each
     filling's weight is expanded only once the filling is complete (see
@@ -483,16 +478,17 @@ def _lr_search(lam, mu, nu):
             return out  # no filling of nonzero weight (see above)
         cap = len(nu)
         leaf = lambda _grid, _rho: out
-    _enumerate(_plan(lam, "column", True), mu, nu, (cap,) * len(lam), leaf, weight={ONE_MONO: 1})
+    _enumerate(_plan(lam, True), mu, nu, (cap,) * len(lam), leaf, weight={ONE_MONO: 1})
     return out
 
 
 def lr_weight_sum(lam, mu, nu):
-    """The sum of tableau_weight(T, mu, order) over the LR tableaux T, in either order.
+    """The sum of tableau_weight(T, mu) over the LR tableaux T.
 
     These have shape lam, strict columns, plain values at most l(nu) and a
     Yamanouchi column word taking mu to nu.  Every such T weighs the same
-    read in row order (the paper's Theorem) or in column order (its
+    read in row order, as tableau_weight reads it (the paper's Theorem), or
+    in column order, as the tests' weight_in(T, mu, "column") reads it (its
     Corollary; see _lr_search), so one sum serves both.  Returned as a term
     dict.  No tableau is built.  Raises ValueError unless lam, mu and nu are
     partitions; the sum is empty unless nu contains mu and has at most
@@ -531,4 +527,4 @@ def enumerate_k_tableaux(kappa, mu, nu, cap=None):
         caps = tuple(range(lm + lk, lm, -1))
     else:
         caps = (cap,) * lk
-    return _tableaux(kappa, "row", mu, nu, caps, column_strict=False)
+    return _tableaux(kappa, mu, nu, caps, column_strict=False)

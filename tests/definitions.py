@@ -5,9 +5,13 @@ textbook form of something the package computes another way, kept here as
 the reference the tests compare with:
 
 - ``a``: the variable a_i;
+- ``reading_in``, ``weight_in``: ``reading`` and ``tableau_weight`` in
+  row or column order, walking ``row_order`` or ``column_order`` of the
+  shape, where the package reads row order only, from the search plan;
+  the column order is the paper's Corollary;
 - ``column_word``, ``rho_at``, ``entry_weight``, ``expand_monomials``: the
   column word, rho at a box, an entry's binomial and the primed monomial
-  expansion of a tableau weight, each read in one walk of ``reading``;
+  expansion of a tableau weight, each read in one walk of ``reading_in``;
 - ``enumerate_lr_tableaux``, ``enumerate_pieri_tableaux``: the LR and
   single-row Pieri tableaux as objects, from the search behind
   ``lr_weight_sum`` and ``enumerate_k_tableaux``;
@@ -58,8 +62,10 @@ from lrpoly.tableaux import (
     _enumerate,
     _plan,
     _tableaux,
+    add_box,
     apply_word,
-    reading,
+    column_order,
+    row_order,
 )
 
 
@@ -71,15 +77,43 @@ def a(i):
 # --- tableaux -------------------------------------------------------------
 
 
+def reading_in(T, mu, order):
+    """reading(T, mu) in the given order, "row" or "column": (i, j, entry, rho_k) per box.
+
+    rho_k is part k of rho for the entry's value k, read before a barred
+    entry adds its box to row k.
+    """
+    rho = list(mu)
+    for i, j in {"row": row_order, "column": column_order}[order](T.shape):
+        e = T.rows[i - 1][j - 1]
+        k = e.value
+        yield i, j, e, rho[k - 1] if k <= len(rho) else 0
+        if e.barred:
+            add_box(rho, k)
+
+
+def weight_in(T, mu, order):
+    """tableau_weight(T, mu) read in the given order, "row" or "column".
+
+    The product of the binomials a_{k - rho_k} - a_{k - c} of the plain
+    entries, each an APoly built here, not the search's _binomial memo.
+    """
+    total = APoly.one()
+    for i, j, e, rk in reading_in(T, mu, order):
+        if not e.barred:
+            total = total * (APoly.var(e.value - rk) - APoly.var(e.value - (j - i)))
+    return total
+
+
 def column_word(T):
     """Values of the barred entries, read in column order."""
-    return tuple(e.value for _, _, e, _ in reading(T, (), "column") if e.barred)
+    return tuple(e.value for _, _, e, _ in reading_in(T, (), "column") if e.barred)
 
 
 def rho_at(T, mu, alpha, order):
     """mu grown by the barred-entry prefix up to and including box alpha."""
     prefix = []
-    for i, j, e, _ in reading(T, mu, order):
+    for i, j, e, _ in reading_in(T, mu, order):
         if e.barred:
             prefix.append(e.value)
         if (i, j) == alpha:
@@ -89,7 +123,7 @@ def rho_at(T, mu, alpha, order):
 
 def entry_weight(T, mu, alpha, order):
     """The binomial a_{k - rho(alpha)_k} - a_{k - c(alpha)} for a plain entry."""
-    for i, j, e, rk in reading(T, mu, order):
+    for i, j, e, rk in reading_in(T, mu, order):
         if (i, j) == alpha:
             if e.barred:
                 raise ValueError("barred entry has no weight")
@@ -102,10 +136,10 @@ def expand_monomials(T, mu, order):
 
     Each plain entry is either left unprimed (contributing the monomial
     a_{k - rho_k}) or primed (contributing -a_{k - c}).  The signed monomials
-    over all 2^(#plain) variants sum to tableau_weight(T, mu, order).
+    over all 2^(#plain) variants sum to weight_in(T, mu, order).
     """
     out = [(T, APoly.one())]
-    for i, j, e, rk in reading(T, mu, order):
+    for i, j, e, rk in reading_in(T, mu, order):
         if e.barred:
             continue
         unprimed = APoly.var(e.value - rk)
@@ -127,7 +161,7 @@ def enumerate_lr_tableaux(lam, mu, nu, cap=None):
     bounded by the Yamanouchi condition automatically.
     """
     cap = len(tuple(nu)) if cap is None else cap
-    return _tableaux(tuple(lam), "column", mu, nu, (cap,) * len(tuple(lam)), column_strict=True)
+    return _tableaux(tuple(lam), mu, nu, (cap,) * len(tuple(lam)), column_strict=True)
 
 
 def row_order_weight_table(lam, mu):
@@ -141,7 +175,7 @@ def row_order_weight_table(lam, mu):
     """
     lam, mu = iv(lam), iv(mu)
     cap = len(mu) + len(lam)
-    plan = _plan(lam, "column", True)
+    plan = _plan(lam, True)
     row_reading = [(t, plan.content[t]) for row in reversed(plan.rows) for t in row]
     out = {}
 
@@ -169,7 +203,7 @@ def row_order_weight_table(lam, mu):
 def enumerate_pieri_tableaux(p, e, mu, nu, cap=None):
     """Single-row tableaux of shape (0,...,0,p) (row e+1) with Yamanouchi row word."""
     cap = len(tuple(nu)) if cap is None else cap
-    return _tableaux((0,) * e + (p,), "row", mu, nu, (cap,) * (e + 1), column_strict=False)
+    return _tableaux((0,) * e + (p,), mu, nu, (cap,) * (e + 1), column_strict=False)
 
 
 def pieri_tableau_backtrack(p, e, mu, stats=None):

@@ -27,6 +27,12 @@ expansion of the routes: no package module but ``formal_ring``, whose
 free-ring determinant stays a permutation sum, takes
 ``itertools.permutations``, by name or as an attribute.
 
+Another keeps one reading order in the package: no package function takes
+a parameter named ``order``, and no package module but ``tableaux`` reads
+the search plan ``_plan``.  The package reads a tableau in row order only;
+the column order of the paper's Corollary is read in
+``tests/definitions.py`` (``reading_in``, ``weight_in``).
+
 Importing the package and its CLI leaves ``fractions`` unloaded: it and
 the ``decimal`` module it pulls in are most of the import time, and only
 ``APoly.substitute`` needs them, so it imports ``Fraction`` itself.
@@ -135,14 +141,18 @@ def _definitions(tree):
                         yield name.id, node.lineno
 
 
+def _parameters(args):
+    """Every parameter of an ast.arguments, positional, keyword and starred."""
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    return params + [a for a in (args.vararg, args.kwarg) if a is not None]
+
+
 def _unread_parameters(tree):
     """(function, parameter, line) for every parameter its function never loads."""
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        args = node.args
-        params = args.posonlyargs + args.args + args.kwonlyargs
-        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        params = _parameters(node.args)
         loaded = {
             name.id
             for stmt in node.body
@@ -305,6 +315,49 @@ def test_only_formal_ring_walks_permutations():
         for line in _permutations_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert not uses, "itertools.permutations outside formal_ring:\n" + "\n".join(uses)
+
+
+def _order_parameters(tree):
+    """(function, line) for every function or lambda with a parameter named order."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if any(param.arg == "order" for param in _parameters(node.args)):
+                yield getattr(node, "name", "<lambda>"), node.lineno
+
+
+def test_the_package_reads_tableaux_in_row_order_only():
+    """No package function takes an order, and only tableaux reads its search plan.
+
+    Every LR tableau weighs the same in row and in column order, so one
+    search serves the paper's Theorem and its Corollary, and the package
+    reads a tableau in row order only.  The column order stays in the
+    tests, as the Corollary's reference.  The plan is keyed by
+    column_strict alone, so a module outside tableaux that borrowed one
+    would be choosing a search's traversal.
+    """
+    for source in (
+        "def reading(T, mu, order):\n    pass",
+        "def f(T, *, order=None):\n    pass",
+        "f = lambda T, order: T",
+    ):
+        assert list(_order_parameters(ast.parse(source))), source
+    assert not list(_order_parameters(ast.parse("def f(T, mu):\n    order = mu")))
+    plan = ("lrpoly.tableaux", "_plan")
+    for source in (
+        "from .tableaux import _plan",
+        "from . import tableaux\ntableaux._plan(shape, False)",
+    ):
+        assert plan in _reads(PACKAGE / "involutions.py", ast.parse(source)), source
+    found = []
+    for path in PACKAGE_SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        found += [
+            f"{path.relative_to(ROOT)}:{line}: {func}(order)"
+            for func, line in _order_parameters(tree)
+        ]
+        if path.stem != "tableaux" and plan in _reads(path, tree):
+            found.append(f"{path.relative_to(ROOT)}: reads tableaux._plan")
+    assert not found, "a second reading order in the package:\n" + "\n".join(found)
 
 
 def _calls(node, name):

@@ -252,7 +252,7 @@ def test_psi_aggregate_weight_cancellation():
                 cell = classify_bad(T, mu)
                 if cell is None:
                     continue
-                w = tableau_weight(T, mu, "row")
+                w = tableau_weight(T, mu)
                 groups[(kappa, cell.row)] += w
                 signed_total += w * sign
         for (kappa, i), w in groups.items():
@@ -302,7 +302,7 @@ def test_psi_report_catches_a_broken_psi_and_a_broken_weight(monkeypatch):
         fail, _ = cli._psi_report(shapes, mu, nu, cap=None)
         assert fail.startswith("psi broke "), fail
     # the paired groups hold equally many tableaux, weighed apart by shape
-    monkeypatch.setattr(cli, "tableau_weight", lambda T, mu, order: APoly.const(1 + T.shape[0]))
+    monkeypatch.setattr(cli, "tableau_weight", lambda T, mu: APoly.const(1 + T.shape[0]))
     fail, _ = cli._psi_report(shapes, mu, nu, cap=None)
     assert fail.startswith("aggregate mismatch"), fail
 

@@ -36,6 +36,7 @@ from definitions import (
     enumerate_lr_tableaux,
     every_target,
     pieri_tableau_backtrack,
+    weight_in,
 )
 
 
@@ -116,24 +117,25 @@ def test_symmetry_in_lam_mu():
 
 def test_weighted_search_matches_tableau_sum():
     # the reference: build every LR tableau, then weigh it on its own in row
-    # order (the theorem) and in column order (the corollary); the one
-    # search must equal both sums
+    # order (the theorem, tableau_weight) and in column order (the
+    # corollary, weight_in); the one search must equal both sums
+    weighers = {"row": tableau_weight, "column": lambda T, mu: weight_in(T, mu, "column")}
     for lam in partitions_up_to(4):
         for mu in partitions_up_to(4):
             for nu in lr_targets(lam, mu):
                 tableaux = enumerate_lr_tableaux(lam, mu, nu)
                 got = lr_weight_sum(lam, mu, nu)
-                for order in ("row", "column"):
+                for order, weigh in weighers.items():
                     expected = APoly.zero()
                     for T in tableaux:
-                        expected = expected + tableau_weight(T, mu, order)
+                        expected = expected + weigh(T, mu)
                     assert got == expected.terms, (lam, mu, nu, order)
     # three tableaux, each with a zero binomial in either order
     lam, mu, nu = (2,), (1,), (1, 1)
     tableaux = enumerate_lr_tableaux(lam, mu, nu)
     assert len(tableaux) == 3
-    for order in ("row", "column"):
-        assert all(tableau_weight(T, mu, order).is_zero() for T in tableaux)
+    for weigh in weighers.values():
+        assert all(weigh(T, mu).is_zero() for T in tableaux)
     assert lr_weight_sum(lam, mu, nu) == {}
 
 

@@ -49,7 +49,9 @@ from definitions import (
     enumerate_lr_tableaux,
     enumerate_pieri_tableaux,
     every_target,
+    reading_in,
     row_order_weight_table,
+    weight_in,
 )
 
 # Worked tableau of shape (3, 6, 1), used as the golden fixture throughout:
@@ -84,16 +86,16 @@ def test_orders():
 
 def test_tableau_weight_empty_product():
     T = ReverseTableau([[bar(1)]])
-    assert tableau_weight(T, (), "row") == APoly.one()
+    assert tableau_weight(T, ()) == APoly.one()
 
 
 def test_tableau_weight_builds_its_own_binomials():
-    # the search is tested against tableau_weight, so it must not read the
-    # search's binomial memo
+    # the search is tested against tableau_weight and the column-order
+    # reference, so neither may read the search's binomial memo
     T = ReverseTableau.from_text("2 2~ 1~\n2 1~ 1\n1")
     tableaux._binomial.cache_clear()
-    for order in ("row", "column"):
-        assert tableau_weight(T, (2, 1), order).degree() == 4
+    assert tableau_weight(T, (2, 1)).degree() == 4
+    assert weight_in(T, (2, 1), "column").degree() == 4
     assert tableaux._binomial.cache_info().currsize == 0
 
 
@@ -102,7 +104,8 @@ def test_expand_monomials_sums_to_weight():
         total = APoly.zero()
         for U, mono in expand_monomials(GOLDEN, (2, 1), order):
             total = total + mono
-        assert total == tableau_weight(GOLDEN, (2, 1), order)
+        assert total == weight_in(GOLDEN, (2, 1), order)
+    assert weight_in(GOLDEN, (2, 1), "row") == tableau_weight(GOLDEN, (2, 1))
     # 6 plain entries -> 2^6 primed variants
     assert len(expand_monomials(GOLDEN, (2, 1), "row")) == 2**6
 
@@ -159,12 +162,13 @@ _small_mu = st.sampled_from(partitions_up_to(3))
 def test_weights_agree_on_random_stacked_tableaux(kappa, mu, data):
     # the three ways of weighing a tableau agree: its primed variants'
     # monomials, monomial_weight of each variant (row order), and the
-    # product of its entry weights
+    # product of its entry weights; tableau_weight reads row order, and
+    # weight_in is the column-order reference
     nu = data.draw(st.sampled_from(lr_targets(kappa, mu)))
     for T in enumerate_k_tableaux(kappa, mu, nu, cap=4):
         plain_boxes = [box for box in row_order(T.shape) if not T.entry(*box).barred]
         for order in ("row", "column"):
-            weight = tableau_weight(T, mu, order)
+            weight = tableau_weight(T, mu) if order == "row" else weight_in(T, mu, order)
             total = APoly.zero()
             for U, mono in expand_monomials(T, mu, order):
                 total += mono
@@ -234,7 +238,7 @@ def test_a_dead_branch_multiplies_nothing(monkeypatch):
         plain_entries = sum(
             sum(not e.barred for row in T.rows for e in row)
             for T in enumerate_lr_tableaux(lam, mu, nu)
-            if not tableau_weight(T, mu, "column").is_zero()
+            if not weight_in(T, mu, "column").is_zero()
         )
         products[0] = 0
         monkeypatch.setattr(tableaux, "_mul_into", counted)
@@ -255,8 +259,9 @@ def test_plain_rho_is_order_free_and_never_below_content():
                 for T in enumerate_lr_tableaux(lam, mu, nu):
                     seen += 1
                     plain_rho = {}
-                    for order in ("row", "column"):
-                        walk = [(i, j, rk) for i, j, e, rk in reading(T, mu, order) if not e.barred]
+                    readings = {"row": reading(T, mu), "column": reading_in(T, mu, "column")}
+                    for order, boxes in readings.items():
+                        walk = [(i, j, rk) for i, j, e, rk in boxes if not e.barred]
                         first = next((rk - (j - i) for i, j, rk in walk if rk <= j - i), 0)
                         assert first == 0, (T.to_text(), mu, order)
                         plain_rho[order] = {(i, j): rk for i, j, rk in walk}
@@ -288,7 +293,7 @@ def test_a_cell_whose_nu_does_not_contain_lam_has_only_zero_weights():
     for lam, mu, nu in cells:
         for T in enumerate_lr_tableaux(lam, mu, nu):
             fillings += 1
-            assert tableau_weight(T, mu, "column").is_zero(), (T.to_text(), mu, nu)
+            assert weight_in(T, mu, "column").is_zero(), (T.to_text(), mu, nu)
     assert fillings == 31530
 
 
@@ -302,10 +307,10 @@ def test_nonzero_weight_fillings_obey_the_containment_proof():
             for nu in lr_targets(lam, mu):
                 nu_c = conjugate(nu)
                 for T in enumerate_lr_tableaux(lam, mu, nu):
-                    if tableau_weight(T, mu, "column").is_zero():
+                    if weight_in(T, mu, "column").is_zero():
                         continue
                     seen += 1
-                    for i, j, e, rk in reading(T, mu, "column"):
+                    for i, j, e, rk in reading_in(T, mu, "column"):
                         if i == 1:
                             assert rk + e.barred >= j, (T.to_text(), mu, nu, j)
                         assert e.value <= pad(nu_c, j)[j - 1] - i + 1, (T.to_text(), nu, i, j)
@@ -331,7 +336,7 @@ def test_every_nu_search_finds_exactly_the_fillings_of_each_cell():
         for mu in partitions_up_to(4):
             found = Counter()
             cap = len(mu) + len(lam)
-            for T in tableaux._tableaux(lam, "column", mu, None, (cap,) * len(lam), True):
+            for T in tableaux._tableaux(lam, mu, None, (cap,) * len(lam), True):
                 found[apply_word(mu, column_word(T))[0], T] += 1
             expected = Counter(
                 (nu, T)
@@ -349,18 +354,18 @@ def _clear_memos():
 def _memo_probes():
     """(label, thunk) for every search over |lam| <= 4, |mu| <= 3, interleaved per shape.
 
-    Each shape first asks for the row-order plan with strict columns, which
-    no caller uses, and the column-order plan without, which only reading
-    uses, then runs the column-strict LR search, per cell and with no nu
-    bound, and the row-order stacked and Pieri searches on it, so a memo
-    key that drops order or column_strict hands a search the wrong plan.
-    |lam| reaches 4 because (2, 2) is the smallest shape whose row and
-    column orders differ.
+    Each shape first asks for its two plans, the row-order one without
+    strict columns and the column-order one with them, then runs the
+    column-strict LR search, per cell and with no nu bound, and the
+    row-order stacked and Pieri searches on it, so a memo key that drops
+    column_strict hands a search the wrong plan.  |lam| reaches 4 because
+    (2, 2) is the smallest shape whose two plans list its boxes in
+    different orders.
     """
     probes = []
     for lam in partitions_up_to(4):
-        for order, strict in (("column", False), ("row", True), ("column", True), ("row", False)):
-            probes.append((("plan", lam, order, strict), partial(tableaux._plan, lam, order, strict)))
+        for strict in (False, True):
+            probes.append((("plan", lam, strict), partial(tableaux._plan, lam, strict)))
         for mu in partitions_up_to(3):
             for nu in every_target(lam, mu):
                 cell = (lam, mu, nu)
@@ -386,10 +391,9 @@ def test_memos_match_cold_results():
     warm = {label: thunk() for label, thunk in probes}
     shapes = {label[1] for label in warm if label[0] == "plan"}
     for shape in shapes:
-        for order in ("row", "column"):
-            for strict in (False, True):
-                fresh = tableaux._plan.__wrapped__(shape, order, strict)
-                assert tableaux._plan(shape, order, strict) == fresh, (shape, order, strict)
+        for strict in (False, True):
+            fresh = tableaux._plan.__wrapped__(shape, strict)
+            assert tableaux._plan(shape, strict) == fresh, (shape, strict)
     for top in range(1, 8):
         assert tableaux._entries(top) == tableaux._entries.__wrapped__(top)
     for p in range(-6, 7):
