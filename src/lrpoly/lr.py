@@ -63,9 +63,10 @@ def pieri_tableau(p, e, mu):
     plain entries of a value k thus lead to the same state and place one
     factor, their binomial when both are allowed.  Fillings that reach the
     same state are added before the next box.  Only the range e < l(mu) is
-    supported (the rule's hypothesis); use pieri_stable outside it.
+    supported (the rule's hypothesis); use pieri_stable outside it.  A
+    non-partition mu raises ValueError.
     """
-    mu = iv(mu)
+    (mu,) = require_partitions(mu)
     L = len(mu)
     if not 0 <= e < L:
         raise ValueError("unsupported hypothesis: require 0 <= e < l(mu)")
@@ -100,8 +101,9 @@ def kostka(kappa, mu, nu, method="recursion"):
     rows of kappa from the bottom up: the recursion method the stable rule,
     the tableaux method the tableau rule.  The tableaux method raises when a
     row falls outside its hypothesis, that is when the bottom-most nonempty
-    row i has i - 1 >= l(mu).
+    row i has i - 1 >= l(mu).  A non-partition mu or nu raises, whatever kappa.
     """
+    require_partitions(mu, nu)
     # built per call, so the rules are the module bindings at call time
     rules = {"recursion": pieri_stable, "tableaux": pieri_tableau}
     if method not in rules:

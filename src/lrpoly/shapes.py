@@ -13,6 +13,12 @@ the lru_cache function _partitions keyed by (n, max_len, max_part) with
 both bounds cut to n; every call returns a fresh list.  The predicates
 contains, is_partition and is_horizontal_strip compare entries in one pass
 of operator.ge without padded copies.
+
+require_partitions, the shape check of every cell entry point, checks each
+shape through the lru_cache function _checked_partition, keyed by the
+vector as the caller passed it (a list is copied to a tuple first), so a
+warm query pays one memo lookup per shape.  A failed check raises and is
+not stored, so a non-partition raises on every call.
 """
 
 from functools import lru_cache
@@ -51,11 +57,21 @@ def is_partition(alpha):
 
 
 def require_partitions(*shapes):
-    """The vectors trimmed by iv (lam, mu, nu of a cell); ValueError unless all are partitions."""
-    shapes = tuple(map(iv, shapes))
-    if not all(map(is_partition, shapes)):
+    """The vectors trimmed by iv (lam, mu, nu of a cell); ValueError unless all are partitions.
+
+    Each shape is checked once per distinct vector: _checked_partition
+    memoizes the check keyed by the vector as given, copied to a tuple.
+    """
+    return tuple(map(_checked_partition, map(tuple, shapes)))
+
+
+@lru_cache(maxsize=None)
+def _checked_partition(alpha):
+    """iv(alpha) for a tuple alpha; ValueError, never cached, unless it is a partition."""
+    alpha = iv(alpha)
+    if not is_partition(alpha):
         raise ValueError("lam, mu and nu must be partitions")
-    return shapes
+    return alpha
 
 
 def contains(alpha, beta):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .apoly import APoly, ONE_MONO, _mul_into
 from .schursum import SchurSum
-from .shapes import iv
+from .shapes import iv, require_partitions
 from .sparse import accumulate
 
 
@@ -66,8 +66,10 @@ def pieri_stable(p, e, mu):
     g drops the term.  Terms that share (boxes left, sorted labels) are added
     at once, so cancellation happens before the next row multiplies them
     out.  Sorted labels g_1 > ... > g_L name the partition (g_i + i).
+    A non-partition mu raises ValueError.
     """
-    return _pieri(p, e, iv(mu))
+    (mu,) = require_partitions(mu)
+    return _pieri(p, e, mu)
 
 
 @lru_cache(maxsize=None)

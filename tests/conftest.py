@@ -17,6 +17,7 @@ settings.load_profile("lrpoly")
 # before any patch replaces one
 ROUTE_MEMOS = (
     shapes._partitions,
+    shapes._checked_partition,
     tableaux._plan,
     tableaux._entries,
     tableaux._binomial,

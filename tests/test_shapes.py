@@ -257,3 +257,45 @@ def test_partition_predicates_truth_tables():
             else:
                 with pytest.raises(ValueError):
                     require_partitions(*shapes_given)
+
+
+def test_memoized_require_partitions_matches_the_unmemoized_check(clear_oracle_memos):
+    # each vector as a tuple and as a list against iv and is_partition
+    # unmemoized; the second round reads the memo
+    for _ in range(2):
+        for alpha in VECTORS:
+            for given in (alpha, list(alpha)):
+                expected = (iv(given), (2, 1))
+                if is_partition(expected[0]):
+                    assert require_partitions(given, (2, 1)) == expected, given
+                else:
+                    with pytest.raises(ValueError, match="must be partitions"):
+                        require_partitions(given, (2, 1))
+
+
+@pytest.mark.parametrize(
+    "given", [[(2, 1), (2.0, 1)], [(2.0, 1), (2, 1)], [(1,), (True,)], [(True,), (1,)]]
+)
+def test_require_partitions_returns_tuples_of_int(given, clear_oracle_memos):
+    # a vector equal to one memoized before is looked up under its key
+    for shape in given:
+        (got,) = require_partitions(shape)
+        assert type(got) is tuple and all(type(part) is int for part in got), shape
+        assert got == iv(shape)
+
+
+def test_require_partitions_caches_no_failure(clear_oracle_memos):
+    for bad in [(1, 2), [0, 1], (2, -1), (1, 0, 1)]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be partitions"):
+                require_partitions((1,), bad)
+    assert shapes._checked_partition.cache_info().currsize == 1
+
+
+def test_a_repeated_shape_keeps_one_memo_entry(clear_oracle_memos):
+    require_partitions((3, 1), [2, 2, 0], ())
+    size_after_first = shapes._checked_partition.cache_info().currsize
+    for _ in range(3):
+        require_partitions((3, 1), [2, 2, 0], ())
+        require_partitions([3, 1])
+    assert shapes._checked_partition.cache_info().currsize == size_after_first == 3

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpoly import tableaux
+from lrpoly import shapes, tableaux
 from lrpoly.apoly import APoly, ONE_MONO, var_key
 from lrpoly.involutions import monomial_weight
 from lrpoly.double_sym import c_oracle, classical_lr
@@ -15,6 +15,8 @@ from lrpoly.lr import (
     c_alternating,
     c_corollary,
     c_theorem,
+    kostka,
+    pieri_tableau,
     theorem_product,
 )
 from lrpoly.shapes import (
@@ -26,6 +28,7 @@ from lrpoly.shapes import (
     pad,
     partitions_up_to,
 )
+from lrpoly.stable_ring import pieri_stable
 from lrpoly.tableaux import (
     ReverseTableau,
     bar,
@@ -347,7 +350,7 @@ def test_every_nu_search_finds_exactly_the_fillings_of_each_cell():
 
 
 def _clear_memos():
-    for memo in (tableaux._plan, tableaux._entries, tableaux._binomial):
+    for memo in (shapes._checked_partition, tableaux._plan, tableaux._entries, tableaux._binomial):
         memo.cache_clear()
 
 
@@ -501,3 +504,38 @@ def test_non_partition_mu_or_nu_raises(warm):
         for call in calls:
             with pytest.raises(ValueError, match="must be partitions"):
                 call()
+
+
+# (kappa, mu, nu) with a non-partition mu or nu; every mu is long enough for
+# pieri_tableau's hypothesis at e = 0
+NON_PARTITION_KOSTKA_CELLS = [
+    ((1,), (1, 2), (2, 2)),
+    ((2,), [0, 1], (2, 1)),
+    ((1, 1), (2, 0, 1), (3, 1, 1)),
+    ((), (1, 2), (1, 2)),
+    ((1,), (1,), (1, 2)),
+    ((2, -1), (1, 2), (1,)),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_pieri_rules_and_kostka_refuse_a_non_partition(warm, clear_oracle_memos):
+    # both Pieri rules and both kostka methods refuse the cell alike, so the
+    # rules checked against each other cannot disagree on a bad shape
+    def calls(kappa, mu, nu):
+        pieri_rules = [partial(rule, 1, 0, mu) for rule in (pieri_stable, pieri_tableau)]
+        kostka_methods = [
+            partial(kostka, kappa, mu, nu, method=method) for method in ("recursion", "tableaux")
+        ]
+        # a Pieri rule reads no nu
+        return kostka_methods if is_partition(mu) else pieri_rules + kostka_methods
+
+    if warm:  # every rule first runs on the cell with its shapes sorted
+        for kappa, mu, nu in NON_PARTITION_KOSTKA_CELLS:
+            for call in calls(kappa, *(tuple(sorted(shape, reverse=True)) for shape in (mu, nu))):
+                call()
+    for cell in NON_PARTITION_KOSTKA_CELLS:
+        for call in calls(*cell):
+            for _ in range(2):  # no failure is cached
+                with pytest.raises(ValueError, match="must be partitions"):
+                    call()
