@@ -6,11 +6,15 @@ empty partition.  Exit codes: 0 success, 2 usage or unsupported input,
 3 verification mismatch, arithmetic overflow or internal error (a
 RuntimeError, reported as "internal error: ...").  Output is deterministic
 for fixed flags; verification cases run one after another in a fixed order.
+verify also prints each suite's wall time and its 5 slowest cases to
+stderr, so stdout stays byte-deterministic.
 """
 
 import argparse
+import heapq
 import json
 import sys
+import time
 
 from .apoly import APoly, _SPAN
 from .sparse import Terms, accumulate
@@ -116,19 +120,23 @@ def _compare(values, fmt):
     return 0
 
 
-def _run_cases(cases):
+def _run_cases(cases, times=None):
     """Run (label, fn) pairs in order.
 
     Each fn returns None on success or a failure message; a case that raises
     fails with the exception as its message.  Returns the list of
-    (label, failure-or-None) in the canonical input order.
+    (label, failure-or-None) in the canonical input order.  A list times
+    gets one (seconds, label) per case.
     """
     results = []
     for label, fn in cases:
+        start = time.perf_counter()
         try:
             msg = fn()
         except Exception as exc:  # an internal error fails its case only
             msg = f"raised {exc!r}"
+        if times is not None:
+            times.append((time.perf_counter() - start, label))
         results.append((label, msg))
     return results
 
@@ -390,12 +398,18 @@ _SUITES = {
 
 
 def cmd_verify(args):
+    """Run the suites; stdout gets the verdicts, stderr each suite's time and slowest cases."""
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     failed = 0
     total = 0
     for name in names:
+        start = time.perf_counter()
         cases = _SUITES[name](args.max_weight)
-        results = _run_cases(cases)
+        times = []
+        results = _run_cases(cases, times)
+        print(f"{name}: {time.perf_counter() - start:.3f} s; slowest cases:", file=sys.stderr)
+        for seconds, label in heapq.nlargest(5, times):
+            print(f"  {seconds * 1000:.1f} ms {label}", file=sys.stderr)
         bad = [(label, msg) for label, msg in results if msg]
         total += len(results)
         failed += len(bad)

@@ -352,7 +352,10 @@ def derived_monomial_tableaux(p, e, mu, nu, vmax):
     Verification plumbing: enumerates every filling of the shape
     (0,...,0,p) whose barred entries realize the multiset nu - mu, with
     plain and primed values capped at vmax.  The word need not be
-    Yamanouchi, so bad compositions nu are reachable.
+    Yamanouchi, so bad compositions nu are reachable.  The recursive
+    generator holds itself through its closure, so it is unbound once the
+    walk ends, raises or is closed early: without that, each call's lists
+    would live until a cyclic GC pass.
     """
     mu = iv(mu)
     nu = tuple(nu)
@@ -386,7 +389,10 @@ def derived_monomial_tableaux(p, e, mu, nu, vmax):
                 yield from rec(t + 1, need)
                 row.pop()
 
-    yield from rec(0, need)
+    try:
+        yield from rec(0, need)
+    finally:
+        del rec
 
 
 def _bad_row_index(mu, nu):

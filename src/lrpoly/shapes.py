@@ -210,7 +210,12 @@ def jacobi_trudi_fold(lam, start, times):
 
 
 def compositions_of(p, max_len):
-    """All compositions of p (as trimmed vectors) with length at most max_len."""
+    """All compositions of p (as trimmed vectors) with length at most max_len.
+
+    The recursion holds itself through its closure, so it is unbound once
+    it returns or raises: without that, each call's lists would live until
+    a cyclic GC pass.
+    """
     out = []
 
     def rec(prefix, rest, slots):
@@ -221,7 +226,10 @@ def compositions_of(p, max_len):
         for k in range(rest + 1):
             rec(prefix + [k], rest - k, slots - 1)
 
-    rec([], p, max_len)
+    try:
+        rec([], p, max_len)
+    finally:
+        del rec
     return out
 
 

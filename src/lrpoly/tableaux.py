@@ -37,7 +37,10 @@ each box) is built once per shape and column_strict by _plan: the
 column-strict plan runs in column order and the other in row order, and
 also serves reading its box order.  The entries and binomials the search
 places are shared memos too; all three are functools.lru_cache functions,
-so cache_info() and cache_clear() reach them.
+so cache_info() and cache_clear() reach them.  The search's recursive
+closure refers to itself, so _enumerate unbinds it when the search returns
+or raises: without that, the cycle would keep each call's lists alive until
+a cyclic GC pass.
 
 Text format: one line per row, top to bottom; entries space-separated with a
 trailing "~" for bars and a trailing "'" for primes, e.g. "2 2~ 1~".
@@ -324,6 +327,10 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
     leaf with none adds weight there.  So a branch that reaches no leaf runs
     no product, fillings that share their first plain entries share those
     products, and no leaf builds a dict of its own.
+
+    The recursion rec holds itself through its closure, so it is unbound
+    once the search returns or raises: without that, each call's lists and
+    leaf would live until a cyclic GC pass.
     """
     left, below, content, row = plan.left, plan.below, plan.content, plan.row
     n = len(left)
@@ -402,7 +409,10 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
                     ready = d
             rec(t + 1, d + 1, h)
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    finally:
+        del rec
 
 
 @lru_cache(maxsize=None)

@@ -226,6 +226,29 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_times_its_suites_on_stderr_only(capsys):
+    import hashlib
+
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-weight", "2")
+    assert code == 0
+    # the stdout this call printed before verify reported any time
+    assert hashlib.md5(out.encode()).hexdigest() == "9f9fa307be94603f5395ba78f7e124d9"
+    blocks = {}
+    for line in err.splitlines():
+        if line.startswith("  "):
+            ms, unit, label = line.split(maxsplit=2)
+            assert unit == "ms" and float(ms) >= 0
+            blocks[name].append(label)
+        else:
+            name, rest = line.split(": ")
+            assert rest.endswith(" s; slowest cases:") and float(rest.split()[0]) >= 0
+            blocks[name] = []
+    assert list(blocks) == list(cli._SUITES)
+    for name, labels in blocks.items():
+        cases = [label for label, _ in cli._SUITES[name](2)]
+        assert len(labels) == min(5, len(cases)) and set(labels) <= set(cases), name
+
+
 def test_verify_involutions_reports_aggregates(capsys):
     code, out, _ = run(capsys, "verify-involutions", "--max-weight", "2")
     assert code == 0

@@ -5,17 +5,25 @@ replaced by a function that raises, so a route that reaches another one
 fails instead of agreeing with it for free.  The routes may share the
 layers below them: shapes, apoly, sparse and schursum, with
 jacobi_trudi_fold for the alternating and classical routes.
+
+The same calls also check memory lifetime: none leaves a reference cycle
+for the cyclic GC, and clearing every memo gives back what a grid of them
+allocated.
 """
 
+import gc
 import importlib
 import pkgutil
+import tracemalloc
 
 import pytest
 from conftest import ROUTE_MEMOS
 
 import lrpoly
-from lrpoly import double_sym, lr, stable_ring, tableaux
+from lrpoly import cli, double_sym, lr, stable_ring, tableaux
 from lrpoly.double_sym import c_oracle, classical_lr
+from lrpoly.formal_ring import pieri_sides
+from lrpoly.involutions import derived_monomial_tableaux
 from lrpoly.lr import (
     alternating_product,
     c_alternating,
@@ -24,6 +32,7 @@ from lrpoly.lr import (
     pieri_tableau,
     theorem_product,
 )
+from lrpoly.shapes import lr_targets, partitions_up_to
 from lrpoly.stable_ring import pieri_stable
 
 # (module, name) of every route's kernels, each the way in to one route
@@ -99,3 +108,88 @@ def test_route_memos_name_every_lru_cache_function():
     assert {"lrpoly.tableaux", "lrpoly.stable_ring", "lrpoly.double_sym"} <= {m for m, _ in found}
     listed = [(memo.__module__, memo.__name__) for memo in ROUTE_MEMOS]
     assert sorted(listed) == sorted(found)
+
+
+def _first_of(items):
+    """The first item of an iterator, which is then closed early."""
+    items = iter(items)
+    try:
+        return next(items)
+    finally:
+        items.close()
+
+
+def _psi_report_cell():
+    # a cell with bad stacked tableaux, so psi runs on some of them
+    fail, groups = cli._psi_report(cli._psi_shapes((2, 1)), (2, 1), (3, 2, 1), cap=5)
+    assert fail is None and groups
+    return groups
+
+
+# calls outside ROUTES that run the package's other recursive searches
+SEARCHES = {
+    "enumerate_k_tableaux": lambda: tableaux.enumerate_k_tableaux((1, 2), (2, 1), (3, 2, 1)),
+    "pieri_sides": lambda: pieri_sides(2, 1, (2, 1), (1, 0)),
+    "derived_monomial_tableaux drained": lambda: list(
+        derived_monomial_tableaux(3, 1, (2, 1), (3, 2), vmax=3)
+    ),
+    "derived_monomial_tableaux closed": lambda: _first_of(
+        derived_monomial_tableaux(3, 1, (2, 1), (3, 2), vmax=3)
+    ),
+    "psi_report": _psi_report_cell,
+}
+
+
+def _cyclic_garbage(call):
+    """How many objects call leaves in reference cycles, found by one GC pass."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_each_route_leaves_no_cyclic_garbage(route, clear_oracle_memos):
+    # every search frees its state by reference counting, with cold memos
+    # and again with the memos the first round filled
+    _, calls = ROUTES[route]
+    for warm in (False, True):
+        for rule, args in calls:
+            if not warm:
+                _clear_memos()
+            assert _cyclic_garbage(lambda: rule(*args)) == 0, (route, warm, args)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_each_search_leaves_no_cyclic_garbage(name, clear_oracle_memos):
+    assert _cyclic_garbage(SEARCHES[name]) == 0, (name, "cold")
+    assert _cyclic_garbage(SEARCHES[name]) == 0, (name, "warm")
+
+
+def test_clearing_the_memos_gives_back_what_a_grid_allocated(clear_oracle_memos):
+    # one call per route first, so what the interpreter allocates once per
+    # code path is not counted
+    for _, calls in ROUTES.values():
+        rule, args = calls[0]
+        rule(*args)
+    _clear_memos()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        shapes = partitions_up_to(3)
+        for lam in shapes:
+            for mu in shapes:
+                for nu in lr_targets(lam, mu):
+                    c_theorem(lam, mu, nu)
+                    c_oracle(lam, mu, nu)
+                theorem_product(lam, mu)
+                alternating_product(lam, mu)
+        _clear_memos()
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - start < 64 * 1024
+    finally:
+        tracemalloc.stop()
