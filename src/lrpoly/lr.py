@@ -6,14 +6,13 @@ The coefficient of s_nu in s_lam * s_mu is computed two independent ways:
   Yamanouchi column word.  The paper's Theorem weights each filling with
   row-order prefix partitions and its Corollary with column-order ones;
   at every plain entry the two orders give the same rho_k, so every
-  filling weighs the same either way and both names run one column-order
-  search (lr_weight_sum), which reads each binomial as it places a box,
-  cuts off fillings with a zero binomial and sums the weights of the
-  rest.  theorem_product expands the whole product s_lam * s_mu by the
-  same rule from one search with no nu bound (lr_weight_table), which
-  files every filling under the nu it ends on.  That search costs less
-  than its cells searched one by one, but more than any single cell, so
-  the single-cell rules keep their own search;
+  filling weighs the same either way.  theorem_product expands the whole
+  product s_lam * s_mu from one column-order search with no nu bound
+  (lr_weight_table), which reads each binomial as it places a box, cuts
+  off fillings with a zero binomial and files the weights of the rest
+  under the nu they end on.  Both cell rules read their coefficient from
+  their pair's product, which a small memo (_theorem_product) keeps, so
+  a sweep over the nu of a pair runs one search;
 * c_alternating: the coefficient at nu of alternating_product, which
   expands the whole product s_lam * s_mu once as the signed sum of
   h_{lam^omega} * s_mu, folding the Jacobi-Trudi determinant in row by row
@@ -35,12 +34,14 @@ row-end check is needed.  It reads nothing from tableaux or stable_ring, so
 it stays independent of the rule it is checked against.
 """
 
+from functools import lru_cache
+
 from .apoly import APoly, ONE_MONO, _mul_into, var_key
 from .schursum import SchurSum
 from .shapes import iv, jacobi_trudi_fold, require_partitions
 from .sparse import accumulate
 from .stable_ring import multiply_by_h, pieri_stable
-from .tableaux import lr_weight_sum, lr_weight_table
+from .tableaux import lr_weight_table
 
 
 def pieri_tableau(p, e, mu):
@@ -136,14 +137,29 @@ def c_alternating(lam, mu, nu):
 
 def c_theorem(lam, mu, nu):
     """Tableau rule, the paper's Theorem: LR tableau weights in row order."""
-    return APoly(lr_weight_sum(lam, mu, nu))
+    lam, mu, nu = require_partitions(lam, mu, nu)
+    return _theorem_product(lam, mu).coeff(nu)
 
 
 def c_corollary(lam, mu, nu):
     """Tableau rule, the paper's Corollary: the same weights read in column order."""
-    return APoly(lr_weight_sum(lam, mu, nu))
+    lam, mu, nu = require_partitions(lam, mu, nu)
+    return _theorem_product(lam, mu).coeff(nu)
 
 
 def theorem_product(lam, mu):
-    """s_lam * s_mu as a SchurSum: c_theorem at every nu, from one tableau search."""
+    """s_lam * s_mu as a SchurSum: c_theorem at every nu, from one tableau search.
+
+    The result is shared with the cell rules: read it, never write it.
+    """
+    return _theorem_product(*require_partitions(lam, mu))
+
+
+@lru_cache(maxsize=4)
+def _theorem_product(lam, mu):
+    """theorem_product for a trimmed, checked pair.
+
+    Every sweep goes pair by pair, so a few pairs are enough: a table for
+    every pair of weight 8 held 478 MB.
+    """
     return SchurSum({nu: APoly(terms) for nu, terms in lr_weight_table(lam, mu).items()})

@@ -13,24 +13,22 @@ and grows rho with add_box.
 One backtracking search (_enumerate) finds every filling, either for one
 target nu or, with no nu bound, for every nu at once.
 enumerate_k_tableaux, the stacked-Pieri enumeration behind the involution
-checks, collects its fillings as ReverseTableau objects; lr_weight_sum,
-behind the tableau rule, builds none and sums the weights of the LR
-tableaux during the search instead, and lr_weight_table files the weights
-of one every-nu search under the nu each filling ends on, which expands a
-whole product s_lam * s_mu.
+checks, collects its fillings for one nu as ReverseTableau objects;
+lr_weight_table, behind the tableau rule, builds none: its one every-nu
+search sums the weights of the LR tableaux under the nu each filling ends
+on, which expands a whole product s_lam * s_mu, and the cell rules read
+their coefficient from that table.
 A binomial is zero exactly when rho_k = c, so a zero binomial cuts off its
 branch with every completion below it.  At every plain entry of an LR
 filling, rho_k read in row order equals rho_k read in column order (see
-_lr_search), so a filling weighs the same in both orders, and one search,
-in column order, gives the sums of the paper's Theorem (row order) and of
-its Corollary (column order) alike.  Each plain entry only records its
-binomial; a filling's weight is multiplied out when the search reaches it,
-from the longest product of recorded binomials it shares with the fillings
-before it, so a branch that no filling completes multiplies nothing.  With
-strict columns a box in row i holds at most the largest value less i - 1,
-which caps each row before any value is tried.  The search's own rules
-leave no filling of nonzero weight unless nu contains lam, so a weighted
-cell where it does not returns before any search (proved at _lr_search).
+lr_weight_table), so a filling weighs the same in both orders, and one
+search, in column order, gives the sums of the paper's Theorem (row order)
+and of its Corollary (column order) alike.  Each plain entry only records
+its binomial; a filling's weight is multiplied out when the search reaches
+it, from the longest product of recorded binomials it shares with the
+fillings before it, so a branch that no filling completes multiplies
+nothing.  With strict columns a box in row i holds at most the largest
+value less i - 1, which caps each row before any value is tried.
 What depends only on the shape (the traversal, each box's neighbours,
 content and row, the rows' ceilings, the rows, and the rows left after
 each box) is built once per shape and column_strict by _plan: the
@@ -51,7 +49,7 @@ from operator import ge
 from typing import NamedTuple
 
 from .apoly import APoly, ONE_MONO, _mul_into, var_key
-from .shapes import contains, iv, is_partition, require_partitions
+from .shapes import iv, is_partition, require_partitions
 from .sparse import accumulate
 
 
@@ -290,12 +288,12 @@ def _entries(top):
 
 
 def _enumerate(plan, mu, nu, caps, leaf, weight=None):
-    """Backtracking core of _tableaux and the weighted LR sums.
+    """Backtracking core of _tableaux and lr_weight_table.
 
     Fills the boxes of the plan in its traversal order; the word of barred
     values in that order must be Yamanouchi from mu and reach nu.  mu and nu
     are partitions with trailing zeros trimmed, checked by the callers
-    (_tableaux, _lr_search) and not here.  caps[i - 1] is the largest
+    (_tableaux, lr_weight_table) and not here.  caps[i - 1] is the largest
     plain value allowed in row i; a plan built with column_strict
     additionally requires each value to be strictly larger than the entry
     directly below, so the largest value, less i - 1, caps row i.
@@ -312,7 +310,8 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
     Calls leaf(grid, rho) for every filling, rho being the live list of mu
     grown by the whole word, padded with zeros (read it, never keep it).
     Without a weight, grid lists the filling's entries in traversal order.
-    With a term dict weight, grid is None, no entry is stored, and leaf
+    With a term dict weight (only lr_weight_table passes one, and always
+    with nu None), grid is None, no entry is stored, and leaf
     returns the term dict that the filling's weight is added into: weight
     times the binomial a_{k - rho_k} - a_{k - c} of every plain entry k in a
     box of content c, where rho is mu grown by the barred prefix in
@@ -437,89 +436,37 @@ def _tableaux(shape, mu, nu, caps, column_strict):
     return out
 
 
-def _lr_search(lam, mu, nu):
-    """The weight of every LR filling, summed into one term dict.
-
-    The fillings have shape lam, strict columns, plain values at most l(nu)
-    and a Yamanouchi column word from mu to nu; with nu None (the every-nu
-    search of _enumerate, capped at l(mu) + l(lam)) the result maps each
-    partition nu a filling ends on to the sum of those fillings' weights.
-    The weight is tableau_weight, read in row order, and equally the weight
-    read in column order (weight_in in tests/definitions.py): at a plain k
-    in box (i, j), the boxes that one order reads before (i, j) and the
-    other does not lie either below and right of it (read first in row
-    order), where strict columns and weakly decreasing rows make every
-    value smaller than k, or above and left of it (read first in column
-    order), where every value is larger than k.  Neither holds a
-    barred k, so rho_k at the box is the same in both orders.  The search
-    runs in column order; a zero binomial cuts its branch off, and each
-    filling's weight is expanded only once the filling is complete (see
-    _enumerate).
-
-    lam, mu and nu are trimmed and checked here, not by _enumerate.  Each
-    leaf returns the dict its weight goes into: the result for one nu, else
-    the result's entry for the nu the filling ends on.
-
-    A cell whose nu does not contain lam has no filling of nonzero weight,
-    so it returns {} once lam, mu and nu are checked, before any search is
-    set up.  The proof uses only rules that the search enforces:
-    1. rho only grows along a path.  It stays a partition, since a barred k
-       needs rho_{k-1} > rho_k, and inside nu, since it needs rho_k < nu_k.
-    2. Row 1 is read left to right, its values weakly decrease, and box
-       (1, j) has content j - 1; a plain k there is cut when rho_k = j - 1.
-       By induction on j, after box (1, j) with value k, rho_k >= j.  At
-       the box rho_k >= j - 1 already: trivially for j = 1, and otherwise
-       the value k' of box (1, j - 1) is at least k, so by 1 rho_k >=
-       rho_k' >= j - 1.  A barred k adds a box to row k, and a plain k is
-       cut unless rho_k > j - 1.  As rho lies inside nu, k <= nu'_j.
-    3. Columns are strict, so box (i, j) holds at most nu'_j - i + 1.  The
-       bottom box of column j holds at least 1, so lam'_j <= nu'_j for
-       every j, which means nu contains lam.
-    l(lam) > l(nu) is the case j = 1.  The every-nu search has no such cut.
-    """
-    out = {}
-    if nu is None:
-        lam, mu = require_partitions(lam, mu)
-        cap = len(mu) + len(lam)
-        leaf = lambda _grid, rho: out.setdefault(iv(rho), {})
-    else:
-        lam, mu, nu = require_partitions(lam, mu, nu)
-        if not contains(nu, lam):
-            return out  # no filling of nonzero weight (see above)
-        cap = len(nu)
-        leaf = lambda _grid, _rho: out
-    _enumerate(_plan(lam, True), mu, nu, (cap,) * len(lam), leaf, weight={ONE_MONO: 1})
-    return out
-
-
-def lr_weight_sum(lam, mu, nu):
-    """The sum of tableau_weight(T, mu) over the LR tableaux T.
-
-    These have shape lam, strict columns, plain values at most l(nu) and a
-    Yamanouchi column word taking mu to nu.  Every such T weighs the same
-    read in row order, as tableau_weight reads it (the paper's Theorem), or
-    in column order, as the tests' weight_in(T, mu, "column") reads it (its
-    Corollary; see _lr_search), so one sum serves both.  Returned as a term
-    dict.  No tableau is built.  Raises ValueError unless lam, mu and nu are
-    partitions; the sum is empty unless nu contains mu and has at most
-    |lam| more boxes.
-    """
-    return _lr_search(lam, mu, nu)
-
-
 def lr_weight_table(lam, mu):
-    """lr_weight_sum(lam, mu, nu) at every nu, as {nu: nonzero term dict}.
+    """The weights of the LR tableaux of every cell (lam, mu, nu), as {nu: nonzero term dict}.
 
-    One search with no nu bound (see _enumerate): each filling adds its
-    weight under the partition nu that its barred word ends on, and counts
-    only if its largest plain value is at most l(nu), the per-cell cap.
-    Each row of lam adds at most one row to mu, so l(mu) + l(lam) bounds
-    every l(nu) and caps the search.  Only nu containing mu appear, with
-    |nu| - |mu| at most |lam|.  The table costs less than its cells searched
-    one by one, but more than any one of them: use it when every nu is
-    wanted.
+    An LR tableau has shape lam, strict columns, plain values at most l(nu)
+    and a Yamanouchi column word from mu to nu; the entry at nu sums
+    tableau_weight(T, mu) over those T.  One search with no nu bound (see
+    _enumerate) adds each filling's weight under the partition nu its
+    barred word ends on, and counts it only if its largest plain value is
+    at most l(nu), the per-cell cap.  Each row of lam adds at most one row
+    to mu, so l(mu) + l(lam) bounds every l(nu) and caps the search.  Only
+    nu containing mu appear, with |nu| - |mu| at most |lam|.  No tableau is
+    built.  Raises ValueError unless lam and mu are partitions.
+
+    The weight is tableau_weight, read in row order (the paper's Theorem),
+    and equally the weight read in column order (its Corollary; weight_in
+    in tests/definitions.py): at a plain k in box (i, j), the boxes that
+    one order reads before (i, j) and the other does not lie either below
+    and right of it (read first in row order), where strict columns and
+    weakly decreasing rows make every value smaller than k, or above and
+    left of it (read first in column order), where every value is larger
+    than k.  Neither holds a barred k, so rho_k at the box is the same in
+    both orders.  The search runs in column order; a zero binomial cuts its
+    branch off, and each filling's weight is expanded only once the filling
+    is complete.
     """
-    return {nu: terms for nu, terms in _lr_search(lam, mu, None).items() if terms}
+    lam, mu = require_partitions(lam, mu)
+    cap = len(mu) + len(lam)
+    out = {}
+    leaf = lambda _grid, rho: out.setdefault(iv(rho), {})
+    _enumerate(_plan(lam, True), mu, None, (cap,) * len(lam), leaf, weight={ONE_MONO: 1})
+    return {nu: terms for nu, terms in out.items() if terms}
 
 
 def enumerate_k_tableaux(kappa, mu, nu, cap=None):

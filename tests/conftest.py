@@ -7,7 +7,7 @@ from this profile, loaded for the whole session.
 import pytest
 from hypothesis import settings
 
-from lrpoly import double_sym, shapes, stable_ring, tableaux
+from lrpoly import double_sym, lr, shapes, stable_ring, tableaux
 
 settings.register_profile("lrpoly", derandomize=True, database=None, deadline=2000)
 settings.load_profile("lrpoly")
@@ -21,6 +21,7 @@ ROUTE_MEMOS = (
     tableaux._plan,
     tableaux._entries,
     tableaux._binomial,
+    lr._theorem_product,
     stable_ring._reduce_row,
     stable_ring._pieri,
     double_sym._schur_sym_branch,

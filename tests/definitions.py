@@ -13,8 +13,9 @@ the reference the tests compare with:
   column word, rho at a box, an entry's binomial and the primed monomial
   expansion of a tableau weight, each read in one walk of ``reading_in``;
 - ``enumerate_lr_tableaux``, ``enumerate_pieri_tableaux``: the LR and
-  single-row Pieri tableaux as objects, from the search behind
-  ``lr_weight_sum`` and ``enumerate_k_tableaux``;
+  single-row Pieri tableaux of one cell as objects, from the search behind
+  ``lr_weight_table`` and ``enumerate_k_tableaux``, run for one nu, where
+  the cell rules read their sum from their pair's ``lr_weight_table``;
 - ``row_order_weight_table``: the row-order weights of the every-nu
   search, each read off its finished filling in row order, where
   ``lr_weight_table`` reads each binomial as it places a box in column

@@ -322,7 +322,7 @@ def test_verify_lr_fails_a_product_term_outside_the_support(capsys, monkeypatch,
     assert out.strip().endswith("total: 0/2 passed")
 
 
-def test_verify_lr_runs_one_every_nu_search_per_pair(capsys, monkeypatch):
+def test_verify_lr_runs_one_every_nu_search_per_pair(capsys, monkeypatch, clear_oracle_memos):
     # each case expands the tableau product from one search with no nu
     # bound, and searches no single cell
     searches, tables = [], Counter()

@@ -7,6 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lrpoly import lr, tableaux
 from lrpoly.apoly import APoly
 from lrpoly.shapes import (
     conjugate,
@@ -17,7 +18,7 @@ from lrpoly.shapes import (
     partitions_up_to,
     size,
 )
-from lrpoly.tableaux import lr_weight_sum, tableau_weight
+from lrpoly.tableaux import lr_weight_table, tableau_weight
 from lrpoly.lr import (
     pieri_tableau,
     kostka,
@@ -44,6 +45,34 @@ def test_single_box_product():
     assert c_theorem((1,), (1,), (1,)) == a(0) - a(1)
     assert c_theorem((1,), (1,), (2,)) == APoly.one()
     assert c_theorem((1,), (1,), (1, 1)) == APoly.one()
+
+
+def test_the_cell_rules_read_one_memoized_table_per_pair(monkeypatch, clear_oracle_memos):
+    # both cell rules at every nu of a pair run one search, with no nu
+    # bound, whatever form the pair is given in; a sweep over more pairs
+    # than the memo holds keeps it within its bound
+    searches = []
+    real = tableaux._enumerate
+
+    def counted(plan, mu, nu, *args, **kwargs):
+        searches.append(nu)
+        return real(plan, mu, nu, *args, **kwargs)
+
+    monkeypatch.setattr(tableaux, "_enumerate", counted)
+    lam, mu = (3, 2), (2, 2)
+    for nu in every_target(lam, mu):
+        for given_lam in (lam, [3, 2, 0]):
+            assert c_theorem(given_lam, mu, nu) == c_corollary(lam, list(mu), nu)
+    assert searches == [None]
+    info = lr._theorem_product.cache_info
+    pairs = [(lam, mu) for lam in partitions_up_to(3) if lam for mu in partitions_up_to(3)]
+    assert len(pairs) > info().maxsize
+    for lam, mu in pairs:
+        for nu in lr_targets(lam, mu):
+            c_theorem(lam, mu, nu)
+            c_corollary(lam, mu, nu)
+        assert info().currsize <= info().maxsize
+    assert searches == [None] * (1 + len(pairs))
 
 
 def test_vanishing_outside_support():
@@ -118,13 +147,14 @@ def test_symmetry_in_lam_mu():
 def test_weighted_search_matches_tableau_sum():
     # the reference: build every LR tableau, then weigh it on its own in row
     # order (the theorem, tableau_weight) and in column order (the
-    # corollary, weight_in); the one search must equal both sums
+    # corollary, weight_in); the one search's table must equal both sums
     weighers = {"row": tableau_weight, "column": lambda T, mu: weight_in(T, mu, "column")}
     for lam in partitions_up_to(4):
         for mu in partitions_up_to(4):
+            table = lr_weight_table(lam, mu)
             for nu in lr_targets(lam, mu):
                 tableaux = enumerate_lr_tableaux(lam, mu, nu)
-                got = lr_weight_sum(lam, mu, nu)
+                got = table.get(nu, {})
                 for order, weigh in weighers.items():
                     expected = APoly.zero()
                     for T in tableaux:
@@ -136,7 +166,7 @@ def test_weighted_search_matches_tableau_sum():
     assert len(tableaux) == 3
     for weigh in weighers.values():
         assert all(weigh(T, mu).is_zero() for T in tableaux)
-    assert lr_weight_sum(lam, mu, nu) == {}
+    assert nu not in lr_weight_table(lam, mu)
 
 
 _partitions = st.sampled_from(partitions_up_to(5))

@@ -190,6 +190,8 @@ def test_clearing_the_memos_gives_back_what_a_grid_allocated(clear_oracle_memos)
                 alternating_product(lam, mu)
         _clear_memos()
         gc.collect()
-        assert tracemalloc.get_traced_memory()[0] - start < 64 * 1024
+        # the grid leaves 0.5 to 1.3 KiB; one small list kept per search
+        # would leave more than 4 KiB
+        assert tracemalloc.get_traced_memory()[0] - start < 4 * 1024
     finally:
         tracemalloc.stop()

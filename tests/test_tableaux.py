@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpoly import shapes, tableaux
+from lrpoly import lr, shapes, tableaux
 from lrpoly.apoly import APoly, ONE_MONO, var_key
 from lrpoly.involutions import monomial_weight
 from lrpoly.double_sym import c_oracle, classical_lr
@@ -41,7 +41,6 @@ from lrpoly.tableaux import (
     apply_word,
     tableau_weight,
     enumerate_k_tableaux,
-    lr_weight_sum,
     lr_weight_table,
     reading,
 )
@@ -122,7 +121,7 @@ def test_enumerate_lr_basic():
     # mu longer than nu is not inside it either
     assert enumerate_lr_tableaux((1,), (1, 1), (2,)) == []
     assert enumerate_k_tableaux((1,), (1, 1), (2,)) == []
-    assert lr_weight_sum((1,), (1, 1), (2,)) == {}
+    assert (2,) not in lr_weight_table((1,), (1, 1))
 
 
 def test_enumerate_lr_cap_insensitive():
@@ -184,9 +183,10 @@ def test_weights_agree_on_random_stacked_tableaux(kappa, mu, data):
             assert product == weight, (T.to_text(), order)
 
 
-def test_lr_weight_table_matches_lr_weight_sum_on_the_weight_5_grid():
+def test_lr_weight_table_matches_the_leaf_pass_on_the_weight_5_grid():
     # one search with no nu bound files every filling under the nu it ends
-    # on: each of the 342 pairs must give every cell's sum
+    # on: each of the 342 pairs must give every cell's sum, as the reference
+    # weighs each finished filling in row order
     cells = 0
     for lam in partitions_up_to(5):
         if not lam:
@@ -196,9 +196,10 @@ def test_lr_weight_table_matches_lr_weight_sum_on_the_weight_5_grid():
             table = lr_weight_table(lam, mu)
             assert set(table) <= set(targets), (lam, mu)
             assert all(table.values()), (lam, mu)
+            expected = row_order_weight_table(lam, mu)
             for nu in targets:
                 cells += 1
-                assert table.get(nu, {}) == lr_weight_sum(lam, mu, nu), (lam, mu, nu)
+                assert table.get(nu) == expected.get(nu), (lam, mu, nu)
     assert cells == 10700
     for mu in partitions_up_to(3):
         assert lr_weight_table((), mu) == {mu: {ONE_MONO: 1}}
@@ -217,8 +218,9 @@ def test_row_order_weights_at_placement_match_the_leaf_pass():
 
 def test_a_dead_branch_multiplies_nothing(monkeypatch):
     # the search expands a weight only at a leaf, from the deepest prefix it
-    # still holds, so a cell runs at most one product per plain entry of its
-    # nonzero-weight LR tableaux, and none when it has no such tableau
+    # still holds, so a pair's table runs at most one product per plain
+    # entry of the nonzero-weight LR tableaux of its cells, and none for a
+    # cell that has no such tableau
     products = [0]
     real = tableaux._mul_into
 
@@ -235,19 +237,35 @@ def test_a_dead_branch_multiplies_nothing(monkeypatch):
     ]
     # all 175 of its LR tableaux have a zero binomial, found only after 94
     # plain entries with a nonzero binomial were placed
-    cells.append(((2, 2, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)))
+    dead = ((2, 2, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1))
+    cells.append(dead)
     assert len(cells) == 3985
+    plain_entries = Counter()
     for lam, mu, nu in cells:
-        plain_entries = sum(
-            sum(not e.barred for row in T.rows for e in row)
-            for T in enumerate_lr_tableaux(lam, mu, nu)
-            if not weight_in(T, mu, "column").is_zero()
-        )
+        plain_entries[lam, mu] += _plain_entries_of_nonzero_weight(lam, mu, nu)
+    # the dead cell's pair is not on the grid, and its table searches
+    # every cell of the pair
+    lam, mu, nu = dead
+    assert plain_entries[lam, mu] == 0
+    plain_entries[lam, mu] = sum(
+        _plain_entries_of_nonzero_weight(lam, mu, target) for target in every_target(lam, mu)
+    )
+    for pair, bound in plain_entries.items():
         products[0] = 0
         monkeypatch.setattr(tableaux, "_mul_into", counted)
-        lr_weight_sum(lam, mu, nu)
+        lr_weight_table(*pair)
         monkeypatch.setattr(tableaux, "_mul_into", real)
-        assert products[0] <= plain_entries, (lam, mu, nu, products[0], plain_entries)
+        assert products[0] <= bound, (pair, products[0], bound)
+    assert nu not in lr_weight_table(lam, mu)
+
+
+def _plain_entries_of_nonzero_weight(lam, mu, nu):
+    """The plain entries of the cell's LR tableaux of nonzero weight, summed."""
+    return sum(
+        sum(not e.barred for row in T.rows for e in row)
+        for T in enumerate_lr_tableaux(lam, mu, nu)
+        if not weight_in(T, mu, "column").is_zero()
+    )
 
 
 def test_plain_rho_is_order_free_and_never_below_content():
@@ -275,8 +293,8 @@ def test_plain_rho_is_order_free_and_never_below_content():
 def _uncontained_cells():
     """The weight-5 cells where nu contains mu but not lam, and l(lam) <= l(nu).
 
-    The per-cell search returns before it starts on every one of them; with
-    l(lam) > l(nu) it always has.
+    The search finds fillings on them, unlike on a cell with l(lam) > l(nu),
+    which has no LR tableau.
     """
     return [
         (lam, mu, nu)
@@ -288,8 +306,8 @@ def _uncontained_cells():
 
 
 def test_a_cell_whose_nu_does_not_contain_lam_has_only_zero_weights():
-    # the uncut search finds fillings on these cells, but each one has a
-    # zero binomial, so the per-cell search may return before it starts
+    # the search finds fillings on these cells, but each one has a zero
+    # binomial, so the cells have no term in their pair's product
     cells = _uncontained_cells()
     assert len(cells) == 2749
     fillings = 0
@@ -301,9 +319,12 @@ def test_a_cell_whose_nu_does_not_contain_lam_has_only_zero_weights():
 
 
 def test_nonzero_weight_fillings_obey_the_containment_proof():
-    # the steps of _lr_search's proof, on every nonzero-weight LR tableau:
-    # after box (1, j) with value k, rho_k >= j (step 2), and box (i, j)
-    # holds at most nu'_j - i + 1 (step 3)
+    # why a cell whose nu does not contain lam weighs zero, on every
+    # nonzero-weight LR tableau: rho grows inside nu and stays a partition,
+    # row 1 weakly decreases and a plain k in box (1, j) weighs zero when
+    # rho_k = j - 1, so after box (1, j) with value k, rho_k >= j; hence
+    # box (1, j) holds at most nu'_j, strict columns give box (i, j) at
+    # most nu'_j - i + 1, and lam'_j <= nu'_j
     seen = 0
     for lam in partitions_up_to(4):
         for mu in partitions_up_to(4):
@@ -320,15 +341,18 @@ def test_nonzero_weight_fillings_obey_the_containment_proof():
     assert seen == 1986
 
 
-def test_a_cell_whose_nu_does_not_contain_lam_returns_before_any_search(monkeypatch):
-    def no_search(*_):
-        raise AssertionError("the cell was searched")
-
-    monkeypatch.setattr(tableaux, "_enumerate", no_search)
-    for cell in _uncontained_cells():
-        assert lr_weight_sum(*cell) == {}, cell
-        assert c_theorem(*cell).is_zero(), cell
-        assert c_corollary(*cell).is_zero(), cell
+def test_a_cell_whose_nu_does_not_contain_lam_has_no_table_entry(clear_oracle_memos):
+    # the table holds only nonzero sums, so none of these cells, whose
+    # fillings all weigh zero, has an entry in its pair's table
+    cells = _uncontained_cells()
+    assert len(cells) == 2749
+    tables = {}
+    for lam, mu, nu in cells:
+        if (lam, mu) not in tables:
+            tables[lam, mu] = lr_weight_table(lam, mu)
+        assert nu not in tables[lam, mu], (lam, mu, nu)
+        assert c_theorem(lam, mu, nu).is_zero(), (lam, mu, nu)
+        assert c_corollary(lam, mu, nu).is_zero(), (lam, mu, nu)
 
 
 def test_every_nu_search_finds_exactly_the_fillings_of_each_cell():
@@ -350,7 +374,14 @@ def test_every_nu_search_finds_exactly_the_fillings_of_each_cell():
 
 
 def _clear_memos():
-    for memo in (shapes._checked_partition, tableaux._plan, tableaux._entries, tableaux._binomial):
+    memos = (
+        shapes._checked_partition,
+        tableaux._plan,
+        tableaux._entries,
+        tableaux._binomial,
+        lr._theorem_product,
+    )
+    for memo in memos:
         memo.cache_clear()
 
 
@@ -359,8 +390,9 @@ def _memo_probes():
 
     Each shape first asks for its two plans, the row-order one without
     strict columns and the column-order one with them, then runs the
-    column-strict LR search, per cell and with no nu bound, and the
-    row-order stacked and Pieri searches on it, so a memo key that drops
+    column-strict LR search, per cell as tableaux and with no nu bound as
+    the weight table, and the row-order stacked and Pieri searches on it,
+    so a memo key that drops
     column_strict hands a search the wrong plan.  |lam| reaches 4 because
     (2, 2) is the smallest shape whose two plans list its boxes in
     different orders.
@@ -378,7 +410,6 @@ def _memo_probes():
                     for e in (0, 1):
                         args = (lam[0], e, mu, nu)
                         probes.append((("pieri",) + args, partial(enumerate_pieri_tableaux, *args)))
-                probes.append((("sum",) + cell, partial(lr_weight_sum, *cell)))
             probes.append((("table", lam, mu), partial(lr_weight_table, lam, mu)))
     return probes
 
@@ -407,7 +438,7 @@ def test_memos_match_cold_results():
         assert thunk() == warm[label], label
 
 
-CELL_RULES = [c_oracle, c_theorem, c_corollary, classical_lr, c_alternating, lr_weight_sum]
+CELL_RULES = [c_oracle, c_theorem, c_corollary, classical_lr, c_alternating]
 
 
 def test_cell_rules_trim_lists_and_trailing_zeros(clear_oracle_memos):
@@ -417,7 +448,7 @@ def test_cell_rules_trim_lists_and_trailing_zeros(clear_oracle_memos):
         ((2, 1), (1,), (2, 1, 1)),  # nu_1 < l(nu): c_oracle flips the cell
         ((2, 1), (2, 1), (3, 2, 1)),
         ((1,), (2,), (3,)),
-        ((2,), (), (1, 1)),  # nu does not contain lam: the tableau rules cut
+        ((2,), (), (1, 1)),  # nu does not contain lam: zero
     ]
     for rule in CELL_RULES:
         for cell in cells:
@@ -428,16 +459,16 @@ def test_cell_rules_trim_lists_and_trailing_zeros(clear_oracle_memos):
 
 
 def test_cell_rules_refuse_a_non_partition_in_each_place():
-    # (lam, mu, nu) with one shape out of order; lr_weight_sum sees each
-    # bad shape both at a cell it cuts (lam not inside nu) and at one it
-    # would search
+    # (lam, mu, nu) with one shape out of order; each bad shape comes both
+    # at a cell whose sorted form has a coefficient and at one where lam
+    # is not inside nu
     cells = [
-        ((1, 2), (1,), (3, 2)),  # lam, searched
-        ((1, 2), (1,), (1, 1)),  # lam, cut
-        ((2,), [1, 2], (3, 2, 1)),  # mu, searched
-        ((3,), [1, 2], (2, 2, 1)),  # mu, cut
-        ((1,), (1,), [1, 2]),  # nu, searched
-        ((3,), (1,), (1, 2, 0)),  # nu, cut
+        ((1, 2), (1,), (3, 2)),  # lam, a coefficient
+        ((1, 2), (1,), (1, 1)),  # lam, not inside nu
+        ((2,), [1, 2], (3, 2, 1)),  # mu, a coefficient
+        ((3,), [1, 2], (2, 2, 1)),  # mu, lam not inside nu
+        ((1,), (1,), [1, 2]),  # nu, a coefficient
+        ((3,), (1,), (1, 2, 0)),  # nu, lam not inside it
         ((1,), (1,), (2, -1)),  # a negative part
     ]
     for rule in CELL_RULES:
@@ -446,9 +477,8 @@ def test_cell_rules_refuse_a_non_partition_in_each_place():
                 rule(*cell)
 
 
-# a non-partition lam, mu or nu, including cells the tableau rules skip as
-# zero (mu not inside nu, nu too large, lam not inside nu) before any
-# search runs
+# a non-partition lam, mu or nu, including cells that are zero once sorted
+# (mu not inside nu, nu too large, lam not inside nu)
 NON_PARTITION_CELLS = [
     ((1, 2), (), (2, 1)),
     ((1, 2), (1,), (2, 2)),
@@ -458,11 +488,11 @@ NON_PARTITION_CELLS = [
     ((1,), (1,), (1, 2)),
     ((2,), (), (1, 2)),
     ((2, 1), (1, 0, 2), (2, 2, 2)),
-    # l(lam) > l(nu) leaves no filling: the tableau rules return before a search
+    # l(lam) > l(nu) leaves no filling
     ((1, 1, 1), (1,), (1, 2)),
     ((1, 1, 1), (1, 2), (3,)),
     # nu does not contain lam, though l(lam) <= l(nu): no filling of nonzero
-    # weight, and the tableau rules return before a search
+    # weight
     ((3,), (1, 2), (2, 2)),
     ((2, 2), (1,), (1, 3)),
 ]
@@ -475,7 +505,6 @@ def test_non_partition_mu_or_nu_raises(warm):
     cell_rules = [
         c_theorem,
         c_corollary,
-        lr_weight_sum,
         c_alternating,
         c_oracle,
         classical_lr,
