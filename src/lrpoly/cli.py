@@ -2,10 +2,12 @@
 
 Subcommands: lr, pieri, schur, kostka, classical, verify, verify-involutions.
 Partitions are comma-separated positive integers; the empty string is the
-empty partition.  Exit codes: 0 success, 2 usage or unsupported input,
-3 verification mismatch, arithmetic overflow or internal error (a
-RuntimeError, reported as "internal error: ...").  Output is deterministic
-for fixed flags; verification cases run one after another in a fixed order.
+empty partition.  Exit codes: 0 success, 2 usage or unsupported input
+(an argument argparse refuses, or lr.UsageError, such as a Pieri tableau
+outside 0 <= e < l(mu)), 3 verification mismatch, arithmetic overflow or
+internal error (a RuntimeError or any other ValueError, reported as
+"internal error: ...").  Output is deterministic for fixed flags;
+verification cases run one after another in a fixed order.
 verify also prints each suite's wall time and its 5 slowest cases to
 stderr, so stdout stays byte-deterministic.
 """
@@ -35,6 +37,7 @@ from .formal_ring import staircase, pieri_sides
 from .stable_ring import pieri_stable
 from .tableaux import enumerate_k_tableaux, tableau_weight, row_word, apply_word
 from .lr import (
+    UsageError,
     pieri_tableau,
     kostka,
     c_theorem,
@@ -536,13 +539,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,10 @@ The coefficient of s_nu in s_lam * s_mu is computed two independent ways:
   off fillings with a zero binomial and files the weights of the rest
   under the nu they end on.  Both cell rules read their coefficient from
   their pair's product, which a small memo (_theorem_product) keeps, so
-  a sweep over the nu of a pair runs one search;
+  a sweep over the nu of a pair runs one search.  They look up the nu
+  that require_partitions trimmed in the product's terms directly, and
+  build a zero only when nu is absent, so a warm read is one probe of
+  the table;
 * c_alternating: the coefficient at nu of alternating_product, which
   expands the whole product s_lam * s_mu once as the signed sum of
   h_{lam^omega} * s_mu, folding the Jacobi-Trudi determinant in row by row
@@ -32,6 +35,10 @@ number of fillings, about 4^p.  No primed entry can be l(mu) + 1, so the
 count of barred (l(mu) + 1)'s is final when a primed entry is placed and no
 row-end check is needed.  It reads nothing from tableaux or stable_ring, so
 it stays independent of the rule it is checked against.
+
+A request outside what a rule supports (pieri_tableau outside its
+hypothesis, an unknown kostka method) raises UsageError, a ValueError the
+CLI reports as a usage error; other ValueErrors are internal.
 """
 
 from functools import lru_cache
@@ -42,6 +49,10 @@ from .shapes import iv, jacobi_trudi_fold, require_partitions
 from .sparse import accumulate
 from .stable_ring import multiply_by_h, pieri_stable
 from .tableaux import lr_weight_table
+
+
+class UsageError(ValueError):
+    """A request outside what a rule supports: the caller's error, not an internal one."""
 
 
 def pieri_tableau(p, e, mu):
@@ -64,13 +75,13 @@ def pieri_tableau(p, e, mu):
     plain entries of a value k thus lead to the same state and place one
     factor, their binomial when both are allowed.  Fillings that reach the
     same state are added before the next box.  Only the range e < l(mu) is
-    supported (the rule's hypothesis); use pieri_stable outside it.  A
-    non-partition mu raises ValueError.
+    supported (the rule's hypothesis); use pieri_stable outside it: any
+    other e raises UsageError.  A non-partition mu raises ValueError.
     """
     (mu,) = require_partitions(mu)
     L = len(mu)
     if not 0 <= e < L:
-        raise ValueError("unsupported hypothesis: require 0 <= e < l(mu)")
+        raise UsageError("unsupported hypothesis: require 0 <= e < l(mu)")
     if p < 0:
         return SchurSum.zero()
     # (last value, rho) -> the summed prefix weights; no value exceeds L + 1
@@ -100,15 +111,16 @@ def kostka(kappa, mu, nu, method="recursion"):
     kappa is an arbitrary integer vector: any negative entry gives 0 and zero
     entries contribute unit factors.  Both methods fold a Pieri rule over the
     rows of kappa from the bottom up: the recursion method the stable rule,
-    the tableaux method the tableau rule.  The tableaux method raises when a
-    row falls outside its hypothesis, that is when the bottom-most nonempty
-    row i has i - 1 >= l(mu).  A non-partition mu or nu raises, whatever kappa.
+    the tableaux method the tableau rule.  The tableaux method raises
+    UsageError when a row falls outside its hypothesis, that is when the
+    bottom-most nonempty row i has i - 1 >= l(mu), and so does an unknown
+    method.  A non-partition mu or nu raises ValueError, whatever kappa.
     """
     require_partitions(mu, nu)
     # built per call, so the rules are the module bindings at call time
     rules = {"recursion": pieri_stable, "tableaux": pieri_tableau}
     if method not in rules:
-        raise ValueError("method must be 'recursion' or 'tableaux'")
+        raise UsageError("method must be 'recursion' or 'tableaux'")
     if any(k < 0 for k in kappa):
         return APoly.zero()
     s = SchurSum.single(mu)
@@ -138,13 +150,15 @@ def c_alternating(lam, mu, nu):
 def c_theorem(lam, mu, nu):
     """Tableau rule, the paper's Theorem: LR tableau weights in row order."""
     lam, mu, nu = require_partitions(lam, mu, nu)
-    return _theorem_product(lam, mu).coeff(nu)
+    c = _theorem_product(lam, mu).terms.get(nu)
+    return APoly.zero() if c is None else c
 
 
 def c_corollary(lam, mu, nu):
     """Tableau rule, the paper's Corollary: the same weights read in column order."""
     lam, mu, nu = require_partitions(lam, mu, nu)
-    return _theorem_product(lam, mu).coeff(nu)
+    c = _theorem_product(lam, mu).terms.get(nu)
+    return APoly.zero() if c is None else c
 
 
 def theorem_product(lam, mu):

@@ -25,8 +25,9 @@ class SchurSum(Terms):
         return SchurSum({iv(nu): coeff})
 
     def coeff(self, nu):
-        """Coefficient of s_nu (zero polynomial if absent)."""
-        return self.terms.get(iv(nu), APoly.zero())
+        """Coefficient of s_nu (zero polynomial if absent); nu may be a list or untrimmed."""
+        c = self.terms.get(iv(nu))
+        return APoly.zero() if c is None else c
 
     def partitions(self):
         """Support, sorted by size then reverse-lexicographically."""

@@ -16,9 +16,11 @@ of operator.ge without padded copies.
 
 require_partitions, the shape check of every cell entry point, checks each
 shape through the lru_cache function _checked_partition, keyed by the
-vector as the caller passed it (a list is copied to a tuple first), so a
-warm query pays one memo lookup per shape.  A failed check raises and is
-not stored, so a non-partition raises on every call.
+vector as the caller passed it.  Tuples go to the memo as they are; only a
+call with a shape of another type, such as a list, copies its shapes to
+tuples, so a warm query on tuples pays one memo lookup per shape and no
+copy.  A failed check raises and is not stored, so a non-partition raises
+on every call.
 """
 
 from functools import lru_cache
@@ -60,14 +62,26 @@ def require_partitions(*shapes):
     """The vectors trimmed by iv (lam, mu, nu of a cell); ValueError unless all are partitions.
 
     Each shape is checked once per distinct vector: _checked_partition
-    memoizes the check keyed by the vector as given, copied to a tuple.
+    memoizes the check keyed by the vector as a tuple.  Tuples are passed
+    as they are; a shape of another type makes _checked_partition raise
+    TypeError, and the call is redone with every shape copied to a tuple.
     """
-    return tuple(map(_checked_partition, map(tuple, shapes)))
+    try:
+        return tuple(map(_checked_partition, shapes))
+    except TypeError:  # a shape that is not a tuple, such as an unhashable list
+        return tuple(map(_checked_partition, map(tuple, shapes)))
 
 
 @lru_cache(maxsize=None)
 def _checked_partition(alpha):
-    """iv(alpha) for a tuple alpha; ValueError, never cached, unless it is a partition."""
+    """iv(alpha) for a tuple alpha; ValueError, never cached, unless it is a partition.
+
+    Any other hashable alpha raises TypeError on its miss, before it is read,
+    so require_partitions copies it to a tuple: every key is a tuple, and an
+    iterator is neither consumed nor kept.
+    """
+    if type(alpha) is not tuple:
+        raise TypeError("a memoized shape is a tuple")
     alpha = iv(alpha)
     if not is_partition(alpha):
         raise ValueError("lam, mu and nu must be partitions")

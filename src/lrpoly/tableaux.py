@@ -309,6 +309,8 @@ def _enumerate(plan, mu, nu, caps, leaf, weight=None):
 
     Calls leaf(grid, rho) for every filling, rho being the live list of mu
     grown by the whole word, padded with zeros (read it, never keep it).
+    rho is a partition that always ends in the 0 marking l(rho), so
+    rho[:rho.index(0)] is the trimmed nu the filling ends on.
     Without a weight, grid lists the filling's entries in traversal order.
     With a term dict weight (only lr_weight_table passes one, and always
     with nu None), grid is None, no entry is stored, and leaf
@@ -447,7 +449,9 @@ def lr_weight_table(lam, mu):
     at most l(nu), the per-cell cap.  Each row of lam adds at most one row
     to mu, so l(mu) + l(lam) bounds every l(nu) and caps the search.  Only
     nu containing mu appear, with |nu| - |mu| at most |lam|.  No tableau is
-    built.  Raises ValueError unless lam and mu are partitions.
+    built, and each leaf is filed under the trimmed nu cut from the live rho
+    at its 0 marker, with no iv.  Raises ValueError unless lam and mu are
+    partitions.
 
     The weight is tableau_weight, read in row order (the paper's Theorem),
     and equally the weight read in column order (its Corollary; weight_in
@@ -464,7 +468,7 @@ def lr_weight_table(lam, mu):
     lam, mu = require_partitions(lam, mu)
     cap = len(mu) + len(lam)
     out = {}
-    leaf = lambda _grid, rho: out.setdefault(iv(rho), {})
+    leaf = lambda _grid, rho: out.setdefault(tuple(rho[:rho.index(0)]), {})
     _enumerate(_plan(lam, True), mu, None, (cap,) * len(lam), leaf, weight={ONE_MONO: 1})
     return {nu: terms for nu, terms in out.items() if terms}
 

@@ -287,6 +287,18 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     assert err == "internal error: no partner for '1~ 1' over mu=(1,)\n"
 
 
+def test_a_plain_value_error_is_internal_exit_3(capsys, monkeypatch):
+    # only UsageError is a usage error; any other ValueError is internal
+    def broken(*args):
+        raise ValueError("rho is not a partition")
+
+    monkeypatch.setattr(cli, "c_theorem", broken)
+    code, out, err = run(capsys, "lr", "--lambda", "1", "--mu", "1", "--nu", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: rho is not a partition\n"
+
+
 def test_oracle_span_failure_is_internal(capsys, monkeypatch, clear_oracle_memos):
     # a basis element with a key longer than n leaves the span: exit 3 with an
     # internal error, not the usage error of exit 2

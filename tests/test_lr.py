@@ -1,13 +1,14 @@
 """Structure coefficients: tableau rules, alternating sum, and Pieri forms."""
 
 import itertools
+import sys
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpoly import lr, tableaux
+from lrpoly import lr, shapes, tableaux
 from lrpoly.apoly import APoly
 from lrpoly.shapes import (
     conjugate,
@@ -73,6 +74,32 @@ def test_the_cell_rules_read_one_memoized_table_per_pair(monkeypatch, clear_orac
             c_corollary(lam, mu, nu)
         assert info().currsize <= info().maxsize
     assert searches == [None] * (1 + len(pairs))
+
+
+def test_a_warm_cell_read_calls_no_iv(monkeypatch, clear_oracle_memos):
+    # once the pair's product and the shapes are memoized, both rules read
+    # the product's terms with the nu require_partitions trimmed, and they
+    # still equal the product's coefficient at every target of the pair
+    lam, mu = (3, 2), (2, 2)
+    targets = every_target(lam, mu)
+    expected = [theorem_product(lam, mu).coeff(nu) for nu in targets]
+    for rule in (c_theorem, c_corollary):
+        assert [rule(lam, mu, nu) for nu in targets] == expected, rule
+    real = shapes.iv
+    bound = [name for name, module in sys.modules.items()
+             if name.startswith("lrpoly") and getattr(module, "iv", None) is real]
+    assert {"lrpoly.shapes", "lrpoly.schursum", "lrpoly.lr", "lrpoly.tableaux"} <= set(bound)
+    calls = Counter()
+
+    def counted(entries, name):
+        calls[name] += 1
+        return real(entries)
+
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "iv", partial(counted, name=name))
+    for rule in (c_theorem, c_corollary):
+        assert [rule(lam, mu, nu) for nu in targets] == expected, rule
+    assert calls == Counter()
 
 
 def test_vanishing_outside_support():

@@ -70,6 +70,24 @@ def test_require_partitions_returns_the_trimmed_tuples():
     assert all(type(shape) is tuple for shape in got)
 
 
+def test_require_partitions_takes_mixed_forms_cold_and_warm(clear_oracle_memos):
+    # a tuple, a list and an untrimmed vector in one call give the trimmed
+    # tuples, first from the checks and then from the memo
+    given = ((3, 1), [2, 2, 0], (1, 1, 0, 0))
+    for _ in range(2):
+        got = require_partitions(*given)
+        assert got == ((3, 1), (2, 2), (1, 1))
+        assert all(type(shape) is tuple for shape in got)
+    # the tuple slot hits the memo, and the list slot is still checked
+    with pytest.raises(ValueError, match="must be partitions"):
+        require_partitions((3, 1), [1, 2])
+    # an iterator is copied, not kept: it is looked up under its tuple
+    size_before = shapes._checked_partition.cache_info().currsize
+    for _ in range(2):
+        assert require_partitions(iter([2, 2, 0])) == ((2, 2),)
+    assert shapes._checked_partition.cache_info().currsize == size_before
+
+
 def test_predicates():
     assert is_partition((3, 3, 1))
     assert not is_partition((1, 2))

@@ -207,6 +207,23 @@ def test_lr_weight_table_matches_the_leaf_pass_on_the_weight_5_grid():
         lr_weight_table((1,), (1, 2))
 
 
+def test_the_table_files_its_leaves_without_iv(monkeypatch, clear_oracle_memos):
+    # each leaf is filed under rho cut at its trailing 0 marker, which is
+    # already the trimmed nu
+    calls = [0]
+    real = tableaux.iv
+
+    def counted(entries):
+        calls[0] += 1
+        return real(entries)
+
+    monkeypatch.setattr(tableaux, "iv", counted)
+    table = lr_weight_table((3, 2), (2, 2))
+    assert calls == [0]
+    assert table and all(nu == real(nu) and type(nu) is tuple for nu in table)
+    assert table == row_order_weight_table((3, 2), (2, 2))
+
+
 def test_row_order_weights_at_placement_match_the_leaf_pass():
     # the search reads each plain entry's binomial as it places boxes in
     # column order; the reference walks each finished filling in row order
