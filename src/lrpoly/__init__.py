@@ -7,27 +7,3 @@ tableaux), the alternating Pieri sum (the Jacobi-Trudi determinant of s_lam
 folded into s_mu by the stable Pieri rule) and a brute-force polynomial
 oracle, and cross-validates them against each other.
 """
-
-from .shapes import (
-    iv,
-    is_partition,
-    is_composition,
-    is_horizontal_strip,
-    apply_raising,
-    apply_rbar,
-    lambda_omega,
-)
-from .apoly import APoly
-from .schursum import SchurSum
-
-__all__ = [
-    "iv",
-    "is_partition",
-    "is_composition",
-    "is_horizontal_strip",
-    "apply_raising",
-    "apply_rbar",
-    "lambda_omega",
-    "APoly",
-    "SchurSum",
-]

@@ -136,13 +136,11 @@ class APoly(Terms):
         return APoly.const(1)
 
     @staticmethod
-    def var(i, exp=1, coeff=1):
-        """The monomial coeff * a_i**exp."""
+    def var(i, coeff=1):
+        """The monomial coeff * a_i."""
         if coeff == 0:
             return APoly.zero()
-        if exp == 0:
-            return APoly.const(coeff)
-        return APoly({var_key(i, exp): coeff})
+        return APoly({var_key(i): coeff})
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -177,20 +175,9 @@ class APoly(Terms):
 
     __rmul__ = __mul__
 
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m & _FIELD for m in self.terms)
-
-    def is_homogeneous(self, d=None):
-        """True iff every term has the same total degree (equal to d if given)."""
-        degs = {m & _FIELD for m in self.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return d is None or degs == {d}
+    def is_homogeneous(self, d):
+        """True iff every term has total degree d; the zero polynomial is, for every d."""
+        return all(m & _FIELD == d for m in self.terms)
 
     def shift_indices(self, k):
         """Ring automorphism sending a_i to a_{i+k}, one unit step at a time."""
@@ -213,20 +200,6 @@ class APoly(Terms):
             _shift_up(_reflect(m)): -c if m & 1 else c for m, c in self.terms.items()
         })
 
-    def substitute(self, assignment):
-        """Exact rational evaluation; assignment maps variable index to a number."""
-        from fractions import Fraction  # here, so `import lrpoly` loads neither it nor decimal
-
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = Fraction(c)
-            for i, e in unpack(m):
-                if i not in assignment:
-                    raise KeyError(f"no value assigned to variable index {i}")
-                val *= Fraction(assignment[i]) ** e
-            total += val
-        return total
-
     def at_zero(self):
         """Constant term: the image under a_i -> 0 for all i."""
         return self.terms.get(ONE_MONO, 0)
@@ -240,13 +213,6 @@ class APoly(Terms):
             {"coeff": str(c), "vars": [[i, e] for i, e in unpack(m)]}
             for m, c in self.sorted_terms()
         ]
-
-    @staticmethod
-    def from_json(data):
-        return APoly(accumulate({}, (
-            (pack((int(i), int(e)) for i, e in t["vars"]), int(t["coeff"]))
-            for t in data
-        )))
 
     def __str__(self):
         if not self.terms:

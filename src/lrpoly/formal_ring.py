@@ -35,16 +35,15 @@ def staircase(l):
     return tuple(range(l))
 
 
-def jacobi_trudi(mu, beta=None):
+def jacobi_trudi(mu, beta):
     """Determinant expansion of s_{mu,beta} as a term dict {word: sign}.
 
     Expands the l(mu) x l(mu) determinant det(h_{mu_i + j - i, beta_i + j - i})
     over permutations, applying the unit/zero conventions factor by factor.
-    beta defaults to the staircase (0, 1, ..., l(mu) - 1).
     """
     mu = tuple(mu)
     l = len(mu)
-    beta = staircase(l) if beta is None else pad(tuple(beta), l)
+    beta = pad(tuple(beta), l)
     # perm_sign runs only for permutations whose word is nonzero
     return accumulate({}, (
         (w, perm_sign(omega))

@@ -15,14 +15,9 @@ class SchurSum(Terms):
     __slots__ = ()
 
     @staticmethod
-    def single(nu, coeff=None):
-        if coeff is None:
-            coeff = APoly.one()
-        elif isinstance(coeff, int):
-            coeff = APoly.const(coeff)
-        if coeff.is_zero():
-            return SchurSum({})
-        return SchurSum({iv(nu): coeff})
+    def single(nu):
+        """The basis element s_nu."""
+        return SchurSum({iv(nu): APoly.one()})
 
     def coeff(self, nu):
         """Coefficient of s_nu (zero polynomial if absent); nu may be a list or untrimmed."""

@@ -1,9 +1,11 @@
-"""Integer vectors, compositions, partitions, and raising operators.
+"""Integer vectors and partitions: predicates, enumerations and the Jacobi-Trudi fold.
 
 Integer vectors are plain tuples of ints with trailing zeros trimmed; two
-vectors are equal iff their trimmed tuples are equal.  Partitions and
-compositions are just integer vectors satisfying extra predicates.  All
-functions here are pure and all values immutable.
+vectors are equal iff their trimmed tuples are equal.  Partitions are
+integer vectors satisfying is_partition, and compositions_of lists the
+compositions of a size; apply_rbar is the one raising operator left, which
+the psi check applies.  All functions here are pure and all values
+immutable.
 
 partitions_of lists partitions in reverse-lexicographic order: largest
 first part first, and among equal first parts by the rest in the same
@@ -19,8 +21,10 @@ shape through the lru_cache function _checked_partition, keyed by the
 vector as the caller passed it.  Tuples go to the memo as they are; only a
 call with a shape of another type, such as a list, copies its shapes to
 tuples, so a warm query on tuples pays one memo lookup per shape and no
-copy.  A failed check raises and is not stored, so a non-partition raises
-on every call.
+copy.  A vector with an entry that is not an integer, such as 2.5 or '1',
+is not a partition, so it fails the check rather than being truncated.  A
+failed check raises and is not stored, so a non-partition raises on every
+call.
 """
 
 from functools import lru_cache
@@ -49,10 +53,6 @@ def size(alpha):
     return sum(alpha)
 
 
-def is_composition(alpha):
-    return all(e >= 0 for e in alpha)
-
-
 def is_partition(alpha):
     """True iff alpha is non-increasing with nonnegative entries."""
     return not alpha or (alpha[-1] >= 0 and all(map(ge, alpha, alpha[1:])))
@@ -78,14 +78,15 @@ def _checked_partition(alpha):
 
     Any other hashable alpha raises TypeError on its miss, before it is read,
     so require_partitions copies it to a tuple: every key is a tuple, and an
-    iterator is neither consumed nor kept.
+    iterator is neither consumed nor kept.  Every entry must equal its int,
+    so 2.0 and True pass as 2 and 1, while 2.5 and '1' raise ValueError.
     """
     if type(alpha) is not tuple:
         raise TypeError("a memoized shape is a tuple")
-    alpha = iv(alpha)
-    if not is_partition(alpha):
+    parts = tuple(map(int, alpha))
+    if parts != alpha or not is_partition(parts):
         raise ValueError("lam, mu and nu must be partitions")
-    return alpha
+    return iv(parts)
 
 
 def contains(alpha, beta):
@@ -138,16 +139,6 @@ def bad_compositions(mu, p):
     return out
 
 
-def apply_raising(s, t, alpha):
-    """Raising operator R_{st}: add 1 at position s, subtract 1 at position t (1-based)."""
-    if not 1 <= s < t:
-        raise ValueError("require 1 <= s < t")
-    a = list(pad(alpha, t))
-    a[s - 1] += 1
-    a[t - 1] -= 1
-    return iv(a)
-
-
 def apply_rbar(i, j, alpha):
     """Swap entries i and j, then decrease entry i by 1 and increase entry j by 1.
 
@@ -168,25 +159,6 @@ def perm_sign(omega):
             if omega[i] > omega[j]:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-def lambda_omega(lam, omega):
-    """Permuted-staircase composition and its sign.
-
-    With pi = (l-1, ..., 1, 0) and omega a permutation of {1..l}, returns
-    (omega(lam + pi) - pi, sgn(omega)) where omega moves the entry at
-    position i to position omega(i).  Entries may be negative.
-    """
-    l = len(omega)
-    lam = pad(lam, l)
-    if len(lam) > l:
-        raise ValueError("permutation shorter than partition")
-    pi = tuple(l - 1 - k for k in range(l))
-    shifted = [lam[k] + pi[k] for k in range(l)]
-    out = [0] * l
-    for k in range(l):
-        out[omega[k] - 1] = shifted[k]
-    return iv(out[k] - pi[k] for k in range(l)), perm_sign(omega)
 
 
 def jacobi_trudi_fold(lam, start, times):

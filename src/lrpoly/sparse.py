@@ -42,9 +42,9 @@ class Terms:
         return type(self)(terms)
 
     @classmethod
-    def zero(cls, *n):
-        """The zero element; classes with a variable count take it as n."""
-        return cls(*n)
+    def zero(cls):
+        """The zero element."""
+        return cls()
 
     def is_zero(self):
         return not self.terms

@@ -40,8 +40,9 @@ closure refers to itself, so _enumerate unbinds it when the search returns
 or raises: without that, the cycle would keep each call's lists alive until
 a cyclic GC pass.
 
-Text format: one line per row, top to bottom; entries space-separated with a
-trailing "~" for bars and a trailing "'" for primes, e.g. "2 2~ 1~".
+Text format, as to_text writes it: one line per row, top to bottom; entries
+space-separated with a trailing "~" for bars and a trailing "'" for primes,
+e.g. "2 2~ 1~".
 """
 
 from functools import lru_cache
@@ -81,23 +82,6 @@ def format_entry(entry):
     return f"{entry.value}'" if entry.primed else str(entry.value)
 
 
-def parse_entry(text):
-    body = text
-    barred = primed = False
-    if body.endswith("~"):
-        barred = True
-        body = body[:-1]
-    elif body.endswith("'"):
-        primed = True
-        body = body[:-1]
-    value = int(body)
-    if value < 1:
-        raise ValueError("entry values must be positive")
-    if barred and primed:
-        raise ValueError("barred entries are never primed")
-    return Entry(value, barred, primed)
-
-
 class ReverseTableau:
     """Rows of entries over a composition shape (zero-length rows allowed).
 
@@ -110,10 +94,6 @@ class ReverseTableau:
     def __init__(self, rows):
         self.rows = tuple(map(tuple, rows))
         self.shape = tuple(map(len, self.rows))
-
-    def entry(self, i, j):
-        """The entry in row i, column j (both 1-based)."""
-        return self.rows[i - 1][j - 1]
 
     def is_valid(self):
         """Row condition: absolute values weakly decrease along each row."""
@@ -128,14 +108,6 @@ class ReverseTableau:
 
     def to_text(self):
         return "\n".join(" ".join(format_entry(e) for e in row) for row in self.rows)
-
-    @staticmethod
-    def from_text(text):
-        rows = []
-        for line in text.split("\n"):
-            parts = line.split()
-            rows.append(tuple(parse_entry(p) for p in parts))
-        return ReverseTableau(rows)
 
     def __eq__(self, other):
         return isinstance(other, ReverseTableau) and self.rows == other.rows

@@ -1,10 +1,18 @@
 """The paper's definitions that the tests check the library against.
 
-No route and no command of the package reads these; each is the plain
+No route and no command of the package reads these.  Most are the plain
 textbook form of something the package computes another way, kept here as
-the reference the tests compare with:
+the reference the tests compare with; the rest read back or evaluate what
+the package only writes:
 
 - ``a``: the variable a_i;
+- ``degree``, ``substitute``, ``from_json``: the total degree of an
+  ``APoly``, its exact rational value at a point, and the ``APoly`` that
+  ``to_json`` wrote, each read off the unpacked monomials, where the
+  package only writes an ``APoly`` and evaluates one only at a = 0;
+- ``tableau_from_text``: the ``ReverseTableau`` that ``to_text`` wrote, in
+  the text format of the ``tableaux`` docstring, which the package only
+  writes;
 - ``reading_in``, ``weight_in``: ``reading`` and ``tableau_weight`` in
   row or column order, walking ``row_order`` or ``column_order`` of the
   shape, where the package reads row order only, from the search plan;
@@ -34,8 +42,10 @@ the reference the tests compare with:
 - ``every_target``: every partition nu with |mu| <= |nu| <= |lam| + |mu|,
   the nu that contain mu and the ones that do not, where ``lr_targets``
   keeps only the nu that contain mu;
-- ``all_permutations``: the permutations omega of the Jacobi-Trudi sum,
-  which ``jacobi_trudi_fold`` expands row by row instead;
+- ``all_permutations``, ``lambda_omega``: the permutations omega of the
+  Jacobi-Trudi sum and the signed permuted-staircase composition
+  lam^omega of each, which ``jacobi_trudi_fold`` expands row by row
+  instead;
 - ``straighten``: sorting the rows of s_{mu,beta}, which ``pieri_stable``
   folds into its row-by-row expansion instead;
 - ``h_n``, ``h_n_shifted``, ``phi_n`` and the ``XPoly`` arithmetic they
@@ -49,13 +59,14 @@ the reference the tests compare with:
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from lrpoly import double_sym
-from lrpoly.apoly import APoly, ONE_MONO, _mul_into, var_key
+from lrpoly.apoly import APoly, ONE_MONO, _mul_into, pack, unpack, var_key
 from lrpoly.double_sym import XPoly
 from lrpoly.schursum import SchurSum
-from lrpoly.shapes import iv, pad, partitions_of
+from lrpoly.shapes import iv, pad, partitions_of, perm_sign
 from lrpoly.sparse import accumulate
 from lrpoly.tableaux import (
     Entry,
@@ -75,7 +86,51 @@ def a(i):
     return APoly.var(i)
 
 
+def degree(p):
+    """Total degree of the APoly p, summed from its unpacked exponents; -1 for 0."""
+    return max((sum(e for _, e in unpack(m)) for m in p.terms), default=-1)
+
+
+def substitute(p, assignment):
+    """Exact rational value of the APoly p; assignment maps variable index to a number."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        val = Fraction(c)
+        for i, e in unpack(m):
+            if i not in assignment:
+                raise KeyError(f"no value assigned to variable index {i}")
+            val *= Fraction(assignment[i]) ** e
+        total += val
+    return total
+
+
+def from_json(data):
+    """The APoly that APoly.to_json wrote as data."""
+    return APoly(accumulate({}, (
+        (pack((int(i), int(e)) for i, e in t["vars"]), int(t["coeff"]))
+        for t in data
+    )))
+
+
 # --- tableaux -------------------------------------------------------------
+
+
+def tableau_from_text(text):
+    """The ReverseTableau that ReverseTableau.to_text wrote as text.
+
+    The format is described in the tableaux module docstring.
+    """
+    rows = []
+    for line in text.split("\n"):
+        row = []
+        for word in line.split():
+            barred, primed = word.endswith("~"), word.endswith("'")
+            value = int(word[:-1] if barred or primed else word)
+            if value < 1:
+                raise ValueError("entry values must be positive")
+            row.append(Entry(value, barred, primed))
+        rows.append(row)
+    return ReverseTableau(rows)
 
 
 def reading_in(T, mu, order):
@@ -325,6 +380,25 @@ def all_permutations(l):
     return [tuple(p) for p in permutations(range(1, l + 1))]
 
 
+def lambda_omega(lam, omega):
+    """Permuted-staircase composition and its sign.
+
+    With pi = (l-1, ..., 1, 0) and omega a permutation of {1..l}, returns
+    (omega(lam + pi) - pi, sgn(omega)) where omega moves the entry at
+    position i to position omega(i).  Entries may be negative.
+    """
+    l = len(omega)
+    lam = pad(lam, l)
+    if len(lam) > l:
+        raise ValueError("permutation shorter than partition")
+    pi = tuple(l - 1 - k for k in range(l))
+    shifted = [lam[k] + pi[k] for k in range(l)]
+    out = [0] * l
+    for k in range(l):
+        out[omega[k] - 1] = shifted[k]
+    return iv(out[k] - pi[k] for k in range(l)), perm_sign(omega)
+
+
 # --- formal ring ----------------------------------------------------------
 
 
@@ -419,13 +493,13 @@ def h_n(p, n):
     prod_k (x_{i_k} - a_{i_k - k + 1}); h_0 = 1, and h_p = 0 for p > 0, n = 0.
     """
     if p < 0:
-        return XPoly.zero(n)
+        return XPoly(n)
     if p == 0:
         return x_one(n)
     # G[m] at level k holds the partial sum over i_k >= ... >= i_p with i_k <= m
     G = [x_one(n)] * (n + 1)
     for k in range(p, 0, -1):
-        nxt = [XPoly.zero(n)] * (n + 1)
+        nxt = [XPoly(n)] * (n + 1)
         for m in range(1, n + 1):
             factor = x_var(m, n) + x_const(n, APoly.var(m - k + 1, coeff=-1))
             nxt[m] = nxt[m - 1] + x_mul(factor, G[m])
@@ -445,7 +519,7 @@ def phi_n(P):
     if n < 1:
         raise ValueError("no variable to evaluate")
     return XPoly(n - 1, accumulate({}, (
-        (e[:-1], c * APoly.var(n, exp=e[-1]) if e[-1] else c)
+        (e[:-1], c * APoly({var_key(n, e[-1]): 1}) if e[-1] else c)
         for e, c in P.terms.items()
     )))
 

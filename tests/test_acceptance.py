@@ -7,11 +7,7 @@ Each test prints one pass/fail line via pytest -v.  All comparisons are exact
 from lrpoly import cli
 from lrpoly.apoly import APoly
 from lrpoly.shapes import pad, size, contains, lr_targets, partitions_of, partitions_up_to
-from lrpoly.tableaux import (
-    ReverseTableau,
-    row_word,
-    apply_word,
-)
+from lrpoly.tableaux import row_word, apply_word
 from lrpoly.lr import c_theorem, c_corollary, alternating_product
 from lrpoly.schursum import SchurSum
 from lrpoly.involutions import BadCell, classify_bad, psi1, psi
@@ -20,7 +16,7 @@ from lrpoly.double_sym import (
     c_oracle,
     classical_lr,
 )
-from definitions import a, column_word, rho_at, entry_weight, h_n_shifted, phi_n
+from definitions import a, column_word, entry_weight, h_n_shifted, phi_n, rho_at, tableau_from_text
 
 
 def _assert_suite_passes(name, weight, count):
@@ -47,7 +43,7 @@ def _lr_grid():
 
 
 def test_criterion_01_golden_tableau_words_and_weights():
-    T = ReverseTableau.from_text("2 2~ 1~\n2 2 2~ 1 1 1~\n1")
+    T = tableau_from_text("2 2~ 1~\n2 2 2~ 1 1 1~\n1")
     assert T.shape == (3, 6, 1)
     assert row_word(T) == (2, 1, 2, 1)
     nu_r, yam_r = apply_word((2, 1), row_word(T))
@@ -61,7 +57,7 @@ def test_criterion_01_golden_tableau_words_and_weights():
 
 def test_criterion_02_golden_two_stage_involution():
     mu, nu = (2, 2), (4, 3, 2, 1)
-    T = ReverseTableau.from_text("4~ 4 4 4 3 2 2~ 2 2\n3 3 3~ 3 3~ 3 1 1~ 1~")
+    T = tableau_from_text("4~ 4 4 4 3 2 2~ 2 2\n3 3 3~ 3 3~ 3 1 1~ 1~")
     cell = classify_bad(T, mu)
     assert cell == BadCell(1, 1, "C2a")
     T1 = psi1(T, cell)

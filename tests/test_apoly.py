@@ -5,9 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpoly.apoly import B, ONE_MONO, APoly, pack, unpack
+from lrpoly.apoly import B, ONE_MONO, APoly, pack, unpack, var_key
 from lrpoly.cli import main
-from definitions import a
+from definitions import a, degree, from_json, substitute
 
 
 def test_ring_axioms_small():
@@ -22,7 +22,7 @@ def test_ring_axioms_small():
 
 def test_canonical_form_and_equality():
     assert a(1) * a(0) == a(0) * a(1)
-    assert a(1) * a(1) == APoly.var(1, exp=2)
+    assert a(1) * a(1) == APoly({var_key(1, 2): 1})
     assert a(3) - a(3) == 0
     assert APoly.const(0).is_zero()
 
@@ -40,9 +40,9 @@ def test_constants_hash_like_the_ints_they_equal():
 
 def test_degree_and_homogeneity():
     p = a(1) * a(2) - a(0) * a(0)
-    assert p.degree() == 2
+    assert degree(p) == 2
     assert p.is_homogeneous(2)
-    assert not (p + a(5)).is_homogeneous()
+    assert not (p + a(5)).is_homogeneous(2) and not (p + a(5)).is_homogeneous(1)
     assert APoly.zero().is_homogeneous(7)
 
 
@@ -54,7 +54,7 @@ def test_shift_indices():
 
 def test_substitute_and_at_zero():
     p = a(1) * a(2) - 2 * a(1) + 3
-    assert p.substitute({1: 2, 2: 5}) == 2 * 5 - 2 * 2 + 3
+    assert substitute(p, {1: 2, 2: 5}) == 2 * 5 - 2 * 2 + 3
     assert p.at_zero() == 3
     assert (a(4) - a(4)).at_zero() == 0
 
@@ -62,7 +62,7 @@ def test_substitute_and_at_zero():
 def test_str_format():
     assert str(a(0) - a(1)) == "a_0 - a_1"
     assert str(a(-2)) == "a_-2"
-    assert str(APoly.var(1, exp=2)) == "a_1^2"
+    assert str(a(1) * a(1)) == "a_1^2"
     assert str(2 * a(1)) == "2*a_1"
     assert str(APoly.zero()) == "0"
 
@@ -70,7 +70,7 @@ def test_str_format():
 def test_json_round_trip():
     p = a(1) * a(-4) - 2 * a(0) + 7
     data = json.loads(json.dumps(p.to_json()))
-    assert APoly.from_json(data) == p
+    assert from_json(data) == p
     # serialization order is deterministic (graded-lex)
     assert p.to_json() == p.to_json()
 
@@ -170,18 +170,21 @@ def test_json_round_trip_on_random_polynomials(terms):
     p = APoly.zero()
     for x, c in terms:
         p = p + APoly({pack(x): c})
-    assert APoly.from_json(json.loads(json.dumps(p.to_json()))) == p
+    assert from_json(json.loads(json.dumps(p.to_json()))) == p
 
 
 def test_degree_past_the_guard_bit_raises():
+    def power(i, e):
+        return APoly({var_key(i, e): 1})
+
     half = 1 << (B - 1)
-    assert APoly.var(0, half - 2) * a(0) == APoly.var(0, half - 1)
+    assert power(0, half - 2) * a(0) == power(0, half - 1)
     with pytest.raises(ArithmeticError):
-        APoly.var(0, half - 1) * a(1)
+        power(0, half - 1) * a(1)
     with pytest.raises(ArithmeticError):
-        APoly.var(-3, half // 2) * APoly.var(5, half // 2)
+        power(-3, half // 2) * power(5, half // 2)
     with pytest.raises(ArithmeticError):
-        APoly.var(2, half)
+        power(2, half)
     with pytest.raises(ArithmeticError):
         a(300).shift_indices(1)
 

@@ -60,7 +60,7 @@ def test_double_schur_symmetric_and_classical_leading_term():
 
 def _jacobi_trudi_dense(lam, n):
     """det[h_{lam_i + j - i} shifted by j - 1] as a Leibniz sum of dense products."""
-    total = XPoly.zero(n)
+    total = XPoly(n)
     for w in all_permutations(len(lam)):
         term = x_const(n, perm_sign(w))
         for i, wi in enumerate(w, start=1):

@@ -23,9 +23,9 @@ def test_word_conventions():
 
 def test_jacobi_trudi_single_row_and_column():
     # one row: the determinant is the single factor
-    assert jacobi_trudi((3,)) == {((3, 0),): 1}
+    assert jacobi_trudi((3,), staircase(1)) == {((3, 0),): 1}
     # two-row hook: h_{1,0}h_{1,1} - h_{2,1}
-    assert jacobi_trudi((1, 1)) == {((1, 0), (1, 1)): 1, ((2, 1),): -1}
+    assert jacobi_trudi((1, 1), staircase(2)) == {((1, 0), (1, 1)): 1, ((2, 1),): -1}
 
 
 def test_straighten():

@@ -2,15 +2,19 @@
 
 A standard-library stand-in for a linter's unused-import and dead-code
 rules, run over the package and the tests.  An import counts as used when
-the module reads the name, lists it in ``__all__``, or re-exports it to a
-test that imports it from that module.  A module-level function, class or
-assigned name of a package module counts as read when that module loads it
-as a name, or some other package module imports it from that module or
-reads it as ``<alias of that module>.<name>``; only ``lrpoly/__init__.py``
-also reads the names it lists in ``__all__``.  A read of the same name from
-another module does not count, and neither does a read from a test or a
-listing in some other module's ``__all__``: a definition only the tests
-read belongs in ``tests/definitions.py``.  A parameter of a package function, other than
+the module reads the name, or re-exports it to a test that imports it from
+that module; a listing in ``__all__`` is not a read.  A module-level
+function, class or assigned name of a package module counts as read when
+that module loads it as a name, or some other package module imports it
+from that module or reads it as ``<alias of that module>.<name>``.  The
+package's ``__init__`` holds only its docstring, and nothing reads
+``lrpoly.<name>``, so a name it imports would be a re-export, not a read.
+A method of a package class, other than a dunder, counts as read when a
+package module or a benchmark file (``perfbench/*.py``, the one caller
+outside the tests) reads ``.<name>`` off any value.  A read of the same
+name from another module does not count, and neither does a read from a
+test: a definition only the tests read belongs in
+``tests/definitions.py``.  A parameter of a package function, other than
 ``self``, ``cls`` and names starting with ``_``, counts as used when the
 function's body loads it.  Every module-level definition of
 ``tests/definitions.py`` must be imported from it, or read off it as an
@@ -34,8 +38,9 @@ the column order of the paper's Corollary is read in
 ``tests/definitions.py`` (``reading_in``, ``weight_in``).
 
 Importing the package and its CLI leaves ``fractions`` unloaded: it and
-the ``decimal`` module it pulls in are most of the import time, and only
-``APoly.substitute`` needs them, so it imports ``Fraction`` itself.
+the ``decimal`` module it pulls in are most of the import time, and no
+package module needs them; the exact evaluation of a polynomial,
+``definitions.substitute``, is read by the tests alone.
 
 Another keeps ``shapes.lr_targets`` the one place that drops the targets
 nu that do not contain mu: no ``for`` loop or comprehension over an
@@ -52,6 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lrpoly"
 PACKAGE_SOURCES = sorted(PACKAGE.glob("*.py"))
 SOURCES = PACKAGE_SOURCES + sorted((ROOT / "tests").glob("*.py"))
+BENCHMARK_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imports(tree):
@@ -66,19 +72,9 @@ def _imports(tree):
                     yield alias.asname or alias.name, node.lineno
 
 
-def _all_entries(tree):
-    """The strings listed in the module's ``__all__``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            yield from ast.literal_eval(node.value)
-
-
 def _used(tree):
-    """Names the module reads, plus the strings in its ``__all__``."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return used | set(_all_entries(tree))
+    """Names the module reads."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def _module_name(path):
@@ -99,13 +95,12 @@ def _dotted(node):
 def _reads(path, tree):
     """(module, name) for every module-level name the file reads, by module.
 
-    The file reads from itself the names it loads (and, for the package's
-    ``__init__``, the names it lists in ``__all__``), from another module
-    the names it imports from it, and from any module bound to a local name
-    the attributes it reads off that name.
+    The file reads from itself the names it loads, from another module the
+    names it imports from it, and from any module bound to a local name the
+    attributes it reads off that name.
     """
     here = _module_name(path)
-    reads = {(here, name) for name in _all_entries(tree) if here == "lrpoly"}
+    reads = set()
     modules = {}  # local name -> dotted name of the module it is bound to
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -139,6 +134,26 @@ def _definitions(tree):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name) and name.id != "__all__":
                         yield name.id, node.lineno
+
+
+def _methods(tree):
+    """(class, method, line) for every method of a module-level class but the dunders."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield node.name, item.name, item.lineno
+
+
+def _attributes_read(path):
+    """Every attribute name the file loads, off any value."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def _parameters(args):
@@ -195,13 +210,23 @@ def test_no_unused_imports():
 
 
 def test_no_unused_definitions():
+    source = "class C:\n    def f(self): pass\n    def _g(self): pass\n    def __eq__(s, o): pass"
+    assert [method for _, method, _ in _methods(ast.parse(source))] == ["f", "_g"]
     trees = {path: ast.parse(path.read_text(), str(path)) for path in PACKAGE_SOURCES}
-    reads = set().union(*(_reads(path, tree) for path, tree in trees.items()))
+    reads = set().union(*(
+        _reads(path, tree) for path, tree in trees.items() if path.stem != "__init__"
+    ))
+    attributes = set().union(*map(_attributes_read, PACKAGE_SOURCES + BENCHMARK_SOURCES))
     unused = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path, tree in trees.items()
         for name, line in _definitions(tree)
         if (_module_name(path), name) not in reads
+    ] + [
+        f"{path.relative_to(ROOT)}:{line}: {cls}.{method}"
+        for path, tree in trees.items()
+        for cls, method, line in _methods(tree)
+        if method not in attributes
     ]
     assert not unused, "unused definitions:\n" + "\n".join(unused)
 

@@ -1,25 +1,22 @@
-"""Partition/composition utilities and raising operators."""
+"""Integer vectors, partitions, compositions and the Jacobi-Trudi fold."""
 
 from itertools import product, starmap
 
 import pytest
 
-from lrpoly import shapes
+from lrpoly import lr, shapes
 from lrpoly.shapes import (
     iv,
     pad,
     size,
     contains,
     is_partition,
-    is_composition,
     is_horizontal_strip,
     interlacing,
     bad_compositions,
     conjugate,
-    apply_raising,
     apply_rbar,
     perm_sign,
-    lambda_omega,
     jacobi_trudi_fold,
     compositions_of,
     lr_targets,
@@ -34,6 +31,7 @@ from definitions import (
     every_target,
     is_horizontal_strip_padded,
     is_partition_sorted,
+    lambda_omega,
     partition_counts,
     partitions_by_sorting,
 )
@@ -88,11 +86,24 @@ def test_require_partitions_takes_mixed_forms_cold_and_warm(clear_oracle_memos):
     assert shapes._checked_partition.cache_info().currsize == size_before
 
 
+def test_require_partitions_refuses_entries_that_are_not_integers(clear_oracle_memos):
+    # an entry equal to its int passes as that int; 2.5 and '1' are refused,
+    # not truncated, cold and again once (2, 1) is in the memo
+    for _ in range(2):
+        for bad in [(2.5, 1), ("1",)]:
+            with pytest.raises(ValueError, match="must be partitions"):
+                require_partitions(bad)
+            with pytest.raises(ValueError, match="must be partitions"):
+                require_partitions((2, 1), bad)
+        for good in [(2, 1), [2, 1, 0], (2.0, 1)]:
+            assert require_partitions(good) == ((2, 1),), good
+    with pytest.raises(ValueError, match="must be partitions"):
+        lr.c_theorem((2.5, 1), (1,), (3, 1))
+
+
 def test_predicates():
     assert is_partition((3, 3, 1))
     assert not is_partition((1, 2))
-    assert is_composition((0, 2, 1))
-    assert not is_composition((1, -1))
 
 
 def test_pad_size_contains():
@@ -139,8 +150,6 @@ def test_bad_compositions():
 
 
 def test_raising_operators():
-    # R_{st} moves a box from position t to position s
-    assert apply_raising(1, 2, (2, 2)) == (3, 1)
     # R-bar swaps the two entries, then decrements/increments
     assert apply_rbar(1, 2, (3, 5)) == (4, 4)
     assert apply_rbar(1, 2, (9, 9)) == (8, 10)

@@ -40,7 +40,7 @@ def _samples():
         # int coefficients, as in the folds of cli._psi_report and
         # double_sym._classical_table
         Terms({(1, 0): 3, (2, 1): -1}),
-        SchurSum.single((2, 1), a(0)) + SchurSum.single((1,), 2),
+        SchurSum.single((2, 1)).scale(a(0)) + SchurSum.single((1,)).scale(2),
         XPoly(2, {(1, 0): a(1), (0, 0): APoly.const(4)}),
     ]
 
@@ -56,7 +56,7 @@ def test_every_class_cancels_to_empty_terms():
 
 def test_variable_count_is_part_of_equality():
     assert XPoly(2, {}) != XPoly(3, {})
-    assert XPoly.zero(3) == XPoly(3, {}) and XPoly.zero(3).n == 3
+    assert XPoly(3) == XPoly(3, {}) and XPoly(3).n == 3
     x = XPoly(2, {(1, 0): a(1)})
     assert (x - x).n == 2 and x.scale(a(0)).n == 2
 
@@ -117,7 +117,7 @@ def _pieri_sweep():
         # two-term inputs: the sum is accumulated over both cached expansions
         for mu2 in mus:
             if mu2 != mu:
-                S = SchurSum.single(mu, a(1)) + SchurSum.single(mu2)
+                S = SchurSum.single(mu).scale(a(1)) + SchurSum.single(mu2)
                 multiply_by_h(1, 0, S)
                 multiply_by_h(2, 1, S)
 
