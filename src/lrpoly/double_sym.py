@@ -30,7 +30,7 @@ from itertools import product
 from .apoly import APoly, _mul_into
 from .schursum import SchurSum
 from .shapes import (
-    conjugate, interlacing, iv, pad, is_partition, jacobi_trudi_fold, partitions_of,
+    conjugate, interlacing, iv, pad, jacobi_trudi_fold, partitions_of,
     require_partitions, size,
 )
 from .sparse import Terms, accumulate
@@ -197,9 +197,10 @@ def _schur_sym_branch(lam, n):
 
 def double_schur_n(lam, n):
     """Schur element of shape lam in n variables, as a dense polynomial."""
-    lam = iv(lam)
-    if not is_partition(lam):
-        raise ValueError("shape must be a partition")
+    try:
+        (lam,) = require_partitions(lam)
+    except ValueError:
+        raise ValueError("shape must be a partition") from None
     return XPoly(n, {
         e: c for nu, c in _schur_sym_branch(lam, n).items() for e in _orbit(pad(nu, n))
     })

@@ -28,8 +28,6 @@ from .shapes import iv, pad, is_horizontal_strip
 from .tableaux import (
     Entry,
     ReverseTableau,
-    bar,
-    plain,
     format_entry,
     row_word,
     apply_word,
@@ -113,53 +111,26 @@ def classify_bad(T, mu) -> Optional[BadCell]:
     return None
 
 
-def _parse_blocks_after_barred(segment):
-    """Sizes of the plain runs following each barred entry of the segment."""
-    x = []
-    for e in segment:
-        if e.barred:
-            x.append(0)
-        else:
-            x[-1] += 1
-    return x
-
-
-def _parse_blocks_before_barred(segment):
-    """Sizes of the plain runs preceding each barred entry of the segment."""
-    y = []
-    cnt = 0
-    for e in segment:
-        if e.barred:
-            y.append(cnt)
-            cnt = 0
-        else:
-            cnt += 1
-    if cnt:
-        raise RuntimeError(f"segment {_text(segment)!r} must end with a barred entry")
-    return y
-
-
 def _text(row):
     """A row of entries in the text format."""
     return " ".join(map(format_entry, row))
 
 
-def _blocks_after(value, sizes):
-    """[barred, sizes[0] plain, barred, sizes[1] plain, ...] of the value."""
-    out = []
-    for s in sizes:
-        out.append(bar(value))
-        out.extend([plain(value)] * s)
-    return out
+def _turn(segment, value, right):
+    """The segment turned one place, right (last entry first) or left, bars kept.
 
-
-def _blocks_before(value, sizes):
-    """[sizes[0] plain, barred, sizes[1] plain, barred, ...] of the value."""
-    out = []
-    for s in sizes:
-        out.extend([plain(value)] * s)
-        out.append(bar(value))
-    return out
+    Every entry takes the value.  The maps turn runs of one value: turned
+    right, P^y0 B P^y1 B ... P^ym B (P plain, B barred) becomes
+    B P^y0 B P^y1 ... B P^ym, the same plain blocks in the same order, each
+    now after a barred entry; a left turn undoes it.  Raises RuntimeError,
+    naming the segment, if the entry that goes round is plain.
+    """
+    moved = segment[-1] if right else segment[0]
+    if not moved.barred:
+        side = "end" if right else "start"
+        raise RuntimeError(f"segment {_text(segment)!r} must {side} with a barred entry")
+    turned = (moved, *segment[:-1]) if right else (*segment[1:], moved)
+    return tuple([Entry(value, e.barred) for e in turned])
 
 
 def psi1(T, cell):
@@ -170,8 +141,8 @@ def psi1(T, cell):
     For C2b, (q, r) = (j-1, j); C2c is C2b at j = kappa_i + 1.  For C2a, the
     segment of b's from column j through the last b (column q) and the
     segment of c's from column j+1 through the matching barred c (column r)
-    trade block structures on the way across ("fixing the column ordering"):
-    row i gets b's in the block sizes of the c's, row i+1 c's in those of the b's.
+    are turned on the way across ("fixing the column ordering"): row i gets
+    the c's turned right and made b's, row i+1 the b's turned left and made c's.
     Only rows i and i+1 are rebuilt; the other rows keep their tuples.
     """
     i, j, cond = cell
@@ -190,11 +161,11 @@ def psi1(T, cell):
             )
         c = ri1[j - 1].value
         q = max(t + 1 for t, e in enumerate(ri) if e.value == b)
-        x = _parse_blocks_after_barred(ri[j - 1 : q])
-        # r: column of the len(x)-th barred c at or right of column j+1 in row i+1
-        r = _nth_barred(ri1, c, len(x), j, len(ri1), from_end=False)
-        after = tuple(_blocks_after(b, _parse_blocks_before_barred(ri1[j:r])))
-        before = tuple(_blocks_before(c, x))
+        n = sum(e.barred for e in ri[j - 1 : q])
+        # r: column of the n-th barred c at or right of column j+1 in row i+1
+        r = _nth_barred(ri1, c, n, j, len(ri1), from_end=False)
+        after = _turn(ri1[j:r], b, right=True)
+        before = _turn(ri[j - 1 : q], c, right=False)
     rows[i - 1] = ri[: j - 1] + after + ri1[r:]
     rows[i] = ri1[:j] + before + ri[q:]
     return ReverseTableau(rows)
@@ -234,9 +205,10 @@ def psi2(T1, cell, mu):
 
     For each k up to the column partner value c, exchanges n_k barred k's at
     the end of row i+1 against n_k barred (k-1)'s at the start of the (k-1)
-    run in row i, carrying the plain block sizes across unchanged.  Only
-    rows i and i+1 are copied, and only when some n_k is nonzero; with none,
-    T1 itself is returned.
+    run in row i: the (k-1)'s through the n_k-th barred one are turned right
+    and made k's, and the k's from the n_k-th-from-last barred one on are
+    turned left and made (k-1)'s.  Only rows i and i+1 are copied, and only
+    when some n_k is nonzero; with none, T1 itself is returned.
     """
     i = cell.row
     rows = T1.rows
@@ -255,12 +227,12 @@ def psi2(T1, cell, mu):
         # P_k: through the first n_k barred (k-1)'s in row i
         lo, hi = _run_bounds(ri, k - 1)
         end = _nth_barred(ri, k - 1, n_k, lo, hi, from_end=False)
-        v = _parse_blocks_before_barred(ri[lo:end])
         # Q_k: from the n_k-th-from-last barred k in row i+1 through its run
         lo1, hi1 = _run_bounds(ri1, k)
         start = _nth_barred(ri1, k, n_k, lo1, hi1, from_end=True)
-        w = _parse_blocks_after_barred(ri1[start:hi1])
-        replacements.append((lo, end, _blocks_after(k, v), start, hi1, _blocks_before(k - 1, w)))
+        seg_i = _turn(ri[lo:end], k, right=True)
+        seg_i1 = _turn(ri1[start:hi1], k - 1, right=False)
+        replacements.append((lo, end, seg_i, start, hi1, seg_i1))
     if not replacements:
         return T1
     rows = list(rows)
@@ -338,7 +310,7 @@ def monomial_involution(U, mu):
         primed.remove(k)
         v = max(k, l + 1)
         at = _nth_barred(unprimed, v, v - k, 0, len(unprimed), from_end=False)
-        unprimed.insert(at, plain(v))
+        unprimed.insert(at, Entry(v))
     else:
         # the leftmost plain unprimed entry with subscript k (barred ones have None)
         del unprimed[[s for e, s in zip(row, subs) if not e.primed].index(k)]
@@ -425,7 +397,7 @@ def _place_primed(U, mu, unprimed, subs):
         s = next((t for t in subs if nxt <= t + c <= left), None)
         if s is not None:
             subs.remove(s)
-            row.append(plain(s + c, primed=True))
+            row.append(Entry(s + c, False, True))
         elif u < len(unprimed):
             row.append(unprimed[u])
             u += 1
@@ -460,10 +432,6 @@ def pieri_bad_pair(U, mu):
     src, dst = (i + 1, i) if d > 0 else (i, i + 1)
     unprimed = [e for e in row if not e.primed]
     lo, hi = _run_bounds(unprimed, src)
-    if sum(e.barred for e in unprimed[lo:hi]) < abs(d):
-        raise RuntimeError(
-            f"fewer than {abs(d)} barred {src}'s to move in {U.to_text()!r} over mu={mu}"
-        )
     start = _nth_barred(unprimed, src, abs(d), lo, hi, from_end=True)
     tail = [Entry(dst, e.barred) for e in unprimed[start:hi]]
     rest = unprimed[:start] + unprimed[hi:]

@@ -5,7 +5,7 @@ stored as a dict {partition tuple: nonzero APoly}.
 """
 
 from .apoly import APoly
-from .shapes import iv
+from .shapes import iv, require_partitions
 from .sparse import Terms
 
 
@@ -20,8 +20,12 @@ class SchurSum(Terms):
         return SchurSum({iv(nu): APoly.one()})
 
     def coeff(self, nu):
-        """Coefficient of s_nu (zero polynomial if absent); nu may be a list or untrimmed."""
-        c = self.terms.get(iv(nu))
+        """Coefficient of s_nu (zero polynomial if absent); nu may be a list or untrimmed.
+
+        ValueError unless nu is a partition (see shapes.require_partitions).
+        """
+        (nu,) = require_partitions(nu)
+        c = self.terms.get(nu)
         return APoly.zero() if c is None else c
 
     def partitions(self):

@@ -62,20 +62,6 @@ class Entry(NamedTuple):
     primed: bool = False
 
 
-def bar(k):
-    """A barred entry with value k."""
-    if k < 1:
-        raise ValueError("entry values must be positive")
-    return Entry(k, barred=True)
-
-
-def plain(k, primed=False):
-    """A plain (unbarred) entry with value k, optionally primed."""
-    if k < 1:
-        raise ValueError("entry values must be positive")
-    return Entry(k, barred=False, primed=primed)
-
-
 def format_entry(entry):
     if entry.barred:
         return f"{entry.value}~"

@@ -91,6 +91,17 @@ def test_double_schur_rejects_non_partition():
         double_schur_n((1, 2), 3)
 
 
+def test_double_schur_refuses_entries_that_are_not_integers(clear_oracle_memos):
+    # 2.5 and '1' are refused, not truncated to (2,) and (1,), cold and
+    # again once (2, 1) at n = 2 has put (2,) and (1,) at n = 1 in the memo
+    for _ in range(2):
+        for bad in [(2.5,), ("1",)]:
+            with pytest.raises(ValueError, match="shape must be a partition"):
+                double_schur_n(bad, 1)
+        for good in [(2, 1), [2, 1, 0], (2.0, 1)]:
+            assert double_schur_n(good, 2) == double_schur_n((2, 1), 2), good
+
+
 def test_renderings_match_a_per_term_rendering():
     # every member of an orbit shares one coefficient object, which each
     # rendering converts once; the text must be what converting every term

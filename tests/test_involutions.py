@@ -1,5 +1,6 @@
 """Cancellation involutions: tail swap + barred reorder, and the monomial maps."""
 
+import hashlib
 import re
 from collections import defaultdict
 
@@ -19,9 +20,8 @@ from lrpoly.shapes import (
     partitions_up_to,
 )
 from lrpoly.tableaux import (
+    Entry,
     ReverseTableau,
-    bar,
-    plain,
     row_word,
     apply_word,
     tableau_weight,
@@ -48,10 +48,13 @@ from definitions import lambda_omega, tableau_from_text
     [
         (lambda: psi1(tableau_from_text("1 1~\n1~"), BadCell(1, 1, "C2a")),
          "(1, 1, 'C2a') of '1 1~\\n1~'"),
-        (lambda: involutions._nth_barred([bar(2), plain(2)], 2, 2, 0, 2, from_end=False),
+        (lambda: involutions._nth_barred([Entry(2, True), Entry(2)], 2, 2, 0, 2, from_end=False),
          "row '2~ 2'"),
-        (lambda: involutions._parse_blocks_before_barred([bar(1), plain(1)]),
+        # the entry a turn moves round must be barred
+        (lambda: involutions._turn((Entry(1, True), Entry(1)), 1, right=True),
          "segment '1~ 1'"),
+        (lambda: involutions._turn((Entry(1), Entry(1, True)), 1, right=False),
+         "segment '1 1~'"),
         (lambda: involutions._bad_row_index((1,), (2,)),
          "nu=(2,) is a horizontal strip over mu=(1,)"),
         # a subscript below the content of the only box has no place
@@ -207,11 +210,43 @@ def test_psi_involution_on_random_three_row_cells(cell):
     ("2~\n1 1~ 1", BadCell(1, 1, "C2a"), "2~ 1\n1 1~"),
     ("2~\n1 1 1~", BadCell(1, 1, "C2a"), "2~ 2\n1 1~"),
     ("2~ 2\n1 1~", BadCell(1, 1, "C2a"), "2~\n1 1 1~"),
+    # C2a over nu = (2, 2): both turned runs hold two barred entries
+    ("2~ 2~\n1 1~ 1~ 1", BadCell(1, 1, "C2a"), "2~ 2~ 1\n1 1~ 1~"),
+    ("2~ 2~\n1 1 1~ 1~", BadCell(1, 1, "C2a"), "2~ 2 2~\n1 1~ 1~"),
+    ("2~ 2~ 1\n1 1~ 1~", BadCell(1, 1, "C2a"), "2~ 2~\n1 1~ 1~ 1"),
 ], ids=lambda v: v.condition if isinstance(v, BadCell) else None)  # a cell's id is its condition
 def test_psi1_golden_per_condition(text, cell, image):
     T = tableau_from_text(text)
     assert classify_bad(T, ()) == cell
     assert psi1(T, cell).to_text() == image
+
+
+def test_psi_on_the_cells_of_lam_33():
+    # lam = (3, 3) is the first shape whose psi turns runs holding two barred
+    # entries: 164 moves on 21 of its cells, none on the weight-4 grid.  Every
+    # cell with |mu| <= 3, at the default row caps; the digest pins the text
+    # of every (T, psi1(T), psi(T))
+    lam = (3, 3)
+    shapes = cli._psi_shapes(lam)
+    digest = hashlib.md5()
+    bad = 0
+    for mu in partitions_up_to(3):
+        for nu in lr_targets(lam, mu):
+            for kappa in shapes:
+                for T in enumerate_k_tableaux(kappa, mu, nu):
+                    cell = classify_bad(T, mu)
+                    if cell is None:
+                        continue
+                    T1 = psi1(T, cell)
+                    Tt = psi2(T1, cell, mu)
+                    assert Tt.shape == tuple(apply_rbar(cell.row, cell.row + 1, kappa)), T.to_text()
+                    word, yam = apply_word(mu, row_word(Tt))
+                    assert yam and tuple(word) == tuple(iv(nu)), T.to_text()
+                    assert psi(Tt, mu) == T, T.to_text()
+                    digest.update(f"{T.to_text()}|{T1.to_text()}|{Tt.to_text()}\n".encode())
+                    bad += 1
+    assert bad == 34348
+    assert digest.hexdigest() == "628c624d915123b540322108ad6d4752"
 
 
 def test_psi_stages_rebuild_only_rows_i_and_i_plus_1():
@@ -343,11 +378,11 @@ def test_monomial_golden():
 
 def test_monomial_weight_keeps_the_degree_guard():
     # one monomial of degree 127 packs; one more factor sets the guard bit
-    row = [plain(1)] * 67 + [plain(1, primed=True)] * 60
+    row = [Entry(1)] * 67 + [Entry(1, False, True)] * 60
     w = monomial_weight(ReverseTableau([row]), (200,))
     assert degree(w) == 127 and list(w.terms.values()) == [1]
     with pytest.raises(ArithmeticError):
-        monomial_weight(ReverseTableau([row + [plain(1)]]), (200,))
+        monomial_weight(ReverseTableau([row + [Entry(1)]]), (200,))
 
 
 def test_monomial_rejects_good():
@@ -392,8 +427,8 @@ def _monomial_rows(draw):
     l = len(mu)
     entries = draw(st.lists(
         st.one_of(
-            st.builds(bar, st.integers(1, l + 1)),
-            st.builds(plain, st.integers(1, l + 3), st.booleans()),
+            st.builds(Entry, st.integers(1, l + 1), st.just(True), st.just(False)),
+            st.builds(Entry, st.integers(1, l + 3), st.just(False), st.booleans()),
         ),
         min_size=1,
         max_size=8,
@@ -506,9 +541,9 @@ def _bad_pair_rows(draw):
     l = len(mu)
     nu = draw(st.sampled_from(bad_compositions(mu, p)))
     mup = pad(mu, len(nu))
-    barred = [bar(k + 1) for k in range(len(nu)) for _ in range(nu[k] - mup[k])]
+    barred = [Entry(k + 1, True) for k in range(len(nu)) for _ in range(nu[k] - mup[k])]
     others = draw(st.lists(
-        st.builds(plain, st.integers(1, l + 2), st.booleans()),
+        st.builds(Entry, st.integers(1, l + 2), st.just(False), st.booleans()),
         min_size=p - len(barred),
         max_size=p - len(barred),
     ))

@@ -77,6 +77,19 @@ def test_the_cell_rules_read_one_memoized_table_per_pair(monkeypatch, clear_orac
     assert searches == [None] * (1 + len(pairs))
 
 
+def test_coeff_refuses_entries_that_are_not_integers(clear_oracle_memos):
+    # 2.5, 1.7 and '1' are refused, not truncated to the coefficients at
+    # (2,), (1, 1) and (1,), cold and again once those shapes are memoized
+    product = theorem_product((1,), (1,))
+    for _ in range(2):
+        for bad in [(2.5,), (1.7, 1), ("1",)]:
+            with pytest.raises(ValueError, match="must be partitions"):
+                product.coeff(bad)
+        for good in [(1, 1), [1, 1, 0], (1.0, 1)]:
+            assert product.coeff(good) == APoly.one(), good
+        assert product.coeff((2,)) == APoly.one() and product.coeff((1,)) == a(0) - a(1)
+
+
 def test_a_warm_cell_read_calls_no_iv(monkeypatch, clear_oracle_memos):
     # once the pair's product and the shapes are memoized, both rules read
     # the product's terms with the nu require_partitions trimmed, and they

@@ -30,9 +30,8 @@ from lrpoly.shapes import (
 )
 from lrpoly.stable_ring import pieri_stable
 from lrpoly.tableaux import (
+    Entry,
     ReverseTableau,
-    bar,
-    plain,
     format_entry,
     row_order,
     column_order,
@@ -64,8 +63,8 @@ GOLDEN = tableau_from_text("2 2~ 1~\n2 2 2~ 1 1 1~\n1")
 
 def test_text_round_trip():
     assert tableau_from_text(GOLDEN.to_text()) == GOLDEN
-    assert tableau_from_text("3~ 2'").rows == ((bar(3), plain(2, primed=True)),)
-    assert format_entry(plain(4)) == "4"
+    assert tableau_from_text("3~ 2'").rows == ((Entry(3, True), Entry(2, False, True)),)
+    assert format_entry(Entry(4)) == "4"
     with pytest.raises(ValueError):
         tableau_from_text("0")
 
@@ -73,7 +72,7 @@ def test_text_round_trip():
 def test_shape_and_validity():
     assert GOLDEN.shape == (3, 6, 1)
     assert GOLDEN.is_valid()
-    bad = ReverseTableau([[plain(1), plain(2)]])
+    bad = ReverseTableau([[Entry(1), Entry(2)]])
     assert not bad.is_valid()
 
 
@@ -87,7 +86,7 @@ def test_orders():
 
 
 def test_tableau_weight_empty_product():
-    T = ReverseTableau([[bar(1)]])
+    T = ReverseTableau([[Entry(1, True)]])
     assert tableau_weight(T, ()) == APoly.one()
 
 
